@@ -26,13 +26,17 @@ from .rigor import iv_hull, iv_prec, mid_str
 from .search import (SupportSet, hp_decompose, maximal_j_element,
                      s_subspace_dim, special_family)
 
-_INT_KEYS = {"bound", "precision", "max_bits", "threads", "ell", "lmax",
-             "s_lmax", "samples", "seed", "degree", "window"}
+_INT_KEYS = {"bound", "precision", "max_bits", "ell", "lmax", "s_lmax",
+             "samples", "seed", "degree", "window"}
 
 
 def _load_config(path: str) -> dict:
     out = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
+    with fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -41,14 +45,22 @@ def _load_config(path: str) -> dict:
                 raise ValueError(f"bad config line {line!r}; expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            out[key] = int(value) if key in _INT_KEYS else value
+            if key in _INT_KEYS:
+                try:
+                    value = int(value)
+                except ValueError:
+                    raise ValueError(f"config key {key!r} needs an integer, "
+                                     f"got {value!r}") from None
+            out[key] = value
     return out
 
 
 def _merge_config(args: argparse.Namespace):
     if getattr(args, "config", None):
         for key, value in _load_config(args.config).items():
-            if getattr(args, key, None) is None:
+            if key in ("command", "config") or not hasattr(args, key):
+                raise ValueError(f"config key {key!r} is not an option of {args.command}")
+            if getattr(args, key) is None:
                 setattr(args, key, value)
 
 
@@ -62,7 +74,6 @@ def _add_xi_flags(sub):
     sub.add_argument("--precision", type=int, help="base working precision in bits")
     sub.add_argument("--max-bits", type=int, dest="max_bits",
                      help="precision-escalation ceiling in bits")
-    sub.add_argument("--threads", type=int, help="parallel scan blocks (default 1)")
 
 
 def _require(args, *names):
@@ -119,7 +130,7 @@ def _parser() -> argparse.ArgumentParser:
 def _cmd_minpoints(args) -> int:
     _require(args, "xi", "bound")
     ctx = RealContext(args.xi, args.precision or 192, args.max_bits or (1 << 16))
-    seq = minimal_sequence(ctx, args.bound, threads=args.threads or 1)
+    seq = minimal_sequence(ctx, args.bound)
     rows = [{"index": p.index, "x0": p.point[0], "x1": p.point[1], "x2": p.point[2],
              "norm": p.norm, "err": _err_str(p.err)} for p in seq]
     for r in rows:
@@ -263,7 +274,6 @@ def _cmd_run(args) -> int:
         max_bits=args.max_bits or (1 << 16),
         epsilon=args.epsilon or "1/10",
         suites=suites,
-        threads=args.threads or 1,
         lambda_window=args.window or 8,
         csv_path=args.csv,
         json_path=args.json,
@@ -289,8 +299,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    _merge_config(args)
     try:
+        _merge_config(args)
         return _COMMANDS[args.command](args)
     except (ValueError, DependenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,6 @@ class ExperimentConfig:
     max_bits: int = 1 << 16
     epsilon: str = "1/10"
     suites: tuple[str, ...] = ALL_SUITES
-    threads: int = 1
     lambda_window: int = 8
     csv_path: str | None = None
     json_path: str | None = None
@@ -93,7 +92,9 @@ class ExperimentReport:
                 "prop8": p8,
             })
         return {
-            "config": asdict(self.config),
+            # "threads" is the setting of the parallel scan that was removed;
+            # it stays at its one value so reports keep their recorded bytes
+            "config": {**asdict(self.config), "threads": 1},
             "constants": threshold_constants(),
             "counts": {
                 "sequence": len(self.sequence),
@@ -266,7 +267,7 @@ def _dump_reproducer(cfg: ExperimentConfig, rec: PairRecord, failed: list[str]):
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """The full pipeline for one xi; deterministic for a fixed configuration."""
     ctx = RealContext(cfg.xi, cfg.precision_bits, cfg.max_bits)
-    seq = minimal_sequence(ctx, cfg.norm_bound, threads=cfg.threads)
+    seq = minimal_sequence(ctx, cfg.norm_bound)
     indep = independence_set(seq) if len(seq) >= 3 else []
     records = build_pair_records(seq, indep)
     suites: dict[str, str] = {}

@@ -85,20 +85,6 @@ class IntEchelon:
         return out
 
 
-def nullspace_int(rows, ncols: int) -> list[list[int]]:
-    ech = IntEchelon(ncols)
-    for row in rows:
-        ech.insert(row)
-    return ech.nullspace()
-
-
-def rank_int(rows, ncols: int) -> int:
-    ech = IntEchelon(ncols)
-    for row in rows:
-        ech.insert(row)
-    return ech.rank
-
-
 def solve_unique(rows, rhs) -> list[Fraction] | None:
     """Solve A*x = rhs exactly when the solution is unique.
 

@@ -7,8 +7,13 @@ x1 and x2 to be the nearest integers to x0*xi and x0*xi^3, it is enough to
 scan the one candidate per leading coordinate x0; the test suite checks this
 against an exhaustive search over all triples.
 
-All error comparisons are interval decisions with precision escalation;
-nothing is ever settled by a midpoint guess.
+The scan decides each candidate on integers: its coordinates by rounding
+the scaled enclosures of x0*xi and x0*xi^3 (RealContext.nearest_to_multiple),
+and its record test by comparing integer enclosures of 2^bits * L at the base
+precision, with the current record's enclosure computed once per record.  An
+integer verdict is final, because the true values lie inside those
+enclosures; a comparison they leave open goes to the exact interval probe,
+which escalates precision.  Nothing is ever settled by a midpoint guess.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from math import gcd
 from .errors import DependenceError, InvariantViolation, NotInSpan
 from .forms import pair_values
 from .intervals import HALF, Interval
-from .realctx import RealContext, approx_error, delta_of
+from .realctx import RealContext, approx_error, delta_of, scaled_error
 from .vectors import Vec3, content, cross, det3, euclid_norm_sq, sup_norm, vadd, vscale
 
 
@@ -75,14 +80,35 @@ def _less(ctx: RealContext, make_a, make_b, what: str) -> bool:
     return ctx.decide(probe, what=what)
 
 
-def _err_less_than_half(ctx: RealContext, x: Vec3) -> bool:
-    return _less(ctx, lambda b: approx_error(x, ctx, b), lambda b: Interval(HALF),
-                 what=f"L{x} < 1/2")
+def _fixed_less(a: tuple[int, int], b: tuple[int, int]) -> bool | None:
+    """Interval.strictly_less on integer enclosures (lo, hi)."""
+    if a[1] < b[0]:
+        return True
+    if a[0] > b[1]:
+        return False
+    if a[0] == a[1] == b[0] == b[1]:
+        return False
+    return None
 
 
-def _err_less(ctx: RealContext, x: Vec3, y: Vec3) -> bool:
-    return _less(ctx, lambda b: approx_error(x, ctx, b), lambda b: approx_error(y, ctx, b),
-                 what=f"L{x} < L{y}")
+def _err_less_than_half(ctx: RealContext, x: Vec3, ex: tuple[int, int] | None = None) -> bool:
+    """L(x) < 1/2; ex is scaled_error(x, ctx) when the caller already has it."""
+    half = 1 << (ctx.precision_bits - 1)
+    verdict = _fixed_less(ex or scaled_error(x, ctx), (half, half))
+    if verdict is None:
+        verdict = _less(ctx, lambda b: approx_error(x, ctx, b), lambda b: Interval(HALF),
+                        what=f"L{x} < 1/2")
+    return verdict
+
+
+def _err_less(ctx: RealContext, x: Vec3, y: Vec3, ex: tuple[int, int] | None = None,
+              ey: tuple[int, int] | None = None) -> bool:
+    """L(x) < L(y); ex, ey are the scaled_error enclosures when the caller has them."""
+    verdict = _fixed_less(ex or scaled_error(x, ctx), ey or scaled_error(y, ctx))
+    if verdict is None:
+        verdict = _less(ctx, lambda b: approx_error(x, ctx, b),
+                        lambda b: approx_error(y, ctx, b), what=f"L{x} < L{y}")
+    return verdict
 
 
 def _x0_limit(ctx: RealContext, norm_bound: int) -> int:
@@ -94,11 +120,7 @@ def _x0_limit(ctx: RealContext, norm_bound: int) -> int:
     return min(norm_bound, cap)
 
 
-def _candidate_block(ctx: RealContext, lo: int, hi: int) -> list[tuple[int, Vec3]]:
-    return [(x0, candidate_for(x0, ctx)) for x0 in range(lo, hi)]
-
-
-def minimal_sequence(ctx: RealContext, norm_bound: int, threads: int = 1) -> list[MinimalPoint]:
+def minimal_sequence(ctx: RealContext, norm_bound: int) -> list[MinimalPoint]:
     """All minimal points of sup-norm <= norm_bound, in order.
 
     Raises DependenceError when 1, xi, xi^3 are provably dependent; decimal
@@ -114,30 +136,15 @@ def minimal_sequence(ctx: RealContext, norm_bound: int, threads: int = 1) -> lis
 
     limit = _x0_limit(ctx, norm_bound)
 
-    def candidate_stream():
-        if threads > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            block = max(256, (limit // threads) + 1)
-            spans = [(lo, min(lo + block, limit + 1))
-                     for lo in range(1, limit + 1, block)]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                # map() yields blocks in submission order, so the merged
-                # stream is identical to the serial scan
-                for part in pool.map(_candidate_block, [ctx] * len(spans),
-                                     [s[0] for s in spans], [s[1] for s in spans]):
-                    yield from part
-        else:
-            for x0 in range(1, limit + 1):
-                yield x0, candidate_for(x0, ctx)
-
     # candidate norms increase strictly with x0 (all three coordinates are
     # nondecreasing and one is strict, for any xi with |xi| != 1), so a
     # single streaming sweep keeps only the current record; the guard turns
     # a violated premise into an abort instead of a wrong sequence
     records: list[tuple[int, Vec3]] = []  # (norm, point)
+    record_err = None  # scaled_error of records[-1]
     last_norm = 0
-    for _x0, c in candidate_stream():
+    for x0 in range(1, limit + 1):
+        c = candidate_for(x0, ctx)
         n = sup_norm(c)
         if n <= last_norm:
             raise InvariantViolation("candidate norms failed to increase",
@@ -145,12 +152,14 @@ def minimal_sequence(ctx: RealContext, norm_bound: int, threads: int = 1) -> lis
         last_norm = n
         if n > norm_bound:
             continue
+        err = scaled_error(c, ctx)
         if records:
-            if not _err_less(ctx, c, records[-1][1]):
+            if not _err_less(ctx, c, records[-1][1], err, record_err):
                 continue
-        elif not _err_less_than_half(ctx, c):
+        elif not _err_less_than_half(ctx, c, err):
             continue
         records.append((n, c))
+        record_err = err
 
     out: list[MinimalPoint] = []
     for idx, (n, pt) in enumerate(records, start=1):

@@ -2,10 +2,15 @@
 
 A :class:`RealContext` wraps a specification of xi (a decimal literal or an
 integer polynomial with an isolating interval) and serves enclosures of xi,
-xi^2, xi^3 with exact rational endpoints.  Decisions that depend on xi
-(nearest integers, error comparisons) are made through :meth:`RealContext.decide`,
-which escalates the working precision until the answer is certain and aborts
-at a configurable ceiling instead of guessing.
+xi^2, xi^3 with exact rational endpoints, plus the same enclosures rounded
+outward to integer numerators over 2^bits (:meth:`RealContext.scaled`).
+Hot decisions (nearest integers, error comparisons) are first tried on those
+scaled integers; an integer verdict is final, because the true value lies
+inside the integer enclosure.  What the integer test leaves open goes to the
+exact interval probe through :meth:`RealContext.decide`, which escalates the
+working precision until the answer is certain and aborts at a configurable
+ceiling instead of guessing.  The algebraic root itself is refined by an
+integer Newton iteration whose cell is certified by exact sign evaluations.
 
 Spec grammar accepted by :func:`parse_xi_spec`:
 
@@ -21,7 +26,6 @@ Spec grammar accepted by :func:`parse_xi_spec`:
 from __future__ import annotations
 
 import re
-import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +36,9 @@ from .vectors import Vec3, sup_norm
 
 DEFAULT_PRECISION_BITS = 192
 DEFAULT_MAX_BITS = 1 << 16
+# Newton runs on a grid 2^GUARD_BITS times finer than the cell it must find,
+# so its last rounding step rarely lands next to a cell boundary
+GUARD_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -135,6 +142,74 @@ def _eval_sign(coeffs, v: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _horner(poly, t: int) -> tuple[int, int]:
+    """(value, derivative) of an ascending integer polynomial at an integer."""
+    value = slope = 0
+    for c in reversed(poly):
+        slope = slope * t + value
+        value = value * t + c
+    return value, slope
+
+
+def _scaled_poly(coeffs, start: int, step: int, den: int) -> list[int]:
+    """Ascending coefficients in t of den^n * f((start + step*t) / den)."""
+    out = [coeffs[-1]]
+    den_pow = 1
+    for c in reversed(coeffs[:-1]):
+        den_pow *= den
+        nxt = [0] * (len(out) + 1)
+        for i, a in enumerate(out):
+            nxt[i] += a * start
+            nxt[i + 1] += a * step
+        nxt[0] += c * den_pow
+        out = nxt
+    return out
+
+
+def _root_cell(coeffs, sign_lo: int, lo: Fraction, hi: Fraction, k: int):
+    """The depth-k bisection cell of [lo, hi] that holds the root.
+
+    With w = (hi - lo) / 2^k, returns the cell [lo + j*w, lo + (j+1)*w] whose
+    left end has sign sign_lo and whose right end has not: the cell k
+    halvings of [lo, hi] end in.  An integer Newton iteration on the grid
+    2^GUARD_BITS times finer guesses j; exact sign evaluations at the guess
+    and its neighbours certify it, and bisection of the integer bracket
+    [0, 2^k] finishes the search whenever they do not.
+    """
+    q = lo.denominator * hi.denominator
+    p = lo.numerator * hi.denominator
+    width = hi.numerator * lo.denominator - p
+    depth = k + GUARD_BITS
+    # g(t) = (q*2^depth)^n f(lo + t*w/2^GUARD_BITS), positive multiple of f
+    g = _scaled_poly(coeffs, p << depth, width, q << depth)
+
+    top = 1 << depth
+    t = top >> 1
+    for _ in range(4 * depth.bit_length() + 16):
+        value, slope = _horner(g, t)
+        if slope == 0:
+            break
+        step = value // slope
+        t -= step
+        if not 0 <= t <= top or -1 <= step <= 1:
+            break
+    j = (t - 1) >> GUARD_BITS  # guess: the root r (in cells) has j < r <= j + 1
+
+    a, b = 0, 1 << k  # sign at a is sign_lo, at b it is not
+    probes = [j - 1, j + 2, j, j + 1]
+    while b - a > 1:
+        m = probes.pop() if probes else (a + b) >> 1
+        if not a < m < b:
+            continue
+        value, _ = _horner(g, m << GUARD_BITS)
+        if (value > 0) - (value < 0) == sign_lo:
+            a = m
+        else:
+            b = m
+    return (Fraction((p << k) + a * width, q << k),
+            Fraction((p << k) + b * width, q << k))
+
+
 def _analyze_algebraic(spec: AlgebraicXi):
     """Validate the isolating interval and extract the minimal polynomial.
 
@@ -177,11 +252,7 @@ def _analyze_algebraic(spec: AlgebraicXi):
 
 
 class RealContext:
-    """Enclosures of xi, xi^2, xi^3 with escalation-on-demand.
-
-    Thread-safe: the refinement cache is guarded by a lock.  Instances are
-    picklable (for process-parallel scans); the lock is recreated on load.
-    """
+    """Enclosures of xi, xi^2, xi^3 with escalation-on-demand."""
 
     def __init__(self, spec, precision_bits: int = DEFAULT_PRECISION_BITS,
                  max_bits: int = DEFAULT_MAX_BITS):
@@ -196,8 +267,8 @@ class RealContext:
         self.max_bits = max_bits
         self.dependence_reason: str | None = None
         self.independence_assumed = False
-        self._lock = threading.Lock()
         self._pow_cache: dict[tuple[int, int], Interval] = {}
+        self._scaled_cache: dict[tuple[int, int], tuple[int, int]] = {}
 
         if isinstance(spec, DecimalXi):
             value = Fraction(spec.digits)
@@ -219,16 +290,6 @@ class RealContext:
                 # simple real root in the open interval forces a sign change
                 raise ValueError("no sign change across the isolating interval")
 
-    # -- pickling ---------------------------------------------------------
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     # -- basic properties -------------------------------------------------
     @property
     def dependent(self) -> bool:
@@ -249,14 +310,15 @@ class RealContext:
 
     # -- enclosures --------------------------------------------------------
     def _refine_base(self, width_bound: Fraction):
-        lo, hi = self._lo, self._hi
-        while hi - lo > width_bound:
-            mid = (lo + hi) / 2
-            if _eval_sign(self._minpoly, mid) == self._sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        self._lo, self._hi = lo, hi
+        """Shrink the root's cell by the fewest halvings reaching width_bound."""
+        ratio = (self._hi - self._lo) / width_bound
+        num, den = ratio.numerator, ratio.denominator
+        k = max(0, num.bit_length() - den.bit_length())
+        if den << k < num:
+            k += 1
+        if k:
+            self._lo, self._hi = _root_cell(self._minpoly, self._sign_lo,
+                                            self._lo, self._hi, k)
 
     def xi(self, bits: int | None = None) -> Interval:
         return self.power(1, bits)
@@ -280,22 +342,34 @@ class RealContext:
         cached = self._pow_cache.get(key)
         if cached is not None:
             return cached
-        with self._lock:
-            cached = self._pow_cache.get(key)
-            if cached is not None:
-                return cached
-            target = Fraction(1, 1 << bits)
-            self._refine_base(target)
-            while True:
-                base = Interval(self._lo, self._hi)
-                cube = base * base * base
-                scale = max(Fraction(1), abs(cube).hi)
-                iv = {1: base, 2: base * base, 3: cube}[k]
-                if iv.width <= target * scale:
-                    break
-                self._refine_base((self._hi - self._lo) / 2)
-            self._pow_cache[key] = iv
-            return iv
+        target = Fraction(1, 1 << bits)
+        self._refine_base(target)
+        while True:
+            base = Interval(self._lo, self._hi)
+            cube = base * base * base
+            scale = max(Fraction(1), abs(cube).hi)
+            iv = {1: base, 2: base * base, 3: cube}[k]
+            if iv.width <= target * scale:
+                break
+            self._refine_base((self._hi - self._lo) / 2)
+        self._pow_cache[key] = iv
+        return iv
+
+    def scaled(self, k: int, bits: int | None = None) -> tuple[int, int]:
+        """Integers (lo, hi) with lo <= 2^bits * xi^k <= hi.
+
+        Rounded outward (floor, ceil) from the exact enclosure power(k, bits)
+        and cached per (k, bits).
+        """
+        bits = self.precision_bits if bits is None else bits
+        key = (k, bits)
+        out = self._scaled_cache.get(key)
+        if out is None:
+            iv = self.power(k, bits)
+            out = ((iv.lo.numerator << bits) // iv.lo.denominator,
+                   -((-iv.hi.numerator << bits) // iv.hi.denominator))
+            self._scaled_cache[key] = out
+        return out
 
     def refinable_beyond(self, bits: int) -> bool:
         return self._minpoly is not None and bits < self.max_bits
@@ -320,7 +394,15 @@ class RealContext:
             bits = min(2 * bits, self.max_bits)
 
     def nearest_to_multiple(self, m: int, k: int) -> int:
-        """Nearest integer to m * xi^k, certified by strict interval containment."""
+        """Nearest integer to m * xi^k, certified by strict interval containment.
+
+        The scaled integer enclosure at the base precision decides when it
+        lies strictly between two half-integers; otherwise the exact probe
+        decides, escalating through :meth:`decide`.
+        """
+        n = self._nearest_fixed(m, k)
+        if n is not None:
+            return n
 
         def probe(bits):
             iv = self.power(k, bits) * m
@@ -330,6 +412,17 @@ class RealContext:
             return None
 
         return self.decide(probe, what=f"rounding of {m}*xi^{k}")
+
+    def _nearest_fixed(self, m: int, k: int) -> int | None:
+        """Nearest integer to m * xi^k if the scaled enclosure certifies it."""
+        bits = self.precision_bits
+        lo, hi = self.scaled(k, bits)
+        lo, hi = (m * lo, m * hi) if m >= 0 else (m * hi, m * lo)
+        half = 1 << (bits - 1)
+        n = (lo + half) >> bits
+        if (n << bits) - half < lo and hi < (n << bits) + half:
+            return n
+        return None
 
 
 # -- real-valued forms ------------------------------------------------------
@@ -344,6 +437,20 @@ def approx_error(x: Vec3, ctx: RealContext, bits: int | None = None) -> Interval
     e1 = abs(Interval(x[1]) - ctx.power(1, bits) * x[0])
     e2 = abs(Interval(x[2]) - ctx.power(3, bits) * x[0])
     return e1.max_with(e2)
+
+
+def scaled_error(x: Vec3, ctx: RealContext, bits: int | None = None) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= 2^bits * L(x) <= hi, from ctx.scaled."""
+    bits = ctx.precision_bits if bits is None else bits
+    err_lo = err_hi = 0
+    for k, target in ((1, x[1]), (3, x[2])):
+        lo, hi = ctx.scaled(k, bits)
+        lo, hi = (x[0] * lo, x[0] * hi) if x[0] >= 0 else (x[0] * hi, x[0] * lo)
+        e_lo, e_hi = (target << bits) - hi, (target << bits) - lo
+        if e_lo < 0:
+            e_lo, e_hi = (-e_hi, -e_lo) if e_hi <= 0 else (0, max(-e_lo, e_hi))
+        err_lo, err_hi = max(err_lo, e_lo), max(err_hi, e_hi)
+    return err_lo, err_hi
 
 
 def l_norm(x: Vec3, ctx: RealContext, bits: int | None = None) -> tuple[Interval, int]:

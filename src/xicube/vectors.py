@@ -17,10 +17,6 @@ def vsub(x: Vec3, y: Vec3) -> Vec3:
     return (x[0] - y[0], x[1] - y[1], x[2] - y[2])
 
 
-def vneg(x: Vec3) -> Vec3:
-    return (-x[0], -x[1], -x[2])
-
-
 def vscale(a: int, x: Vec3) -> Vec3:
     return (a * x[0], a * x[1], a * x[2])
 
@@ -41,10 +37,6 @@ def cross(x: Vec3, y: Vec3) -> Vec3:
 def content(x: Vec3) -> int:
     """gcd of the absolute values of the coordinates; 0 only for the zero vector."""
     return gcd(gcd(abs(x[0]), abs(x[1])), abs(x[2]))
-
-
-def is_primitive(x: Vec3) -> bool:
-    return content(x) == 1
 
 
 def sup_norm(x: Vec3) -> int:

@@ -8,10 +8,12 @@ rejected with exact interval arithmetic, and the record sweep below never
 shares logic with the scan under test: no nearest-integer shortcut anywhere.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from xicube.intervals import HALF, Interval
-from xicube.realctx import approx_error
+from xicube.realctx import _eval_sign, approx_error
 
 MARGIN = 1e-6  # far beyond float error for bounds <= a few thousand
 
@@ -61,6 +63,32 @@ def brute_force_minimal_points(ctx, bound):
             records.append(best)
         idx += len(shell)
     return records
+
+
+def exact_nearest(ctx, m, k, bits):
+    """The exact probe for the nearest integer to m * xi^k at one precision.
+
+    Strict containment of the Fraction enclosure in (n - 1/2, n + 1/2);
+    None when the enclosure straddles a half-integer.
+    """
+    iv = ctx.power(k, bits) * m
+    n = int((iv.mid + HALF).__floor__())
+    return n if n - HALF < iv.lo and iv.hi < n + HALF else None
+
+
+def bisect_cell(coeffs, sign_lo, lo: Fraction, hi: Fraction, width_bound: Fraction):
+    """Halve [lo, hi] around the root of coeffs until its width is <= width_bound.
+
+    Plain Fraction bisection: `RealContext._refine_base` must end in the
+    same cell, whatever method it uses to find it.
+    """
+    while hi - lo > width_bound:
+        mid = (lo + hi) / 2
+        if _eval_sign(coeffs, mid) == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def count_lattice_points(ell):

@@ -92,3 +92,21 @@ def test_config_file_merge(tmp_path, capsys):
     rc = main(["minpoints", "--config", str(cfg), "--bound", "10"])
     assert rc == 0
     assert "norm <= 10" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text,needle", [
+    (f"xi = {ROOT2}\nbound = ten\n", "bound"),
+    (f"xi = {ROOT2}\nbound = 100\nthredas = 2\n", "thredas"),
+    (f"xi = {ROOT2}\nbound = 100\nthreads = 2\n", "threads"),
+])
+def test_config_file_errors_exit_2(tmp_path, capsys, text, needle):
+    cfg = tmp_path / "xicube.cfg"
+    cfg.write_text(text)
+    assert main(["minpoints", "--config", str(cfg)]) == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    assert main(["minpoints", "--config", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err

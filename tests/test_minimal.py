@@ -56,12 +56,6 @@ def test_negative_xi_matches_oracle():
     assert seq[0].point == (1, -1, -2)
 
 
-def test_parallel_scan_matches_serial(ctx_root2):
-    serial = minimal_sequence(ctx_root2, 2000)
-    parallel = minimal_sequence(ctx_root2, 2000, threads=2)
-    assert [p.point for p in serial] == [p.point for p in parallel]
-
-
 def test_dependent_xi_rejected():
     ctx = RealContext("alg:x^3-2 in [1,2]")
     with pytest.raises(DependenceError):

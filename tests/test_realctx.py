@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from xicube import PrecisionError, RealContext, delta_of, l_norm, parse_xi_spec
-from xicube.realctx import AlgebraicXi, DecimalXi
+from xicube import (PrecisionError, RealContext, approx_error, delta_of, l_norm,
+                    parse_xi_spec)
+from xicube.realctx import DEFAULT_MAX_BITS, AlgebraicXi, DecimalXi
 
 
 def test_parse_specs():
@@ -120,6 +121,17 @@ def test_precision_ceiling_abort():
     ctx = RealContext("alg:x^4-2 in [1,2]", precision_bits=8, max_bits=8)
     with pytest.raises(PrecisionError):
         ctx.nearest_to_multiple(30000, 1)
+
+
+def test_exact_tie_stops_at_the_default_ceiling():
+    # L(x) < L(x) is never settled, so escalation climbs to the default
+    # ceiling and must stop there with an error naming it
+    ctx = RealContext("alg:x^4-2 in [1,2]")
+    assert ctx.max_bits == DEFAULT_MAX_BITS == 65536
+    x = (1, 0, 0)
+    with pytest.raises(PrecisionError, match="at 65536 bits"):
+        ctx.decide(lambda bits: approx_error(x, ctx, bits).strictly_less(
+            approx_error(x, ctx, bits)), what=f"tie L{x} < L{x}")
 
 
 def test_context_pickles(ctx_root2):
