@@ -91,20 +91,20 @@ def _fixed_less(a: tuple[int, int], b: tuple[int, int]) -> bool | None:
     return None
 
 
-def _err_less_than_half(ctx: RealContext, x: Vec3, ex: tuple[int, int] | None = None) -> bool:
-    """L(x) < 1/2; ex is scaled_error(x, ctx) when the caller already has it."""
+def _err_less_than_half(ctx: RealContext, x: Vec3, ex: tuple[int, int]) -> bool:
+    """L(x) < 1/2, given ex = scaled_error(x, ctx)."""
     half = 1 << (ctx.precision_bits - 1)
-    verdict = _fixed_less(ex or scaled_error(x, ctx), (half, half))
+    verdict = _fixed_less(ex, (half, half))
     if verdict is None:
         verdict = _less(ctx, lambda b: approx_error(x, ctx, b), lambda b: Interval(HALF),
                         what=f"L{x} < 1/2")
     return verdict
 
 
-def _err_less(ctx: RealContext, x: Vec3, y: Vec3, ex: tuple[int, int] | None = None,
-              ey: tuple[int, int] | None = None) -> bool:
-    """L(x) < L(y); ex, ey are the scaled_error enclosures when the caller has them."""
-    verdict = _fixed_less(ex or scaled_error(x, ctx), ey or scaled_error(y, ctx))
+def _err_less(ctx: RealContext, x: Vec3, y: Vec3, ex: tuple[int, int],
+              ey: tuple[int, int]) -> bool:
+    """L(x) < L(y), given ex, ey = scaled_error(x, ctx), scaled_error(y, ctx)."""
+    verdict = _fixed_less(ex, ey)
     if verdict is None:
         verdict = _less(ctx, lambda b: approx_error(x, ctx, b),
                         lambda b: approx_error(y, ctx, b), what=f"L{x} < L{y}")

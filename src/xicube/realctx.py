@@ -3,7 +3,8 @@
 A :class:`RealContext` wraps a specification of xi (a decimal literal or an
 integer polynomial with an isolating interval) and serves enclosures of xi,
 xi^2, xi^3 with exact rational endpoints, plus the same enclosures rounded
-outward to integer numerators over 2^bits (:meth:`RealContext.scaled`).
+outward to integer numerators over 2^precision_bits
+(:meth:`RealContext.scaled`).
 Hot decisions (nearest integers, error comparisons) are first tried on those
 scaled integers; an integer verdict is final, because the true value lies
 inside the integer enclosure.  What the integer test leaves open goes to the
@@ -268,7 +269,7 @@ class RealContext:
         self.dependence_reason: str | None = None
         self.independence_assumed = False
         self._pow_cache: dict[tuple[int, int], Interval] = {}
-        self._scaled_cache: dict[tuple[int, int], tuple[int, int]] = {}
+        self._scaled_cache: dict[int, tuple[int, int]] = {}
 
         if isinstance(spec, DecimalXi):
             value = Fraction(spec.digits)
@@ -355,20 +356,19 @@ class RealContext:
         self._pow_cache[key] = iv
         return iv
 
-    def scaled(self, k: int, bits: int | None = None) -> tuple[int, int]:
-        """Integers (lo, hi) with lo <= 2^bits * xi^k <= hi.
+    def scaled(self, k: int) -> tuple[int, int]:
+        """Integers (lo, hi) with lo <= 2^bits * xi^k <= hi, bits = precision_bits.
 
-        Rounded outward (floor, ceil) from the exact enclosure power(k, bits)
-        and cached per (k, bits).
+        Rounded outward (floor, ceil) from the exact enclosure power(k) and
+        cached per k.
         """
-        bits = self.precision_bits if bits is None else bits
-        key = (k, bits)
-        out = self._scaled_cache.get(key)
+        out = self._scaled_cache.get(k)
         if out is None:
+            bits = self.precision_bits
             iv = self.power(k, bits)
             out = ((iv.lo.numerator << bits) // iv.lo.denominator,
                    -((-iv.hi.numerator << bits) // iv.hi.denominator))
-            self._scaled_cache[key] = out
+            self._scaled_cache[k] = out
         return out
 
     def refinable_beyond(self, bits: int) -> bool:
@@ -416,7 +416,7 @@ class RealContext:
     def _nearest_fixed(self, m: int, k: int) -> int | None:
         """Nearest integer to m * xi^k if the scaled enclosure certifies it."""
         bits = self.precision_bits
-        lo, hi = self.scaled(k, bits)
+        lo, hi = self.scaled(k)
         lo, hi = (m * lo, m * hi) if m >= 0 else (m * hi, m * lo)
         half = 1 << (bits - 1)
         n = (lo + half) >> bits
@@ -439,12 +439,12 @@ def approx_error(x: Vec3, ctx: RealContext, bits: int | None = None) -> Interval
     return e1.max_with(e2)
 
 
-def scaled_error(x: Vec3, ctx: RealContext, bits: int | None = None) -> tuple[int, int]:
-    """Integers (lo, hi) with lo <= 2^bits * L(x) <= hi, from ctx.scaled."""
-    bits = ctx.precision_bits if bits is None else bits
+def scaled_error(x: Vec3, ctx: RealContext) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= 2^bits * L(x) <= hi at ctx.precision_bits."""
+    bits = ctx.precision_bits
     err_lo = err_hi = 0
     for k, target in ((1, x[1]), (3, x[2])):
-        lo, hi = ctx.scaled(k, bits)
+        lo, hi = ctx.scaled(k)
         lo, hi = (x[0] * lo, x[0] * hi) if x[0] >= 0 else (x[0] * hi, x[0] * lo)
         e_lo, e_hi = (target << bits) - hi, (target << bits) - lo
         if e_lo < 0:

@@ -127,8 +127,9 @@ def test_integer_error_comparisons_match_exact_probe(spec, bits, data):
     fixed = _fixed_less(ex, (half, half))
     if fixed is not None:
         assert exact_half(bits) == fixed
-    assert _outcome(lambda: _err_less(ctx, x, y)) == _outcome(lambda: ctx.decide(exact_less))
-    assert _outcome(lambda: _err_less_than_half(ctx, x)) == _outcome(
+    assert _outcome(lambda: _err_less(ctx, x, y, ex, ey)) == _outcome(
+        lambda: ctx.decide(exact_less))
+    assert _outcome(lambda: _err_less_than_half(ctx, x, ex)) == _outcome(
         lambda: ctx.decide(exact_half))
 
 
