@@ -155,30 +155,21 @@ def _err_str(interval) -> str:
         return mid_str(iv_hull(interval.lo, interval.hi), 12)
 
 
+def _dims_row(label: str, ell: int, dim) -> int:
+    """Print one table row with its own verdict; return its disagreeing cells."""
+    row = [dim(k) for k in range(ell + 3)]
+    bad = sum(got != max(0, tau(ell) - tau(k - 1)) for k, got in enumerate(row))
+    print(f"{label}: dims k=0..{ell + 2}: {row}  [{'FAIL' if bad else 'PASS'}]")
+    return bad
+
+
 def _cmd_ring_dims(args) -> int:
     lmax = args.lmax if args.lmax is not None else 10
     s_lmax = args.s_lmax if args.s_lmax is not None else 8
-    bad = 0
-    for ell in range(lmax + 1):
-        row = []
-        for k in range(ell + 3):
-            got = len(j_subspace(ell, k))
-            want = max(0, tau(ell) - tau(k - 1))
-            row.append(got)
-            if got != want:
-                bad += 1
-        status = "PASS" if bad == 0 else "FAIL"
-        print(f"R_{ell}: dims k=0..{ell + 2}: {row}  [{status}]")
-    for ell in range(s_lmax + 1):
-        row = []
-        for k in range(ell + 3):
-            got = s_subspace_dim(2 * ell, k)
-            want = max(0, tau(ell) - tau(k - 1))
-            row.append(got)
-            if got != want:
-                bad += 1
-        status = "PASS" if bad == 0 else "FAIL"
-        print(f"S_{2 * ell}: dims k=0..{ell + 2}: {row}  [{status}]")
+    bad = sum(_dims_row(f"R_{ell}", ell, lambda k: len(j_subspace(ell, k)))
+              for ell in range(lmax + 1))
+    bad += sum(_dims_row(f"S_{2 * ell}", ell, lambda k: s_subspace_dim(2 * ell, k))
+               for ell in range(s_lmax + 1))
     if bad:
         print(f"{bad} cells disagree with the dimension formula", file=sys.stderr)
         return 1

@@ -15,17 +15,28 @@ The substitution y -> x + q*y acts on the generators by
 
 and the largest power of q dividing the image of an element is its
 J-valuation, the quantity that turns symbolic membership into integer
-divisibility on minimal-point pairs.  Subspaces cut out by a J-valuation
-bound are computed as exact nullspaces of the q-coefficient map.
+divisibility on minimal-point pairs.  `expand` and `rho` substitute
+exactly; with them the identity suite, and this module before its first
+valuation, certify rho(A) = q^2 A and rho(B) = q^3 B for A = (T^2 + 3F)/4
+and B = (T^3 - 9TF - 108 G0)/4.
+
+Hence the closed form.  Through F = (4A - T^2)/3 and G0 = (T^3 - 3TA - B)/27
+an element lies on the monomials T^(l-2b-3c) A^b B^c, which rho maps to
+(3S + qT)^(l-2b-3c) q^(2b+3c) A^b B^c.  As S, A, B are algebraically
+independent, the J-valuation is the least weight 2b + 3c over that support,
+and the subspace cut out by a bound k is the exact nullspace of the
+coordinates of weight below k.  The truncated substitution engine, which
+finds the same subspaces from q-coefficients, is the reference in
+tests/oracle.py.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 
-from .errors import ZeroElement
+from .errors import InvariantViolation, ZeroElement
 from .forms import pair_values
 from .linalg import IntEchelon, vec_content
 from .vectors import Vec3
@@ -235,53 +246,27 @@ def mul_expanded(p: ExpandedPoly, r: ExpandedPoly) -> ExpandedPoly:
 
 # -- the substitution y -> x + q*y -------------------------------------------
 
-_pow_cache: dict[tuple[str, int], dict] = {}
-_uv_cache: dict[tuple[int, int, int], dict] = {}
+# images of S, T, U, V, keyed (e_q, e_S, e_T, e_U, e_V)
+_GEN_IMAGES: tuple[ExpandedPoly, ...] = (
+    {(0, 1, 0, 0, 0): 1},
+    {(0, 1, 0, 0, 0): 3, (1, 0, 1, 0, 0): 1},
+    {(0, 1, 0, 0, 0): 3, (1, 0, 1, 0, 0): 2, (2, 0, 0, 1, 0): 1},
+    {(0, 1, 0, 0, 0): 1, (1, 0, 1, 0, 0): 1, (2, 0, 0, 1, 0): 1, (3, 0, 0, 0, 1): 1},
+)
 
 
-def _gen_power(gen: str, e: int) -> dict:
-    """Image of T^e / U^e / V^e under the substitution, exact, untruncated."""
-    key = (gen, e)
-    hit = _pow_cache.get(key)
-    if hit is not None:
-        return hit
-    out: dict = {}
-    if gen == "T":
-        # (3S + qT)^e
-        for i in range(e + 1):
-            out[(i, e - i, i, 0, 0)] = comb(e, i) * 3 ** (e - i)
-    elif gen == "U":
-        # (3S + 2qT + q^2 U)^e
-        for i in range(e + 1):
-            for j in range(e - i + 1):
-                k = e - i - j
-                c = comb(e, i) * comb(e - i, j) * 3**i * 2**j
-                out[(j + 2 * k, i, j, k, 0)] = c
-    elif gen == "V":
-        # (S + qT + q^2 U + q^3 V)^e
-        for i in range(e + 1):
-            for j in range(e - i + 1):
-                for k in range(e - i - j + 1):
-                    l = e - i - j - k
-                    c = comb(e, i) * comb(e - i, j) * comb(e - i - j, k)
-                    out[(j + 2 * k + 3 * l, i, j, k, l)] = c
-    else:
-        raise ValueError(gen)
-    _pow_cache[key] = out
-    return out
-
-
-def _mul_trunc(p: dict, r: dict, qmax: int) -> dict:
-    out: dict = {}
-    for k1, c1 in p.items():
-        q1 = k1[0]
-        if q1 > qmax:
-            continue
-        for k2, c2 in r.items():
-            if q1 + k2[0] > qmax:
-                continue
-            k = tuple(a + b for a, b in zip(k1, k2))
-            v = out.get(k, 0) + c1 * c2
+def rho(p: ExpandedPoly) -> ExpandedPoly:
+    """Apply the substitution to a q-free expanded polynomial, exactly."""
+    out: ExpandedPoly = {}
+    for key, coeff in p.items():
+        if key[0]:
+            raise ValueError("input must be free of q")
+        img: ExpandedPoly = {(0, 0, 0, 0, 0): coeff}
+        for gen, e in zip(_GEN_IMAGES, key[1:]):
+            for _ in range(e):
+                img = mul_expanded(img, gen)
+        for k, v in img.items():
+            v += out.get(k, 0)
             if v:
                 out[k] = v
             else:
@@ -289,97 +274,110 @@ def _mul_trunc(p: dict, r: dict, qmax: int) -> dict:
     return out
 
 
-def _uv_image(c: int, d: int, qmax: int) -> dict:
-    key = (c, d, qmax)
-    hit = _uv_cache.get(key)
+# -- the (T, A, B) coordinates ------------------------------------------------
+
+# 3F = 4A - T^2 and 27 G0 = T^3 - 3TA - B on T^a A^b B^c, keyed (b, c); the
+# power of T is implied by the degree
+_3F_TAB = {(0, 0): -1, (1, 0): 4}
+_27G0_TAB = {(0, 0): 1, (1, 0): -3, (0, 1): -1}
+_tab_cache: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+
+
+def _certify_weights() -> None:
+    """Check rho(A) = q^2 A and rho(B) = q^3 B, the premise of the closed form."""
+    for name, w in (("A", 2), ("B", 3)):
+        p = expand(named_element(name))
+        if rho(p) != {(eq + w, *mono): v for (eq, *mono), v in p.items()}:
+            raise InvariantViolation(f"rho({name}) is not q^{w} * {name}", {})
+
+
+def _tab_monomial(m: int, n: int) -> dict[tuple[int, int], int]:
+    """(3F)^m * (27 G0)^n on the (b, c) keys, built from cached neighbours.
+
+    The first call, which reaches the root (0, 0), certifies the weights.
+    """
+    hit = _tab_cache.get((m, n))
     if hit is None:
-        hit = _mul_trunc(_gen_power("U", c), _gen_power("V", d), qmax)
-        _uv_cache[key] = hit
+        if not (m or n):
+            _certify_weights()
+            hit = {(0, 0): 1}
+        else:
+            prev, gen = ((_tab_monomial(m - 1, n), _3F_TAB) if m
+                         else (_tab_monomial(0, n - 1), _27G0_TAB))
+            hit = {}
+            for (b1, c1), v1 in prev.items():
+                for (b2, c2), v2 in gen.items():
+                    k = (b1 + b2, c1 + c2)
+                    hit[k] = hit.get(k, 0) + v1 * v2
+            hit = {k: v for k, v in hit.items() if v}
+        _tab_cache[(m, n)] = hit
     return hit
 
 
-def rho(p: ExpandedPoly, qmax: int | None = None) -> ExpandedPoly:
-    """Apply the substitution to a q-free expanded polynomial.
+def _scaled_coordinates(coeffs: dict[tuple[int, int], int]) -> tuple[dict, int]:
+    """3^w times the (T, A, B) coordinates of an integer combination, and w."""
+    w = max((m + 3 * n for m, n in coeffs), default=0)
+    out: dict[tuple[int, int], int] = {}
+    for (m, n), c in coeffs.items():
+        c *= 3 ** (w - m - 3 * n)
+        for key, v in _tab_monomial(m, n).items():
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}, w
 
-    With qmax set, monomials of q-degree beyond qmax are dropped (the exact
-    truncation used by the subspace solver).
-    """
-    total = 0
-    for (eq, a, b, c, d) in p:
-        if eq:
-            raise ValueError("input must be free of q")
-        total = max(total, b + 2 * c + 3 * d)
-    if qmax is None:
-        qmax = total
-    out: ExpandedPoly = {}
-    for (eq, a, b, c, d), coeff in p.items():
-        img = _mul_trunc(_gen_power("T", b), _uv_image(c, d, qmax), qmax)
-        for (q1, a1, b1, c1, d1), ic in img.items():
-            k = (q1, a1 + a, b1, c1, d1)
-            v = out.get(k, 0) + coeff * ic
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out
+
+def tab_coordinates(e: RingElem) -> dict[tuple[int, int], Fraction]:
+    """The element on T^(l-2b-3c) A^b B^c as {(b, c): coefficient}, zeros dropped."""
+    den = lcm(*(c.denominator for c in e.coeffs.values()))
+    coords, w = _scaled_coordinates({key: int(c * den) for key, c in e.coeffs.items()})
+    return {key: Fraction(v, den * 3**w) for key, v in coords.items()}
 
 
 def j_valuation(e: RingElem) -> int:
-    """The largest k with q^k dividing the substituted image; 0 <= v <= degree."""
+    """The largest k with q^k dividing the substituted image; 0 <= v <= degree.
+
+    It is the least weight 2b + 3c of the (T, A, B) coordinates.
+    """
     if e.is_zero():
         raise ZeroElement("the zero element has no J-valuation")
-    image = rho(expand(e))
-    assert image, "substitution of a nonzero element cannot vanish"
-    return min(k[0] for k in image)
+    coords = tab_coordinates(e)
+    assert coords, "a nonzero element has nonzero (T, A, B) coordinates"
+    return min(2 * b + 3 * c for b, c in coords)
 
 
 # -- subspaces cut out by a J-valuation bound --------------------------------
 
-_image_cache: dict = {}
+def _low_echelon(columns: list[dict], k: int) -> IntEchelon:
+    """Echelon form of the rows (b, c) with 2b + 3c < k of the (T, A, B) columns.
 
-
-def _column_images(ell: int, support: tuple[tuple[int, int], ...], qmax: int):
-    """Per-monomial substituted images, truncated at q-degree qmax.
-
-    Returns one dict {(q_exp, S, T, U, V): int} per support monomial; the
-    cache keeps the widest truncation seen for each (ell, support).
+    Column entries are integers or Fractions.  The nullspace holds the
+    combinations of the columns with J-valuation >= k.
     """
-    key = (ell, support)
-    hit = _image_cache.get(key)
-    if hit is not None and hit[0] >= qmax:
-        if hit[0] == qmax:
-            return hit[1]
-        return [{k: v for k, v in img.items() if k[0] <= qmax} for img in hit[1]]
-    images = []
-    for (m, n) in support:
-        poly = dict(_expand_monomial(ell, m, n))
-        images.append(rho(poly, qmax=qmax))
-    _image_cache[key] = (qmax, images)
-    return images
+    ech = IntEchelon(len(columns))
+    for key in sorted({bc for col in columns for bc in col if 2 * bc[0] + 3 * bc[1] < k}):
+        row = [col.get(key, 0) for col in columns]
+        den = lcm(*(v.denominator for v in row))
+        ech.insert([int(v * den) for v in row])
+    return ech
 
 
 def _subspace_vectors(ell: int, support, k: int) -> list[list[int]]:
-    """Nullspace vectors of the q^0..q^(k-1) coefficient map on the span of support."""
-    support = tuple(support)
-    ncols = len(support)
-    if k <= 0:
-        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    images = _column_images(ell, support, qmax=k - 1)
-    row_keys = sorted({mk for img in images for mk in img if mk[0] < k})
-    ech = IntEchelon(ncols)
-    for mk in row_keys:
-        row = [int(img.get(mk, 0)) for img in images]
-        ech.insert(row)
-    return ech.nullspace()
+    """Nullspace vectors of the weight-below-k coordinates on the span of support.
+
+    The coordinates leave the power of T implicit, so ell is not needed.
+    """
+    # one scale 3^w for all columns keeps the nullspace that of the exact coordinates
+    w = max(m + 3 * n for m, n in support)
+    columns = [_scaled_coordinates({(m, n): 3 ** (w - m - 3 * n)})[0] for (m, n) in support]
+    return _low_echelon(columns, k).nullspace()
 
 
 def j_subspace(ell: int, k: int) -> list[RingElem]:
     """Basis of the degree-ell elements with J-valuation >= k.
 
     Computed honestly as the exact nullspace of the map sending a coefficient
-    vector to the q^0..q^(k-1) coefficients of its substituted image; the
-    dimension formula tau(ell) - tau(k-1) is checked *against* this output
-    by the tests, never assumed by it.
+    vector to its (T, A, B) coordinates of weight 2b + 3c < k; the dimension
+    formula tau(ell) - tau(k-1) is checked *against* this output by the
+    tests, never assumed by it.
     """
     if ell < 0 or k < 0:
         raise ValueError("ell and k must be >= 0")

@@ -3,22 +3,27 @@
 Three kinds of searches live here: the maximal-J-valuation element over an
 arbitrary monomial support, the distinguished one-dimensional family on the
 degree-(12l+2) triangle supports (valuation 6l+2) together with its parity
-certificate, and the dimension theory of the subring generated by F, M, N.  The inequality test of the exponent study is also here since it
-consumes the same pair data the searches predict divisibility for.
+certificate, and the dimension theory of the subring generated by F, M, N.
+Their J-valuation conditions are exact nullspaces of the (T, A, B)
+coordinates of weight below k, the route `xicube.ring` describes.
+
+The inequality test of the exponent study is also here since it consumes
+the same pair data the searches predict divisibility for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .errors import (DecompositionFailure, DimensionMismatch, InvalidEll,
                      InvariantViolation)
 from .linalg import IntEchelon, solve_unique, vec_content
 from .minimal import PairRecord
 from .rigor import decide_sign, iv_fraction, iv_log_abs_int, mid_str
-from .ring import RingElem, _subspace_vectors, basis_of, expand, named_element, rho
+from .ring import (RingElem, _low_echelon, _subspace_vectors, basis_of,
+                   named_element, tab_coordinates)
 
 
 @dataclass(frozen=True)
@@ -118,52 +123,41 @@ _fmn_cache: dict[tuple[int, int, int], RingElem] = {}
 
 
 def _fmn_product(e: int, m: int, n: int) -> RingElem:
+    """F^e M^m N^n, one generator times a cached shorter product."""
     key = (e, m, n)
     hit = _fmn_cache.get(key)
     if hit is None:
-        hit = named_element("F") ** e * named_element("M") ** m * named_element("N") ** n
+        if e:
+            hit = _fmn_product(e - 1, m, n) * named_element("F")
+        elif m:
+            hit = _fmn_product(0, m - 1, n) * named_element("M")
+        elif n:
+            hit = _fmn_product(0, 0, n - 1) * named_element("N")
+        else:
+            hit = RingElem(0, {(0, 0): 1})
         _fmn_cache[key] = hit
     return hit
-
-
-def _general_subspace_dim(cols: list[RingElem], k: int) -> int:
-    """dim of span(cols) ∩ J^(k) for linearly independent columns."""
-    keys = sorted({mk for col in cols for mk in col.coeffs})
-    indep = IntEchelon(len(cols))
-    den = 1
-    for col in cols:
-        for c in col.coeffs.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-    for mk in keys:
-        indep.insert([int(col.coeffs.get(mk, 0) * den) for col in cols])
-    if not indep.full_rank():
-        raise InvariantViolation("subspace columns are linearly dependent", {})
-    if k <= 0:
-        return len(cols)
-    images = [rho(expand(col), qmax=k - 1) for col in cols]
-    row_keys = sorted({mk for img in images for mk in img if mk[0] < k})
-    ech = IntEchelon(len(cols))
-    for mk in row_keys:
-        row = [img.get(mk, Fraction(0)) for img in images]
-        rden = 1
-        for v in row:
-            v = Fraction(v)
-            rden = rden * v.denominator // gcd(rden, v.denominator)
-        ech.insert([int(Fraction(v) * rden) for v in row])
-    return len(cols) - ech.rank
 
 
 def s_subspace_dim(two_ell: int, k: int) -> int:
     """dim of the degree-2l part of Q[F,M,N] meeting J^(k).
 
-    Columns are the products F^(l-2m-3n) M^m N^n; the computation is the
-    same honest nullspace as for the full ring.
+    Columns are the products F^(l-2m-3n) M^m N^n, checked linearly
+    independent; the computation is the same honest nullspace as for the
+    full ring, on their (T, A, B) coordinates.
     """
     if two_ell < 0 or two_ell % 2:
         raise ValueError("degree must be even and >= 0")
     ell = two_ell // 2
     cols = [_fmn_product(ell - 2 * m - 3 * n, m, n) for (m, n) in basis_of(ell)]
-    return _general_subspace_dim(cols, k)
+    keys = sorted({mk for col in cols for mk in col.coeffs})
+    den = lcm(*(c.denominator for col in cols for c in col.coeffs.values()))
+    indep = IntEchelon(len(cols))
+    for mk in keys:
+        indep.insert([int(col.coefficient(*mk) * den) for col in cols])
+    if not indep.full_rank():
+        raise InvariantViolation("subspace columns are linearly dependent", {})
+    return len(cols) - _low_echelon([tab_coordinates(col) for col in cols], k).rank
 
 
 # -- decomposition of the H-multiplied family element -------------------------
@@ -212,10 +206,9 @@ def hp_decompose(pl: RingElem, ell: int) -> HpDecomposition:
 
     cols: list[RingElem] = []
     for k in range(ell + 1):
-        tail = named_element("M") ** (3 * k) * named_element("N") ** (2 * ell - 2 * k)
-        cols.append(named_element("F") * named_element("N") * tail)
-        cols.append(named_element("F") ** 2 * named_element("M") * tail)
-        cols.append(named_element("M") ** 2 * tail)
+        m, n = 3 * k, 2 * ell - 2 * k  # the tail M^m N^n
+        cols += [_fmn_product(1, m, n + 1), _fmn_product(2, m + 1, n),
+                 _fmn_product(0, m + 2, n)]
 
     keys = sorted({mk for col in cols for mk in col.coeffs} | set(hp.coeffs))
     rows = [[col.coeffs.get(mk, Fraction(0)) for col in cols] for mk in keys]

@@ -1,5 +1,10 @@
 """Independent brute-force baselines for the test suite.
 
+Ring oracle: the truncated substitution engine.  It expands an element to
+Q[q, S, T, U, V] under y -> x + q*y, keeping q-degrees below the bound, and
+takes J-valuations and J-subspaces from the q-coefficients of the image.
+The package's (T, A, B) route must agree with it.
+
 The minimal-point oracle examines *every* integer triple with sup-norm up to
 the bound (x0 >= 1 by the sign symmetry L(-x) = L(x); x0 = 0 forces L >= 1).
 A vectorized float prefilter with a wide safety margin discards triples that
@@ -9,11 +14,15 @@ shares logic with the scan under test: no nearest-integer shortcut anywhere.
 """
 
 from fractions import Fraction
+from math import comb, gcd
 
 import numpy as np
 
+from xicube.errors import InvariantViolation, ZeroElement
 from xicube.intervals import HALF, Interval
+from xicube.linalg import IntEchelon
 from xicube.realctx import _eval_sign, approx_error
+from xicube.ring import _expand_monomial, basis_of, expand, named_element
 
 MARGIN = 1e-6  # far beyond float error for bounds <= a few thousand
 
@@ -95,3 +104,164 @@ def count_lattice_points(ell):
     """tau by direct enumeration."""
     return sum(1 for m in range(ell // 2 + 1) for n in range(ell // 3 + 1)
                if 2 * m + 3 * n <= ell) if ell >= 0 else 0
+
+
+# -- the truncated substitution engine ---------------------------------------
+
+_pow_cache: dict = {}
+_uv_cache: dict = {}
+_image_cache: dict = {}
+
+
+def _gen_power(gen: str, e: int) -> dict:
+    """Image of T^e / U^e / V^e under the substitution, exact, untruncated."""
+    key = (gen, e)
+    hit = _pow_cache.get(key)
+    if hit is not None:
+        return hit
+    out: dict = {}
+    if gen == "T":
+        # (3S + qT)^e
+        for i in range(e + 1):
+            out[(i, e - i, i, 0, 0)] = comb(e, i) * 3 ** (e - i)
+    elif gen == "U":
+        # (3S + 2qT + q^2 U)^e
+        for i in range(e + 1):
+            for j in range(e - i + 1):
+                k = e - i - j
+                c = comb(e, i) * comb(e - i, j) * 3**i * 2**j
+                out[(j + 2 * k, i, j, k, 0)] = c
+    elif gen == "V":
+        # (S + qT + q^2 U + q^3 V)^e
+        for i in range(e + 1):
+            for j in range(e - i + 1):
+                for k in range(e - i - j + 1):
+                    l = e - i - j - k
+                    c = comb(e, i) * comb(e - i, j) * comb(e - i - j, k)
+                    out[(j + 2 * k + 3 * l, i, j, k, l)] = c
+    else:
+        raise ValueError(gen)
+    _pow_cache[key] = out
+    return out
+
+
+def _mul_trunc(p: dict, r: dict, qmax: int) -> dict:
+    out: dict = {}
+    for k1, c1 in p.items():
+        q1 = k1[0]
+        if q1 > qmax:
+            continue
+        for k2, c2 in r.items():
+            if q1 + k2[0] > qmax:
+                continue
+            k = tuple(a + b for a, b in zip(k1, k2))
+            v = out.get(k, 0) + c1 * c2
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    return out
+
+
+def _uv_image(c: int, d: int, qmax: int) -> dict:
+    key = (c, d, qmax)
+    hit = _uv_cache.get(key)
+    if hit is None:
+        hit = _mul_trunc(_gen_power("U", c), _gen_power("V", d), qmax)
+        _uv_cache[key] = hit
+    return hit
+
+
+def rho(p: dict, qmax: int | None = None) -> dict:
+    """Apply the substitution to a q-free expanded polynomial.
+
+    With qmax set, monomials of q-degree beyond qmax are dropped.
+    """
+    total = 0
+    for (eq, a, b, c, d) in p:
+        if eq:
+            raise ValueError("input must be free of q")
+        total = max(total, b + 2 * c + 3 * d)
+    if qmax is None:
+        qmax = total
+    out: dict = {}
+    for (eq, a, b, c, d), coeff in p.items():
+        img = _mul_trunc(_gen_power("T", b), _uv_image(c, d, qmax), qmax)
+        for (q1, a1, b1, c1, d1), ic in img.items():
+            k = (q1, a1 + a, b1, c1, d1)
+            v = out.get(k, 0) + coeff * ic
+            if v:
+                out[k] = v
+            else:
+                out.pop(k, None)
+    return out
+
+
+def j_valuation(e) -> int:
+    """The lowest power of q in the substituted image."""
+    if e.is_zero():
+        raise ZeroElement("the zero element has no J-valuation")
+    return min(k[0] for k in rho(expand(e)))
+
+
+def _column_images(ell: int, support: tuple, qmax: int):
+    """Per-monomial substituted images, truncated at q-degree qmax.
+
+    The cache keeps the widest truncation seen for each (ell, support).
+    """
+    key = (ell, support)
+    hit = _image_cache.get(key)
+    if hit is not None and hit[0] >= qmax:
+        if hit[0] == qmax:
+            return hit[1]
+        return [{k: v for k, v in img.items() if k[0] <= qmax} for img in hit[1]]
+    images = [rho(dict(_expand_monomial(ell, m, n)), qmax=qmax) for (m, n) in support]
+    _image_cache[key] = (qmax, images)
+    return images
+
+
+def subspace_vectors(ell: int, support, k: int) -> list[list[int]]:
+    """Nullspace vectors of the q^0..q^(k-1) coefficient map on the span of support."""
+    support = tuple(support)
+    ncols = len(support)
+    if k <= 0:
+        return [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
+    images = _column_images(ell, support, qmax=k - 1)
+    ech = IntEchelon(ncols)
+    for mk in sorted({mk for img in images for mk in img if mk[0] < k}):
+        ech.insert([int(img.get(mk, 0)) for img in images])
+    return ech.nullspace()
+
+
+def general_subspace_dim(cols: list, k: int) -> int:
+    """dim of span(cols) ∩ J^(k) for linearly independent columns."""
+    keys = sorted({mk for col in cols for mk in col.coeffs})
+    indep = IntEchelon(len(cols))
+    den = 1
+    for col in cols:
+        for c in col.coeffs.values():
+            den = den * c.denominator // gcd(den, c.denominator)
+    for mk in keys:
+        indep.insert([int(col.coeffs.get(mk, 0) * den) for col in cols])
+    if not indep.full_rank():
+        raise InvariantViolation("subspace columns are linearly dependent", {})
+    if k <= 0:
+        return len(cols)
+    images = [rho(expand(col), qmax=k - 1) for col in cols]
+    row_keys = sorted({mk for img in images for mk in img if mk[0] < k})
+    ech = IntEchelon(len(cols))
+    for mk in row_keys:
+        row = [Fraction(img.get(mk, 0)) for img in images]
+        rden = 1
+        for v in row:
+            rden = rden * v.denominator // gcd(rden, v.denominator)
+        ech.insert([int(v * rden) for v in row])
+    return len(cols) - ech.rank
+
+
+def s_subspace_dim(two_ell: int, k: int) -> int:
+    """dim of the degree-2l part of Q[F,M,N] meeting J^(k), by substitution."""
+    F, M, N = (named_element(name) for name in "FMN")
+    ell = two_ell // 2
+    cols = [F ** (ell - 2 * m - 3 * n) * M**m * N**n for (m, n) in basis_of(ell)]
+    return general_subspace_dim(cols, k)

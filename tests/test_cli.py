@@ -45,6 +45,24 @@ def test_ring_dims(capsys):
     assert "all dimension cells PASS" in out
 
 
+def test_ring_dims_marks_only_the_wrong_row(monkeypatch, capsys):
+    import xicube.cli as cli
+
+    right = cli.j_subspace
+
+    def wrong_at_r2(ell, k):
+        basis = right(ell, k)
+        return basis + basis[:1] if (ell, k) == (2, 1) else basis
+
+    monkeypatch.setattr(cli, "j_subspace", wrong_at_r2)
+    assert main(["ring-dims", "--lmax", "4", "--s-lmax", "1"]) == 1
+    captured = capsys.readouterr()
+    failing = [line for line in captured.out.splitlines() if line.endswith("[FAIL]")]
+    assert failing == ["R_2: dims k=0..4: [2, 2, 1, 0, 0]  [FAIL]"]
+    assert captured.out.count("[PASS]") == 6
+    assert captured.err.startswith("1 cells disagree")
+
+
 def test_find_relation(tmp_path, capsys):
     out_json = tmp_path / "rel.json"
     rc = main(["find-relation", "--degree", "6", "--support", "3,0;0,2",

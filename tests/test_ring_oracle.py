@@ -1,0 +1,77 @@
+"""The (T, A, B) route against the truncated substitution engine of the oracle."""
+
+import random
+from fractions import Fraction
+
+import oracle
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from xicube import search
+from xicube.errors import InvariantViolation
+from xicube.ring import (RingElem, basis_of, j_subspace, j_valuation,
+                         named_element, rho, tab_coordinates)
+from xicube.search import s_subspace_dim, special_family
+
+
+@pytest.mark.parametrize("ell", range(11))
+def test_j_subspace_matches_substitution(ell):
+    support = basis_of(ell)
+    for k in range(ell + 3):
+        want = [RingElem(ell, dict(zip(support, vec)))
+                for vec in oracle.subspace_vectors(ell, support, k)]
+        assert j_subspace(ell, k) == want, (ell, k)
+
+
+@pytest.mark.parametrize("ell", range(7))
+def test_s_subspace_dim_matches_substitution(ell):
+    for k in range(ell + 3):
+        assert s_subspace_dim(2 * ell, k) == oracle.s_subspace_dim(2 * ell, k), (ell, k)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_special_family_matches_substitution(ell, monkeypatch):
+    fast = special_family(ell)
+    monkeypatch.setattr(search, "_subspace_vectors", oracle.subspace_vectors)
+    assert special_family(ell) == fast
+
+
+@st.composite
+def ring_elements(draw):
+    degree = draw(st.integers(0, 9))
+    coeffs = draw(st.dictionaries(st.sampled_from(basis_of(degree)),
+                                  st.integers(-9, 9).filter(bool), min_size=1))
+    return RingElem(degree, coeffs)
+
+
+@given(ring_elements())
+def test_j_valuation_matches_substitution(elem):
+    assert j_valuation(elem) == oracle.j_valuation(elem)
+
+
+def test_tab_coordinates_of_a_and_b():
+    # A and B are single monomials of weight 2 and 3 in their own basis
+    assert tab_coordinates(named_element("A")) == {(1, 0): 1}
+    assert tab_coordinates(named_element("B")) == {(0, 1): 1}
+    assert tab_coordinates(named_element("T")) == {(0, 0): 1}
+
+
+def test_rho_matches_substitution_engine():
+    rng = random.Random(7)
+    for _ in range(25):
+        poly = {}
+        for _ in range(3):
+            key = (0,) + tuple(rng.randint(0, 3) for _ in range(4))
+            poly[key] = poly.get(key, 0) + Fraction(rng.randint(-9, 9))
+        poly = {k: v for k, v in poly.items() if v}
+        assert rho(poly) == oracle.rho(poly)
+
+
+def test_closed_form_refuses_a_wrong_substitution(monkeypatch):
+    from xicube import ring
+
+    monkeypatch.setattr(ring, "_tab_cache", {})
+    monkeypatch.setattr(ring, "rho", lambda p: p)  # an engine that never shifts q
+    with pytest.raises(InvariantViolation):
+        j_valuation(named_element("F"))

@@ -91,7 +91,7 @@ def test_special_support():
         special_support(0)
 
 
-@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("ell", [1, 2, 3])
 def test_special_family(ell):
     p = special_family(ell)
     assert p.degree == 12 * ell + 2
@@ -103,7 +103,7 @@ def test_special_family(ell):
     assert j_valuation(p) >= 6 * ell + 2
 
 
-@pytest.mark.parametrize("ell", [1, 2])
+@pytest.mark.parametrize("ell", [1, 2, 3])
 def test_hp_decompose(ell):
     dec = hp_decompose(special_family(ell), ell)
     assert dec.all_pass(), {k: v for k, v in dec.checks.items() if not v}
@@ -119,6 +119,13 @@ def test_hp_decompose(ell):
         assert (r - dec.a * comb(m, 3 * k)) % 2 == 0
         assert (s - dec.a * comb(m, 3 * k + 1)) % 2 == 0
         assert (t - dec.a * comb(m, 3 * k + 2)) % 2 == 0
+
+
+def test_special_family_ell5():
+    p = special_family(5)  # raises DimensionMismatch unless the space is a line
+    assert p.coefficient(31, 0) != 0 and p.coefficient(0, 15) != 0
+    assert j_valuation(p) >= 32
+    assert hp_decompose(p, 5).all_pass()
 
 
 def test_hp_decompose_rejects_outsiders():
