@@ -18,10 +18,21 @@ Spec grammar accepted by :func:`parse_xi_spec`:
 * ``dec:<digits>`` -- decimal literal, read as a truncation: the true value
   is only known to lie within one last-digit ulp above the literal.
   Linear independence of 1, xi, xi^3 is *assumed* for these (with a warning).
-* ``alg:<integer polynomial in x> in [a,b]`` -- a real algebraic number given
-  by a polynomial and an isolating interval with rational endpoints, e.g.
-  ``alg:x^4-2 in [1,2]``.  Independence is decided exactly from the minimal
-  polynomial.
+* ``alg:<polynomial in x> in [a,b]`` -- a real algebraic number given by a
+  polynomial and an interval with rational endpoints (``1.2`` or ``6/5``)
+  holding exactly one of its real roots, e.g. ``alg:x^4-2 in [1,2]``.  The
+  polynomial is a signed sum of monomials ``c``, ``c*x``, ``c*x^e`` or
+  ``x``, ``x^e`` (``**`` also accepted), with ``c`` an integer or ``p/q``
+  and ``e`` a nonnegative integer up to MAX_DEGREE; monomials of one degree
+  add up.  Products, parentheses and names are rejected, and the text is
+  never evaluated.
+
+Independence of 1, xi, xi^3 for an ``alg:`` spec is decided exactly in
+integers: a Sturm sequence of the squarefree part g of the polynomial
+counts the roots in the interval, and distinct-degree factorisation of g
+modulo a fixed list of primes certifies, in the common case, that g has no
+factor of degree 1, 2 or 3 over Q.  Only when that certificate leaves a
+degree open is sympy imported, to factor g over Q.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .errors import PrecisionError
 from .intervals import HALF, Interval
@@ -40,6 +52,13 @@ DEFAULT_MAX_BITS = 1 << 16
 # Newton runs on a grid 2^GUARD_BITS times finer than the cell it must find,
 # so its last rounding step rarely lands next to a cell boundary
 GUARD_BITS = 32
+# Degrees above this are refused at parse time: the exact analysis of an
+# alg: spec grows with a high power of the degree.
+MAX_DEGREE = 64
+# Primes tried by the degree certificate of an alg: spec; a spec the
+# certificate leaves open within them is settled by factoring over Q.
+CERTIFICATE_PRIMES = tuple(p for p in range(2, 300)
+                           if all(p % d for d in range(2, isqrt(p) + 1)))
 
 
 @dataclass(frozen=True)
@@ -85,7 +104,10 @@ def _poly_str(coeffs) -> str:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from exc
 
 
 def parse_xi_spec(text: str) -> XiSpec:
@@ -107,28 +129,50 @@ def parse_xi_spec(text: str) -> XiSpec:
     raise ValueError(f"xi spec must start with 'dec:' or 'alg:', got {text!r}")
 
 
+# One signed monomial of the token text that _parse_int_poly builds:
+# c, c*x, c*x^e or x, x^e, with c an integer or p/q.
+_MONOMIAL = re.compile(r"([+-]) (?:(\d+)(?: / (\d+))?( \* x)?|(x))(?: \^ (\d+))?(?: |$)")
+
+
 def _parse_int_poly(expr: str) -> tuple[int, ...]:
-    """Parse an integer polynomial in x to an ascending coefficient tuple."""
-    import math
+    """Ascending integer coefficients of a signed sum of monomials in x.
 
-    import sympy
-
-    x = sympy.Symbol("x")
-    try:
-        p = sympy.Poly(sympy.sympify(expr.replace("^", "**")), x)
-    except (sympy.SympifyError, sympy.PolynomialError) as exc:
-        raise ValueError(f"cannot parse polynomial {expr!r}") from exc
-    coeffs = p.all_coeffs()[::-1]  # ascending
-    den = 1
-    for c in coeffs:
-        if not c.is_rational:
-            raise ValueError(f"non-rational coefficient in {expr!r}")
-        d = int(sympy.denom(c))
-        den = den * d // math.gcd(den, d)
-    out = tuple(int(c * den) for c in coeffs)
-    if len(out) < 2 or out[-1] == 0:
+    A monomial is c, c*x, c*x^e or x, x^e (``**`` for ``^`` too), with c an
+    integer or p/q and e a nonnegative integer; monomials of one degree add
+    up, and the sum is scaled by the lcm of its denominators.  Anything
+    else (products, parentheses, names) raises ValueError: the text is
+    matched, never evaluated.
+    """
+    bad = ValueError(f"cannot parse polynomial {expr!r}")
+    # whitespace only separates tokens; "**" becomes "^", a missing sign "+"
+    tokens = ["^" if t == "**" else t for t in re.findall(r"\d+|\*\*|\S", expr)]
+    if tokens[:1] not in (["+"], ["-"]):
+        tokens.insert(0, "+")
+    text = " ".join(tokens)
+    terms: dict[int, Fraction] = {}
+    pos = 0
+    while pos < len(text):
+        m = _MONOMIAL.match(text, pos)
+        if m is None:
+            raise bad
+        sign, num, den, times_x, bare_x, exp = m.groups()
+        has_x = bool(times_x or bare_x)
+        if (exp and not has_x) or (den and int(den) == 0):
+            raise bad
+        e = int(exp) if exp else int(has_x)
+        if e > MAX_DEGREE:
+            raise ValueError(f"polynomial {expr!r} has degree above {MAX_DEGREE}")
+        c = Fraction(int(num or 1), int(den or 1))
+        terms[e] = terms.get(e, 0) + (c if sign == "+" else -c)
+        pos = m.end()
+    scale = lcm(*(c.denominator for c in terms.values()))
+    out = [0] * (max(terms) + 1)
+    for e, c in terms.items():
+        out[e] = int(c * scale)
+    out = _trim(out)
+    if len(out) < 2:
         raise ValueError(f"polynomial {expr!r} must have degree >= 1")
-    return out
+    return tuple(out)
 
 
 def _eval_sign(coeffs, v: Fraction) -> int:
@@ -211,45 +255,211 @@ def _root_cell(coeffs, sign_lo: int, lo: Fraction, hi: Fraction, k: int):
             Fraction((p << k) + b * width, q << k))
 
 
-def _analyze_algebraic(spec: AlgebraicXi):
-    """Validate the isolating interval and extract the minimal polynomial.
+# -- exact analysis of an alg: spec -------------------------------------------
 
-    Returns (minpoly ascending coeffs, dependence reason or None).
+def _trim(p: list) -> list:
+    """Drop zero leading coefficients (the tail of an ascending list)."""
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients (a positive number)."""
+    content = gcd(*p)
+    return [c // content for c in p] if content > 1 else p
+
+
+def _derivative(p) -> list[int]:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _prem(a, b) -> list[int]:
+    """Remainder of c*a on division by b, for some integer c > 0."""
+    a, db = list(a), len(b) - 1
+    scale, sign = abs(b[-1]), (b[-1] > 0) - (b[-1] < 0)
+    while len(a) > db:
+        top, shift = a[-1], len(a) - 1 - db
+        a = [scale * c for c in a]
+        for i, c in enumerate(b):
+            a[shift + i] -= sign * top * c
+        _trim(a)
+    return a
+
+
+def _squarefree_part(f) -> list[int]:
+    """Primitive squarefree part of f, with a positive leading coefficient."""
+    f = _primitive(list(f))
+    a, b = f, _derivative(f)
+    while b:  # primitive remainder sequence: a ends as gcd(f, f') up to a constant
+        a, b = b, _primitive(_prem(a, b))
+    if len(a) > 1:  # exact division f / gcd(f, f'), integral by Gauss's lemma
+        a = _primitive(a)
+        quotient = [0] * (len(f) - len(a) + 1)
+        rest = list(f)
+        for i in range(len(quotient) - 1, -1, -1):
+            quotient[i] = rest[i + len(a) - 1] // a[-1]
+            for j, c in enumerate(a):
+                rest[i + j] -= quotient[i] * c
+        f = _primitive(quotient)
+    return f if f[-1] > 0 else [-c for c in f]
+
+
+def _sturm_count(g, lo: Fraction, hi: Fraction) -> int:
+    """Number of roots of the squarefree g in (lo, hi); neither end is a root."""
+    seq = [g, _derivative(g)]
+    while len(seq[-1]) > 1:
+        seq.append(_primitive([-c for c in _prem(seq[-2], seq[-1])]))
+
+    def changes(v):
+        signs = [s for s in (_eval_sign(p, v) for p in seq) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return changes(lo) - changes(hi)
+
+
+def _gf_rem(a, b, p: int) -> list[int]:
+    """Remainder of a on division by b over GF(p); b has no zero leading coefficient."""
+    a, db = list(a), len(b) - 1
+    inv = pow(b[-1], -1, p)
+    while len(a) > db:
+        top = a.pop() * inv % p
+        shift = len(a) - db
+        for i in range(db):
+            a[shift + i] = (a[shift + i] - top * b[i]) % p
+    return _trim(a)
+
+
+def _gf_gcd(a, b, p: int) -> list[int]:
+    while b:
+        a, b = b, _gf_rem(a, b, p)
+    return a
+
+
+def _gf_mulmod(a, b, m, p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return _gf_rem([c % p for c in out], m, p)
+
+
+def _gf_powmod(a, e: int, m, p: int) -> list[int]:
+    out = [1]
+    while e:
+        if e & 1:
+            out = _gf_mulmod(out, a, m, p)
+        e >>= 1
+        if e:
+            a = _gf_mulmod(a, a, m, p)
+    return out
+
+
+def _small_degree_sums(g, p: int) -> set[int] | None:
+    """Sums of degrees of the irreducible factors of g mod p that are <= 3.
+
+    None when p divides the leading coefficient or g is not squarefree mod p.
+    With n_i the count of degree-i factors, gcd(g, x^(p^i) - x) has degree
+    the sum of j * n_j over the j dividing i, which gives n_1, n_2, n_3.
     """
+    h = _trim([c % p for c in g])
+    if len(h) < len(g) or len(_gf_gcd(h, _trim([c % p for c in _derivative(h)]), p)) != 1:
+        return None
+    total = []
+    w = [0, 1]
+    for _ in range(3):
+        w = _gf_powmod(w, p, h, p)  # x^(p^i) mod h
+        w_minus_x = w + [0] * (2 - len(w))
+        w_minus_x[1] = (w_minus_x[1] - 1) % p
+        total.append(len(_gf_gcd(h, _trim(w_minus_x), p)) - 1)
+    n1, n2, n3 = total[0], (total[1] - total[0]) // 2, (total[2] - total[0]) // 3
+    return {a + 2 * b + 3 * c for a in range(min(n1, 3) + 1)
+            for b in range(min(n2, 1) + 1) for c in range(min(n3, 1) + 1)}
+
+
+def _no_small_factor(g) -> bool:
+    """True if g provably has no factor over Q of degree 1..min(3, deg g - 1).
+
+    A factor of degree d over Q reduces mod p to a product of irreducible
+    factors whose degrees sum to d, so d survives every prime's subset sums.
+    False means some such degree survived all of CERTIFICATE_PRIMES.
+    """
+    open_degrees = set(range(1, min(4, len(g) - 1)))
+    for p in CERTIFICATE_PRIMES:
+        if not open_degrees:
+            break
+        sums = _small_degree_sums(g, p)
+        if sums is not None:
+            open_degrees &= sums
+    return not open_degrees
+
+
+def _dependence_reason(minpoly) -> str | None:
+    """Why 1, xi, xi^3 are Q-dependent, from xi's minimal polynomial; None if not."""
+    deg = len(minpoly) - 1
+    if deg == 1:
+        return "xi is rational"
+    if deg == 2:
+        # xi^2 = p*xi + q forces xi^3 into the span of 1 and xi
+        return "xi is quadratic, so xi^3 lies in the Q-span of 1 and xi"
+    if deg == 3 and minpoly[2] == 0:
+        return "minimal polynomial a*x^3+b*x+c gives a direct relation on 1, xi, xi^3"
+    return None
+
+
+def _check_endpoints(spec: AlgebraicXi):
+    if _eval_sign(spec.coeffs, spec.lo) == 0 or _eval_sign(spec.coeffs, spec.hi) == 0:
+        raise ValueError("isolating interval endpoint is a root; shrink the interval")
+
+
+def _root_count_error(spec: AlgebraicXi, nroots: int) -> ValueError:
+    return ValueError(f"interval [{spec.lo},{spec.hi}] contains {nroots} real roots "
+                      "of the polynomial, need exactly 1")
+
+
+def _analyze_algebraic(spec: AlgebraicXi):
+    """Validate the isolating interval and decide dependence, in integers.
+
+    Returns (isolating polynomial, dependence reason or None): a squarefree
+    integer polynomial, ascending with a positive leading coefficient, whose
+    only root in [lo, hi] is xi.  It is the primitive squarefree part g of
+    the spec's polynomial, whose roots are counted by a Sturm sequence.  If
+    the mod-p certificate shows that g has no factor of degree <= 3, xi has
+    degree >= 4 or g is its minimal polynomial; otherwise the answer comes
+    from factoring over Q (:func:`_analyze_by_factoring`).
+    """
+    _check_endpoints(spec)
+    g = _squarefree_part(spec.coeffs)
+    nroots = _sturm_count(g, spec.lo, spec.hi)
+    if nroots != 1:
+        raise _root_count_error(spec, nroots)
+    if not _no_small_factor(g):
+        return _analyze_by_factoring(spec)
+    return tuple(g), _dependence_reason(g)
+
+
+def _analyze_by_factoring(spec: AlgebraicXi):
+    """:func:`_analyze_algebraic` by sympy's root count and factorisation over Q.
+
+    The isolating polynomial it returns is xi's minimal polynomial.
+    """
+    _check_endpoints(spec)
     import sympy
 
     x = sympy.Symbol("x")
     poly = sympy.Poly(list(reversed(spec.coeffs)), x, domain="QQ")
-    lo, hi = spec.lo, spec.hi
-    if _eval_sign(spec.coeffs, lo) == 0 or _eval_sign(spec.coeffs, hi) == 0:
-        raise ValueError("isolating interval endpoint is a root; shrink the interval")
-    nroots = poly.count_roots(sympy.Rational(lo), sympy.Rational(hi))
+    lo, hi = sympy.Rational(spec.lo), sympy.Rational(spec.hi)
+    nroots = poly.count_roots(lo, hi)
     if nroots != 1:
-        raise ValueError(
-            f"interval [{lo},{hi}] contains {nroots} real roots of the polynomial, need exactly 1"
-        )
-    minpoly = None
-    for fac, _mult in poly.factor_list()[1]:
-        if fac.degree() < 1:
-            continue
-        if fac.count_roots(sympy.Rational(lo), sympy.Rational(hi)) == 1:
-            minpoly = fac
-            break
-    assert minpoly is not None
+        raise _root_count_error(spec, nroots)
+    minpoly = next(fac for fac, _mult in poly.factor_list()[1]
+                   if fac.degree() >= 1 and fac.count_roots(lo, hi) == 1)
     mp_coeffs = tuple(int(c) for c in sympy.Poly(minpoly, x, domain="ZZ").all_coeffs()[::-1])
     if mp_coeffs[-1] < 0:
         mp_coeffs = tuple(-c for c in mp_coeffs)
-
-    deg = len(mp_coeffs) - 1
-    reason = None
-    if deg == 1:
-        reason = "xi is rational"
-    elif deg == 2:
-        # xi^2 = p*xi + q forces xi^3 into the span of 1 and xi
-        reason = "xi is quadratic, so xi^3 lies in the Q-span of 1 and xi"
-    elif deg == 3 and mp_coeffs[2] == 0:
-        reason = "minimal polynomial a*x^3+b*x+c gives a direct relation on 1, xi, xi^3"
-    return mp_coeffs, reason
+    return mp_coeffs, _dependence_reason(mp_coeffs)
 
 
 class RealContext:
@@ -280,14 +490,15 @@ class RealContext:
                 self._fixed = Interval(value, value + ulp)
             else:
                 self._fixed = Interval(value - ulp, value)
-            self._minpoly = None
+            self._isolating_poly = None
             self.independence_assumed = True
         else:
-            self._minpoly, self.dependence_reason = _analyze_algebraic(spec)
+            # xi is the only root of _isolating_poly in [lo, hi], a simple one
+            self._isolating_poly, self.dependence_reason = _analyze_algebraic(spec)
             self._lo = Fraction(spec.lo)
             self._hi = Fraction(spec.hi)
-            self._sign_lo = _eval_sign(self._minpoly, self._lo)
-            if self._sign_lo == _eval_sign(self._minpoly, self._hi):
+            self._sign_lo = _eval_sign(self._isolating_poly, self._lo)
+            if self._sign_lo == _eval_sign(self._isolating_poly, self._hi):
                 # simple real root in the open interval forces a sign change
                 raise ValueError("no sign change across the isolating interval")
 
@@ -300,7 +511,7 @@ class RealContext:
         return self.spec.describe()
 
     def is_decimal(self) -> bool:
-        return self._minpoly is None
+        return self._isolating_poly is None
 
     def warn_if_assumed(self):
         if self.independence_assumed:
@@ -318,7 +529,7 @@ class RealContext:
         if den << k < num:
             k += 1
         if k:
-            self._lo, self._hi = _root_cell(self._minpoly, self._sign_lo,
+            self._lo, self._hi = _root_cell(self._isolating_poly, self._sign_lo,
                                             self._lo, self._hi, k)
 
     def xi(self, bits: int | None = None) -> Interval:
@@ -333,7 +544,7 @@ class RealContext:
         if k not in (1, 2, 3):
             raise ValueError("only powers 1..3 are served")
         bits = self.precision_bits if bits is None else bits
-        if self._minpoly is None:
+        if self._isolating_poly is None:
             base = self._fixed
             if k == 1:
                 return base
@@ -372,7 +583,7 @@ class RealContext:
         return out
 
     def refinable_beyond(self, bits: int) -> bool:
-        return self._minpoly is not None and bits < self.max_bits
+        return self._isolating_poly is not None and bits < self.max_bits
 
     # -- decisions ---------------------------------------------------------
     def decide(self, probe, what: str = "comparison"):

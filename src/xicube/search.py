@@ -139,6 +139,29 @@ def _fmn_product(e: int, m: int, n: int) -> RingElem:
     return hit
 
 
+_s_columns_cache: dict[int, list[dict[tuple[int, int], Fraction]]] = {}
+
+
+def _s_columns(ell: int) -> list[dict[tuple[int, int], Fraction]]:
+    """(T, A, B) coordinates of the products F^(l-2m-3n) M^m N^n, once per degree.
+
+    The products are checked linearly independent when first built.
+    """
+    hit = _s_columns_cache.get(ell)
+    if hit is None:
+        cols = [_fmn_product(ell - 2 * m - 3 * n, m, n) for (m, n) in basis_of(ell)]
+        keys = sorted({mk for col in cols for mk in col.coeffs})
+        den = lcm(*(c.denominator for col in cols for c in col.coeffs.values()))
+        indep = IntEchelon(len(cols))
+        for mk in keys:
+            indep.insert([int(col.coefficient(*mk) * den) for col in cols])
+        if not indep.full_rank():
+            raise InvariantViolation("subspace columns are linearly dependent", {})
+        hit = [tab_coordinates(col) for col in cols]
+        _s_columns_cache[ell] = hit
+    return hit
+
+
 def s_subspace_dim(two_ell: int, k: int) -> int:
     """dim of the degree-2l part of Q[F,M,N] meeting J^(k).
 
@@ -148,16 +171,8 @@ def s_subspace_dim(two_ell: int, k: int) -> int:
     """
     if two_ell < 0 or two_ell % 2:
         raise ValueError("degree must be even and >= 0")
-    ell = two_ell // 2
-    cols = [_fmn_product(ell - 2 * m - 3 * n, m, n) for (m, n) in basis_of(ell)]
-    keys = sorted({mk for col in cols for mk in col.coeffs})
-    den = lcm(*(c.denominator for col in cols for c in col.coeffs.values()))
-    indep = IntEchelon(len(cols))
-    for mk in keys:
-        indep.insert([int(col.coefficient(*mk) * den) for col in cols])
-    if not indep.full_rank():
-        raise InvariantViolation("subspace columns are linearly dependent", {})
-    return len(cols) - _low_echelon([tab_coordinates(col) for col in cols], k).rank
+    columns = _s_columns(two_ell // 2)
+    return len(columns) - _low_echelon(columns, k).rank
 
 
 # -- decomposition of the H-multiplied family element -------------------------

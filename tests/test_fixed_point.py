@@ -148,7 +148,7 @@ def _check_cells(ctx, depths, lo, hi):
     for bits in depths:
         bound = Fraction(1, 1 << bits)
         ctx._refine_base(bound)
-        lo, hi = bisect_cell(ctx._minpoly, ctx._sign_lo, lo, hi, bound)
+        lo, hi = bisect_cell(ctx._isolating_poly, ctx._sign_lo, lo, hi, bound)
         assert (ctx._lo, ctx._hi) == (lo, hi), bits
 
 

@@ -1,12 +1,21 @@
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+import xicube
 from xicube import (PrecisionError, RealContext, approx_error, delta_of, l_norm,
-                    parse_xi_spec)
-from xicube.realctx import DEFAULT_MAX_BITS, AlgebraicXi, DecimalXi
+                    parse_xi_spec, realctx)
+from xicube.realctx import (DEFAULT_MAX_BITS, MAX_DEGREE, AlgebraicXi, DecimalXi,
+                            _analyze_algebraic, _analyze_by_factoring, _eval_sign,
+                            _root_cell)
 
 
 def test_parse_specs():
@@ -18,15 +27,27 @@ def test_parse_specs():
     assert isinstance(spec, DecimalXi)
     assert parse_xi_spec("alg:x^4-x-1 in [1.2,1.3]").lo == Fraction("1.2")
     assert parse_xi_spec("alg:2*x^4 - 3 in [1,3/2]").coeffs == (-3, 0, 0, 0, 2)
+    assert parse_xi_spec("alg:x**4-2 in [1,2]").coeffs == (-2, 0, 0, 0, 1)
+    assert parse_xi_spec("alg:1/2*x^2-1 in [1,2]").coeffs == (-2, 0, 1)
+    assert parse_xi_spec("alg:x^2+x^2-8 in [1,3]").coeffs == (-8, 0, 2)
 
 
 @pytest.mark.parametrize("bad", [
     "x^4-2", "alg:x^4-2", "alg:x^4-2 in [2,1]", "dec:abc", "alg:x^0+1 in [0,1]",
-    "alg:x^2-y in [0,1]",
+    "alg:x^2-y in [0,1]", "alg:(x-1)*(x+1) in [0,2]", "alg:2x in [-1,1]",
+    "alg:x^-1 in [0,1]", f"alg:x^{MAX_DEGREE + 1}-2 in [1,2]", "alg:x^4-2 in [1/0,2]",
 ])
 def test_parse_rejects(bad):
     with pytest.raises(ValueError):
         parse_xi_spec(bad)
+
+
+def test_parse_evaluates_nothing(monkeypatch):
+    calls = []
+    monkeypatch.setattr(os, "getpid", lambda: calls.append("getpid") or 1)
+    with pytest.raises(ValueError, match="cannot parse"):
+        parse_xi_spec("alg:x+__import__('os').getpid()*0 in [-1,1]")
+    assert calls == []
 
 
 def test_isolating_interval_validation():
@@ -46,6 +67,95 @@ def test_dependence_detected(spec, why):
     ctx = RealContext(spec)
     assert ctx.dependent
     assert why in ctx.dependence_reason
+
+
+def test_certified_specs_do_not_import_sympy():
+    # root2, quartic and the hostile shapes: |xi| near 1, a negative root,
+    # 2^64 coefficients, x^2 - n and a depressed cubic
+    specs = [
+        "alg:x^4-2 in [1,2]", "alg:x^4-x-1 in [1.2,1.3]",
+        "alg:27611*x^4-3*x-27571 in [68595/68618,14912/14917]",
+        "alg:x^4-6*x^2+x+9 in [-50873/24109,-130986/62075]",
+        "alg:-14465187152556298013*x^6+16479465693567928261*x^5"
+        "-13701134117992671164*x^4+15995611396881135256*x^3+17320784888099683705*x^2"
+        "-12243072578608432099*x+18256623104515805912 in [-111951/119842,-8186/8763]",
+        "alg:x^2-12 in [121635/35113,140452/40545]",
+        "alg:x^3+7*x-1 in [5372/37713,5717/40135]",
+    ]
+    code = ("import sys\nfrom xicube import RealContext\n"
+            f"for spec in {specs!r}:\n    RealContext(spec)\n"
+            "print('sympy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(xicube.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("spec,reason", [
+    # (x^2 - 2)(x^2 - 3): the degree 2 of either factor survives every prime
+    ("alg:x^4-5*x^2+6 in [1.2,1.5]", "quadratic"),
+    # sqrt2 + sqrt3, irreducible but split into degrees <= 2 mod every prime
+    ("alg:x^4-10*x^2+1 in [3,4]", None),
+])
+def test_uncertified_specs_reach_factoring(monkeypatch, spec, reason):
+    calls = []
+
+    def factoring(s):
+        calls.append(s)
+        return _analyze_by_factoring(s)
+
+    monkeypatch.setattr(realctx, "_analyze_by_factoring", factoring)
+    ctx = RealContext(spec)
+    assert calls == [ctx.spec]
+    if reason is None:
+        assert not ctx.dependent
+    else:
+        assert reason in ctx.dependence_reason
+
+
+@st.composite
+def factored_spec(draw):
+    """A product of random integer factors of degree 1-5, repeats included,
+    with an interval around one of its real roots from sympy's isolation:
+    its isolating interval, or that one widened, which may take in other
+    roots or put one on an endpoint."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(1, x)
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 5))
+        coeffs = [draw(st.integers(-9, 9)) for _ in range(deg)]
+        coeffs.append(draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 6)))
+        poly *= sympy.Poly(list(reversed(coeffs)), x) ** draw(st.integers(1, 2))
+    roots = poly.intervals()
+    assume(roots)
+    (a, b), _mult = draw(st.sampled_from(roots))
+    pad = draw(st.sampled_from([Fraction(0), Fraction(1, 7), Fraction(1)]))
+    lo, hi = Fraction(int(a.p), int(a.q)) - pad, Fraction(int(b.p), int(b.q)) + pad
+    assume(lo < hi)
+    return AlgebraicXi(tuple(int(c) for c in reversed(poly.all_coeffs())), lo, hi)
+
+
+def _analysis(analyze, spec):
+    """(None, isolating polynomial, reason), or (error message, None, None)."""
+    try:
+        poly, reason = analyze(spec)
+    except ValueError as exc:
+        return str(exc), None, None
+    return None, poly, reason
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(spec=factored_spec())
+def test_integer_analysis_matches_factoring(spec):
+    error, poly, reason = _analysis(_analyze_algebraic, spec)
+    want_error, want_poly, want_reason = _analysis(_analyze_by_factoring, spec)
+    assert (error, reason) == (want_error, want_reason)
+    if error is None:
+        for k in (192, 1536):
+            cells = [_root_cell(p, _eval_sign(p, spec.lo), spec.lo, spec.hi, k)
+                     for p in (poly, want_poly)]
+            assert cells[0] == cells[1], k
 
 
 def test_independent_quartics(ctx_root2, ctx_quartic):
