@@ -17,7 +17,8 @@ from fractions import Fraction
 from mpmath import iv
 
 from .constants import threshold_constants
-from .errors import InvariantViolation, Undecidable
+from .errors import (DependenceError, InvariantViolation, PrecisionError,
+                     Undecidable)
 from .intervals import Interval
 from .minimal import (MinimalPoint, PairRecord, build_pair_records,
                       independence_set, minimal_sequence, pair_checks)
@@ -248,16 +249,14 @@ def height_checks(seq, records: list[PairRecord] | None = None,
     }
 
 
-def _dump_reproducer(cfg: ExperimentConfig, rec: PairRecord, failed: list[str]):
+def _dump_reproducer(cfg: ExperimentConfig, **failure) -> dict:
+    """Write the run's settings and what failed to cfg.reproducer_path."""
     payload = {
         "xi": cfg.xi,
         "norm_bound": cfg.norm_bound,
         "precision_bits": cfg.precision_bits,
-        "pair": {
-            "i": rec.i, "j": rec.j,
-            "x_i": list(rec.x_i), "x_ip1": list(rec.x_ip1), "x_j": list(rec.x_j),
-        },
-        "failed_checks": failed,
+        "max_bits": cfg.max_bits,
+        **failure,
     }
     with open(cfg.reproducer_path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -265,7 +264,20 @@ def _dump_reproducer(cfg: ExperimentConfig, rec: PairRecord, failed: list[str]):
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """The full pipeline for one xi; deterministic for a fixed configuration."""
+    """The full pipeline for one xi; deterministic for a fixed configuration.
+
+    A run that fails writes a reproducer to cfg.reproducer_path: the failing
+    pair for a divisibility failure, the exception class and message for a
+    PrecisionError, Undecidable or DependenceError.  A passing run writes none.
+    """
+    try:
+        return _experiment(cfg)
+    except (PrecisionError, Undecidable, DependenceError) as exc:
+        _dump_reproducer(cfg, error=type(exc).__name__, message=str(exc))
+        raise
+
+
+def _experiment(cfg: ExperimentConfig) -> ExperimentReport:
     ctx = RealContext(cfg.xi, cfg.precision_bits, cfg.max_bits)
     seq = minimal_sequence(ctx, cfg.norm_bound)
     indep = independence_set(seq) if len(seq) >= 3 else []
@@ -279,7 +291,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             failed = sorted(name for name, ok in chk.items() if not ok)
             if failed:
                 suites["divisibility"] = "FAIL"
-                payload = _dump_reproducer(cfg, rec, failed)
+                payload = _dump_reproducer(cfg, pair={
+                    "i": rec.i, "j": rec.j,
+                    "x_i": list(rec.x_i), "x_ip1": list(rec.x_ip1), "x_j": list(rec.x_j),
+                }, failed_checks=failed)
                 raise InvariantViolation(
                     f"exact invariant failed on pair ({rec.i},{rec.j}): {failed}",
                     payload,

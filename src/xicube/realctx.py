@@ -91,7 +91,7 @@ def _poly_str(coeffs) -> str:
         if e == 0:
             t = str(abs(c))
         else:
-            t = "" if abs(c) == 1 else str(abs(c))
+            t = "" if abs(c) == 1 else f"{abs(c)}*"
             t += "x" if e == 1 else f"x^{e}"
         terms.append(("-" if c < 0 else "+", t))
     if not terms:

@@ -360,15 +360,26 @@ def _low_echelon(columns: list[dict], k: int) -> IntEchelon:
     return ech
 
 
+_support_columns_cache: dict[tuple, list[dict[tuple[int, int], int]]] = {}
+
+
+def _support_columns(support: tuple) -> list[dict[tuple[int, int], int]]:
+    """Integer (T, A, B) columns of the monomials of a support, once per support."""
+    hit = _support_columns_cache.get(support)
+    if hit is None:
+        # one scale 3^w for all columns keeps the nullspace that of the exact coordinates
+        w = max(m + 3 * n for m, n in support)
+        hit = [_scaled_coordinates({(m, n): 3 ** (w - m - 3 * n)})[0] for (m, n) in support]
+        _support_columns_cache[support] = hit
+    return hit
+
+
 def _subspace_vectors(ell: int, support, k: int) -> list[list[int]]:
     """Nullspace vectors of the weight-below-k coordinates on the span of support.
 
     The coordinates leave the power of T implicit, so ell is not needed.
     """
-    # one scale 3^w for all columns keeps the nullspace that of the exact coordinates
-    w = max(m + 3 * n for m, n in support)
-    columns = [_scaled_coordinates({(m, n): 3 ** (w - m - 3 * n)})[0] for (m, n) in support]
-    return _low_echelon(columns, k).nullspace()
+    return _low_echelon(_support_columns(tuple(support)), k).nullspace()
 
 
 def j_subspace(ell: int, k: int) -> list[RingElem]:

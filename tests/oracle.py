@@ -5,6 +5,9 @@ Q[q, S, T, U, V] under y -> x + q*y, keeping q-degrees below the bound, and
 takes J-valuations and J-subspaces from the q-coefficients of the image.
 The package's (T, A, B) route must agree with it.
 
+Linear-algebra oracle: back-substitution and Gauss-Jordan in Fractions,
+the exact rational routes that `xicube.linalg` replaced by integer ones.
+
 The minimal-point oracle examines *every* integer triple with sup-norm up to
 the bound (x0 >= 1 by the sign symmetry L(-x) = L(x); x0 = 0 forces L >= 1).
 A vectorized float prefilter with a wide safety margin discards triples that
@@ -98,6 +101,67 @@ def bisect_cell(coeffs, sign_lo, lo: Fraction, hi: Fraction, width_bound: Fracti
         else:
             hi = mid
     return lo, hi
+
+
+def fraction_nullspace(ech: IntEchelon) -> list[list[int]]:
+    """Primitive nullspace basis of an echelon form, back-substituted in Fractions.
+
+    One vector per free column f, with v[f] = 1 and the other free columns 0
+    before scaling; content-normalized, first nonzero entry positive.
+    """
+    pivot_cols = {pc for pc, _ in ech.rows}
+    out = []
+    for f in (c for c in range(ech.ncols) if c not in pivot_cols):
+        v = [Fraction(0)] * ech.ncols
+        v[f] = Fraction(1)
+        for pc, row in reversed(ech.rows):
+            s = Fraction(0)
+            for c in range(pc + 1, ech.ncols):
+                if row[c] and v[c]:
+                    s += row[c] * v[c]
+            v[pc] = -s / row[pc]
+        den = 1
+        for x in v:
+            den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in v]
+        g = 0
+        for x in ints:
+            g = gcd(g, x)
+        ints = [x // g for x in ints]
+        if next(x for x in ints if x) < 0:
+            ints = [-x for x in ints]
+        out.append(ints)
+    return out
+
+
+def solve_unique(rows, rhs):
+    """Gauss-Jordan in Fractions: the unique solution, None, or ValueError."""
+    m = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    ncols = len(m[0]) - 1 if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                fac = m[i][c]
+                m[i] = [x - fac * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, len(m)):
+        if m[i][-1]:
+            return None
+    if len(pivots) < ncols:
+        raise ValueError("solution is not unique")
+    sol = [Fraction(0)] * ncols
+    for row_idx, c in enumerate(pivots):
+        sol[c] = m[row_idx][-1]
+    return sol
 
 
 def count_lattice_points(ell):
@@ -230,7 +294,7 @@ def subspace_vectors(ell: int, support, k: int) -> list[list[int]]:
     ech = IntEchelon(ncols)
     for mk in sorted({mk for img in images for mk in img if mk[0] < k}):
         ech.insert([int(img.get(mk, 0)) for img in images])
-    return ech.nullspace()
+    return fraction_nullspace(ech)
 
 
 def general_subspace_dim(cols: list, k: int) -> int:
@@ -256,7 +320,7 @@ def general_subspace_dim(cols: list, k: int) -> int:
         for v in row:
             rden = rden * v.denominator // gcd(rden, v.denominator)
         ech.insert([int(v * rden) for v in row])
-    return len(cols) - ech.rank
+    return len(fraction_nullspace(ech))
 
 
 def s_subspace_dim(two_ell: int, k: int) -> int:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from xicube.cli import main
+from xicube.errors import Undecidable
 
 ROOT2 = "alg:x^4-2 in [1,2]"
 
@@ -128,3 +129,34 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     missing = tmp_path / "absent.cfg"
     assert main(["minpoints", "--config", str(missing)]) == 2
     assert str(missing) in capsys.readouterr().err
+
+
+def _raise_undecidable(*args, **kwargs):
+    raise Undecidable("pair inequality still ambiguous at 4096 bits")
+
+
+@pytest.mark.parametrize("xi,rc,error", [
+    ("dec:0.5", 3, "PrecisionError"),
+    ("alg:x^3-2 in [1,2]", 2, "DependenceError"),
+    (ROOT2, 1, "Undecidable"),
+])
+def test_failed_run_writes_reproducer(tmp_path, monkeypatch, capsys, xi, rc, error):
+    import xicube.lab as lab
+
+    if error == "Undecidable":  # no input reaches it through the suites, which catch it
+        monkeypatch.setattr(lab, "lambda_hat_trace", _raise_undecidable)
+    repro = tmp_path / "repro.json"
+    argv = ["run", "--xi", xi, "--bound", "50", "--precision", "64", "--max-bits", "512",
+            "--reproducer", str(repro)]
+    assert main(argv) == rc
+    message = capsys.readouterr().err.strip().split(": ", 1)[1]
+    assert json.loads(repro.read_text()) == {
+        "xi": xi, "norm_bound": 50, "precision_bits": 64, "max_bits": 512,
+        "error": error, "message": message,
+    }
+
+
+def test_passing_run_writes_no_reproducer(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--xi", ROOT2, "--bound", "200"]) == 0
+    assert list(tmp_path.iterdir()) == []

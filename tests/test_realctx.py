@@ -42,6 +42,22 @@ def test_parse_rejects(bad):
         parse_xi_spec(bad)
 
 
+@st.composite
+def hostile_quartics_and_quintics(draw):
+    """Degree 4 or 5, zero and unit coefficients among huge ones, either sign."""
+    coeff = st.sampled_from((0, 1, -1)) | st.integers(-2**64, 2**64)
+    coeffs = draw(st.lists(coeff, min_size=4, max_size=5))
+    coeffs.append(draw(st.integers(-2**64, 2**64).filter(bool)))
+    lo = draw(st.fractions(-40, 40, max_denominator=10**6))
+    hi = lo + draw(st.fractions(Fraction(1, 10**6), 5, max_denominator=10**6))
+    return AlgebraicXi(tuple(coeffs), lo, hi)
+
+
+@given(hostile_quartics_and_quintics())
+def test_described_spec_parses_back(spec):
+    assert parse_xi_spec(spec.describe()) == spec
+
+
 def test_parse_evaluates_nothing(monkeypatch):
     calls = []
     monkeypatch.setattr(os, "getpid", lambda: calls.append("getpid") or 1)
