@@ -22,7 +22,7 @@ from .lab import ALL_SUITES, ExperimentConfig, run_experiment
 from .minimal import minimal_sequence
 from .realctx import RealContext
 from .ring import j_subspace, tau
-from .rigor import iv_hull, iv_prec, mid_str
+from .rigor import decimal
 from .search import (SupportSet, hp_decompose, maximal_j_element,
                      s_subspace_dim, special_family)
 
@@ -132,7 +132,7 @@ def _cmd_minpoints(args) -> int:
     ctx = RealContext(args.xi, args.precision or 192, args.max_bits or (1 << 16))
     seq = minimal_sequence(ctx, args.bound)
     rows = [{"index": p.index, "x0": p.point[0], "x1": p.point[1], "x2": p.point[2],
-             "norm": p.norm, "err": _err_str(p.err)} for p in seq]
+             "norm": p.norm, "err": decimal(p.err, 12)} for p in seq]
     for r in rows:
         print(f"{r['index']:4d}  ({r['x0']}, {r['x1']}, {r['x2']})  "
               f"norm={r['norm']}  L~{r['err']}")
@@ -148,11 +148,6 @@ def _cmd_minpoints(args) -> int:
             fh.write("\n")
     print(f"{len(seq)} minimal points with norm <= {args.bound}")
     return 0
-
-
-def _err_str(interval) -> str:
-    with iv_prec(80):
-        return mid_str(iv_hull(interval.lo, interval.hi), 12)
 
 
 def _dims_row(label: str, ell: int, dim) -> int:

@@ -14,8 +14,6 @@ import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from mpmath import iv
-
 from .constants import threshold_constants
 from .errors import (DependenceError, InvariantViolation, PrecisionError,
                      Undecidable)
@@ -23,8 +21,7 @@ from .intervals import Interval
 from .minimal import (MinimalPoint, PairRecord, build_pair_records,
                       independence_set, minimal_sequence, pair_checks)
 from .realctx import RealContext, approx_error
-from .rigor import (LOG_PREC_START, interval_from_iv, iv_hull, iv_int,
-                    iv_prec, mid_str)
+from .rigor import decimal, lambda_hat, log_ratio
 from .search import prop8_inequality
 from .vectors import content, cross, sup_norm, vscale
 
@@ -74,8 +71,8 @@ class ExperimentReport:
                 "point": list(p.point),
                 "norm": p.norm,
                 "err": [str(p.err.lo), str(p.err.hi)],
-                "err_dec": _dec(p.err),
-                "delta_dec": _dec(p.delta),
+                "err_dec": decimal(p.err),
+                "delta_dec": decimal(p.delta),
             }
             for p in self.sequence
         ]
@@ -128,7 +125,9 @@ class ExperimentReport:
             row += [int(chk[name]) if name in chk else "" for name in check_names]
             lam = lam_by_index.get(rec.i)
             row.append(lam["mid"] if lam else "")
-            row.append(_pair_rho(self, rec))
+            # growth ratio of the pair: log X_{j+1} / log X_{i+1}
+            xj1, xi1 = self.sequence[rec.j].norm, rec.norm_ip1
+            row.append(log_ratio(xj1, xi1) if min(xj1, xi1) >= 2 else "")
             rows.append(row)
         return header, rows
 
@@ -147,21 +146,6 @@ class ExperimentReport:
         return all(v != "FAIL" for v in self.suites.values())
 
 
-def _dec(interval: Interval, digits: int = 15) -> str:
-    with iv_prec(80):
-        return mid_str(iv_hull(interval.lo, interval.hi), digits)
-
-
-def _pair_rho(report: ExperimentReport, rec: PairRecord) -> str:
-    # growth ratio of the pair: log X_{j+1} / log X_{i+1}
-    xj1 = report.sequence[rec.j].norm
-    xi1 = rec.norm_ip1
-    if xi1 < 2 or xj1 < 2:
-        return ""
-    with iv_prec(LOG_PREC_START):
-        return mid_str(iv.log(iv_int(xj1)) / iv.log(iv_int(xi1)))
-
-
 def _positive_err(ctx: RealContext, point) -> Interval:
     def probe(bits):
         e = approx_error(point, ctx, bits)
@@ -177,57 +161,32 @@ def lambda_hat_trace(ctx: RealContext, seq: list[MinimalPoint]) -> list[dict]:
         x_next = seq[i].norm
         if x_next < 2:
             continue
-        err = _positive_err(ctx, seq[i - 1].point)
-        with iv_prec(LOG_PREC_START):
-            lam = -iv.log(iv_hull(err.lo, err.hi)) / iv.log(iv_int(x_next))
-            enclosure = interval_from_iv(lam)
+        enclosure, mid = lambda_hat(_positive_err(ctx, seq[i - 1].point), x_next)
         out.append({"i": i, "lo": str(enclosure.lo), "hi": str(enclosure.hi),
-                    "mid": mid_str(lam)})
+                    "mid": mid})
     return out
 
 
-def estimate_uniform_exponent(points, window: int = 8) -> tuple[Interval, list[Interval]]:
-    """Running min of the empirical exponents over a trailing window.
+def lambda_hat_window_min(trace: list[dict], window: int) -> dict:
+    """Enclosure of the least lambda_hat over the last `window` trace entries.
 
-    Accepts either a finished report (|sequence| >= 3) or a raw list of
-    (X_{i+1}, enclosure of L_i) pairs.  The result encloses min over the
-    last `window` entries; it is an empirical estimate of the uniform
-    exponent, not the exponent itself.
+    An empirical estimate of the uniform exponent, not the exponent itself.
     """
-    if isinstance(points, ExperimentReport):
-        report = points
-        if len(report.sequence) < 3:
-            raise ValueError("need at least 3 minimal points")
-        window = report.config.lambda_window
-        points = [(report.sequence[i].norm, report.sequence[i - 1].err)
-                  for i in range(1, len(report.sequence))]
-    if not points:
-        raise ValueError("need at least one point")
-    lams = []
-    with iv_prec(LOG_PREC_START):
-        for x_next, err in points:
-            if x_next < 2 or err.lo <= 0:
-                raise ValueError("need X >= 2 and a positive error enclosure")
-            lam = -iv.log(iv_hull(err.lo, err.hi)) / iv.log(iv_int(x_next))
-            lams.append(interval_from_iv(lam))
-    tail = lams[-window:]
-    est = Interval(min(l.lo for l in tail), min(l.hi for l in tail))
-    return est, lams
+    tail = trace[-window:]
+    return {
+        "lo": str(min(Fraction(e["lo"]) for e in tail)),
+        "hi": str(min(Fraction(e["hi"]) for e in tail)),
+        "window": len(tail),
+    }
 
 
-def height_checks(seq, records: list[PairRecord] | None = None,
-                  ctx: RealContext | None = None) -> dict:
+def height_checks(seq: list[MinimalPoint], records: list[PairRecord],
+                  ctx: RealContext) -> dict:
     """Primitivity of consecutive cross products plus the bounded-ratio monitor.
 
-    Accepts either a finished report or (sequence, records, ctx).  The ratio
-    sup|x_i ^ x_j| / (X_j * L_i) has no effective constants in the theory,
-    so only its observed range is reported.
+    The ratio sup|x_i ^ x_j| / (X_j * L_i) has no effective constants in the
+    theory, so only its observed range is reported.
     """
-    if isinstance(seq, ExperimentReport):
-        report = seq
-        cfg = report.config
-        ctx = RealContext(cfg.xi, cfg.precision_bits, cfg.max_bits)
-        seq, records = report.sequence, report.records
     prim = all(content(cross(a.point, b.point)) == 1 for a, b in zip(seq, seq[1:]))
     ratio_ok = all(
         cross(r.x_i, r.x_j) == vscale(r.q, cross(r.x_i, r.x_ip1)) for r in records
@@ -244,8 +203,8 @@ def height_checks(seq, records: list[PairRecord] | None = None,
     return {
         "cross_primitive_all": prim,
         "cross_ratio_all": ratio_ok,
-        "ratio_min": _dec(Interval(lo)) if lo is not None else "",
-        "ratio_max": _dec(Interval(hi)) if hi is not None else "",
+        "ratio_min": decimal(Interval(lo)) if lo is not None else "",
+        "ratio_max": decimal(Interval(hi)) if hi is not None else "",
     }
 
 
@@ -334,19 +293,10 @@ def _experiment(cfg: ExperimentConfig) -> ExperimentReport:
         suites["prop8"] = "SKIPPED"
 
     lam = lambda_hat_trace(ctx, seq)
-    rho_seq = []
-    with iv_prec(LOG_PREC_START):
-        for a, b in zip(seq, seq[1:]):
-            if a.norm < 2:
-                continue
-            rho_seq.append({
-                "i": a.index,
-                "value": mid_str(iv.log(iv_int(b.norm)) / iv.log(iv_int(a.norm))),
-            })
-        q_ratio = [
-            {"i": rec.i, "value": mid_str(iv.log(iv_int(abs(rec.q))) / iv.log(iv_int(rec.norm_ip1)))}
-            for rec in records if rec.norm_ip1 >= 2 and rec.q != 0
-        ]
+    rho_seq = [{"i": a.index, "value": log_ratio(b.norm, a.norm)}
+               for a, b in zip(seq, seq[1:]) if a.norm >= 2]
+    q_ratio = [{"i": rec.i, "value": log_ratio(rec.q, rec.norm_ip1)}
+               for rec in records if rec.norm_ip1 >= 2 and rec.q != 0]
 
     monitors: dict = {
         "nonvanishing_zero_counts": {
@@ -361,12 +311,7 @@ def _experiment(cfg: ExperimentConfig) -> ExperimentReport:
     }
     monitors.update({f"heights_{k}": v for k, v in heights.items()})
     if lam:
-        tail = lam[-cfg.lambda_window:]
-        monitors["lambda_hat_window_min"] = {
-            "lo": str(min(Fraction(e["lo"]) for e in tail)),
-            "hi": str(min(Fraction(e["hi"]) for e in tail)),
-            "window": len(tail),
-        }
+        monitors["lambda_hat_window_min"] = lambda_hat_window_min(lam, cfg.lambda_window)
 
     report = ExperimentReport(cfg, seq, indep, records, checks, prop8, lam,
                               rho_seq, monitors, suites)

@@ -1,107 +1,131 @@
-"""Bridges between exact rationals and mpmath's outward-rounded intervals.
+"""Explicit-precision interval logs and decimal renderings.
 
 Only logarithm-flavored quantities go through floating point in this
-package, and they always travel as mpmath ``iv`` intervals built here with
-directed rounding, so every comparison made on them is rigorous.
+package.  They are built here, the one module that imports mpmath, as
+outward-rounded intervals in private mpmath interval contexts, one per
+precision, so every comparison made on them is rigorous and no result
+depends on mpmath's process-wide ``iv.prec``.  Each output is computed at a
+fixed precision: logs and log ratios at `LOG_PREC`, decimal renderings of
+rational enclosures at `DECIMAL_PREC`, and the `lambda_hat` midpoints and
+the pair-inequality diagnostics at `MID_PREC`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 
-from mpmath import iv, libmp, make_mpf
+from mpmath import libmp
+from mpmath.ctx_iv import MPIntervalContext
 
 from .errors import Undecidable
 from .intervals import Interval
 
-LOG_PREC_START = 64
+LOG_PREC = 64
 LOG_PREC_CEILING = 1 << 14
+DECIMAL_PREC = 80
+# mpmath's default precision, the one recorded reports render these at
+MID_PREC = 53
+
+_contexts: dict[int, MPIntervalContext] = {}
 
 
-@contextmanager
-def iv_prec(prec: int):
-    """Temporarily set the interval context precision (iv has no workprec)."""
-    old = iv.prec
-    iv.prec = prec
-    try:
-        yield
-    finally:
-        iv.prec = old
+def _context(prec: int) -> MPIntervalContext:
+    ctx = _contexts.get(prec)
+    if ctx is None:
+        ctx = _contexts[prec] = MPIntervalContext()
+        ctx.prec = prec
+    return ctx
 
 
-def iv_int(n: int):
-    """Exact enclosure of an arbitrary-size integer at the current iv precision."""
-    prec = iv.prec
-    lo = make_mpf(libmp.from_int(n, prec, "f"))
-    hi = make_mpf(libmp.from_int(n, prec, "c"))
-    return iv.mpf([lo, hi])
+# the context `log_abs` and `rational` build in: LOG_PREC, or the precision
+# of the `evaluate` call in progress
+_work = _context(LOG_PREC)
 
 
-def iv_fraction(fr) -> "iv.mpf":
-    fr = Fraction(fr)
-    return iv_int(fr.numerator) / iv_int(fr.denominator)
+def _int(ctx, n: int):
+    """Enclosure of an arbitrary-size integer at the context's precision."""
+    return ctx.make_mpf((libmp.from_int(n, ctx.prec, "f"),
+                         libmp.from_int(n, ctx.prec, "c")))
 
 
-def iv_hull(lo, hi):
-    a = iv_fraction(lo)
-    b = iv_fraction(hi)
-    return iv.mpf([make_mpf(a._mpi_[0]), make_mpf(b._mpi_[1])])
+def _fraction(ctx, x):
+    x = Fraction(x)
+    return _int(ctx, x.numerator) / _int(ctx, x.denominator)
 
 
-def iv_log_abs_int(n: int):
+def _hull(ctx, interval: Interval):
+    return ctx.make_mpf((_fraction(ctx, interval.lo)._mpi_[0],
+                         _fraction(ctx, interval.hi)._mpi_[1]))
+
+
+def log_abs(n: int):
+    """Enclosure of log|n| at the working precision."""
     if n == 0:
         raise ValueError("log of zero")
-    return iv.log(iv_int(abs(n)))
+    return _work.ln(_int(_work, abs(n)))
 
 
-def iv_log_interval(interval: Interval):
-    """Enclosure of log over a positive rational interval."""
-    if interval.lo <= 0:
-        raise ValueError("interval must be positive for log")
-    return iv.log(iv_hull(interval.lo, interval.hi))
+def rational(x):
+    """Enclosure of a rational at the working precision."""
+    return _fraction(_work, x)
+
+
+def evaluate(builder, prec: int):
+    """`builder()` with `log_abs` and `rational` enclosing at `prec` bits.
+
+    Arithmetic on the enclosures they return stays at that precision.
+    """
+    global _work
+    outer, _work = _work, _context(prec)
+    try:
+        return builder()
+    finally:
+        _work = outer
 
 
 def decide_sign(builder, what: str = "sign") -> int:
-    """Certified sign (+1/-1) of a quantity built at escalating iv precision.
+    """Certified sign (+1/-1) of a quantity built at escalating precision.
 
-    `builder()` must reconstruct the quantity from exact data at the current
-    precision.  Exact zeros cannot be certified here; the caller aborts.
+    `builder()` must reconstruct the quantity from exact data through
+    `log_abs` and `rational`.  Exact zeros cannot be certified here; the
+    caller aborts.
     """
-    prec = LOG_PREC_START
+    prec = LOG_PREC
     while True:
-        with iv_prec(prec):
-            val = builder()
-            if val.a > 0:
-                return 1
-            if val.b < 0:
-                return -1
+        val = evaluate(builder, prec)
+        if val.a > 0:
+            return 1
+        if val.b < 0:
+            return -1
         if prec >= LOG_PREC_CEILING:
             raise Undecidable(f"{what} still ambiguous at {prec} bits")
         prec *= 2
 
 
-def mid_str(x, digits: int = 15) -> str:
-    """Deterministic decimal rendering of an iv midpoint."""
-    from mpmath import mp, nstr
-
-    mid = x.mid
-    if hasattr(mid, "_mpi_"):  # .mid of an ivmpf is a degenerate interval
-        mid = make_mpf(mid._mpi_[0])
-    with mp.workdps(digits + 5):
-        return nstr(mid, digits)
+def mid_str(x, digits: int = 15, prec: int | None = None) -> str:
+    """Decimal of an enclosure's midpoint, rounded to `prec` bits (default x's)."""
+    return libmp.to_str(libmp.mpi_mid(x._mpi_, prec or x.ctx.prec), digits)
 
 
-def fraction_from_raw(raw) -> Fraction:
-    """Exact rational value of a raw libmp float (dyadic by construction)."""
-    sign, man, exp, _bc = raw
-    man = int(man)
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(man * 2**exp) if exp >= 0 else Fraction(man, 2**-exp)
-    return -val if sign else val
+def decimal(interval: Interval, digits: int = 15) -> str:
+    """Decimal rendering of a rational enclosure, at DECIMAL_PREC."""
+    return mid_str(_hull(_context(DECIMAL_PREC), interval), digits)
 
 
-def interval_from_iv(x) -> Interval:
-    a, b = x._mpi_
-    return Interval(fraction_from_raw(a), fraction_from_raw(b))
+def log_ratio(num: int, den: int) -> str:
+    """log|num| / log|den| at LOG_PREC, as the decimal of its midpoint."""
+    return mid_str(evaluate(lambda: log_abs(num) / log_abs(den), LOG_PREC))
+
+
+def lambda_hat(err: Interval, x_next: int) -> tuple[Interval, str]:
+    """Enclosure of log(1/L) / log X for a positive enclosure of L, and its mid.
+
+    The enclosure is computed at LOG_PREC; the midpoint is rendered at
+    MID_PREC.
+    """
+    ctx = _context(LOG_PREC)
+    lam = -ctx.ln(_hull(ctx, err)) / ctx.ln(_int(ctx, x_next))
+    a, b = lam._mpi_
+    enclosure = Interval(Fraction(*libmp.to_rational(a)),
+                         Fraction(*libmp.to_rational(b)))
+    return enclosure, mid_str(lam, prec=MID_PREC)

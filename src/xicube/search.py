@@ -21,7 +21,7 @@ from .errors import (DecompositionFailure, DimensionMismatch, InvalidEll,
                      InvariantViolation)
 from .linalg import IntEchelon, solve_unique, vec_content
 from .minimal import PairRecord
-from .rigor import decide_sign, iv_fraction, iv_log_abs_int, mid_str
+from .rigor import MID_PREC, decide_sign, evaluate, log_abs, mid_str, rational
 from .ring import (RingElem, _low_echelon, _subspace_vectors, basis_of,
                    named_element, tab_coordinates)
 
@@ -309,14 +309,17 @@ def prop8_decide(t: int, f: int, sv: int, q: int, eps) -> tuple[bool, dict]:
     if abs(q) < 3:
         raise ValueError("needs |q| >= 3")
 
+    def logs():
+        return [log_abs(v) for v in (t, f, sv, q)]
+
     def diff():
-        lt, lf, lsv, lq = (iv_log_abs_int(v) for v in (t, f, sv, q))
+        lt, lf, lsv, lq = logs()
         lhs = (2 * lt - lf) * (3 * lt - lsv)
-        rhs = 6 * lt**2 - (6 - iv_fraction(eps)) * lq**2
+        rhs = 6 * lt**2 - (6 - rational(eps)) * lq**2
         return lhs - rhs
 
     sign = decide_sign(diff, what="pair inequality")
-    lt, lf, lsv, lq = (iv_log_abs_int(v) for v in (t, f, sv, q))
+    lt, lf, lsv, lq = evaluate(logs, MID_PREC)
     diag = {
         "f": mid_str(lf / lq),
         "s": mid_str(lsv / lq),

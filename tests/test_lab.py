@@ -5,10 +5,30 @@ import pytest
 
 from xicube import ExperimentConfig, Interval, run_experiment
 from xicube.errors import InvariantViolation
-from xicube.lab import estimate_uniform_exponent, height_checks, lambda_hat_trace
+from xicube.lab import height_checks, lambda_hat_trace, lambda_hat_window_min
 from xicube.minimal import build_pair_records, independence_set, minimal_sequence
+from xicube.rigor import lambda_hat
+from xicube.search import prop8_decide
 
 ROOT2 = "alg:x^4-2 in [1,2]"
+
+
+def test_threshold_constants_match_mpmath():
+    from mpmath import mp
+
+    from xicube.constants import threshold_constants
+
+    with mp.workdps(50):
+        ref = {
+            "mu": 2 * (9 + mp.sqrt(11)) / 35,
+            "lambda0": (1 + 3 * mp.sqrt(5)) / 11,
+            "threshold_sqrt13": (5 - mp.sqrt(13)) / 2,
+            "threshold_sqrt3": mp.sqrt(3) - 1,
+            "five_sevenths": mp.mpf(5) / 7,
+            "beta0": (5 + 3 * mp.sqrt(5)) / 2,
+            "nu": 2 + mp.sqrt(11),
+        }
+        assert threshold_constants() == {k: mp.nstr(v, 48) for k, v in sorted(ref.items())}
 
 
 def test_config_validation():
@@ -22,18 +42,21 @@ def test_config_validation():
 
 def test_estimate_on_synthetic_half_power():
     # L_i = X_{i+1}^(-1/2) exactly: the estimate must pin 1/2
-    points = [(k * k, Interval(Fraction(1, k))) for k in (10, 20, 40, 80)]
-    est, trace = estimate_uniform_exponent(points, window=4)
-    assert est.lo <= Fraction(1, 2) <= est.hi
-    assert est.width < Fraction(1, 10**12)
-    assert len(trace) == 4
+    trace = []
+    for k in (10, 20, 40, 80):
+        enclosure, _mid = lambda_hat(Interval(Fraction(1, k)), k * k)
+        trace.append({"lo": str(enclosure.lo), "hi": str(enclosure.hi)})
+    est = lambda_hat_window_min(trace, 4)
+    lo, hi = Fraction(est["lo"]), Fraction(est["hi"])
+    assert lo <= Fraction(1, 2) <= hi
+    assert hi - lo < Fraction(1, 10**12)
+    assert est["window"] == 4
 
 
 def test_dirichlet_floor(ctx_root2):
     seq = minimal_sequence(ctx_root2, 100_000)
-    points = [(seq[i].norm, seq[i - 1].err) for i in range(1, len(seq))]
-    est, _ = estimate_uniform_exponent(points, window=8)
-    assert est.lo >= Fraction(1, 3) - Fraction(5, 100)
+    est = lambda_hat_window_min(lambda_hat_trace(ctx_root2, seq), 8)
+    assert Fraction(est["lo"]) >= Fraction(1, 3) - Fraction(5, 100)
 
 
 def test_lambda_trace_fields(ctx_root2):
@@ -55,11 +78,12 @@ def test_height_checks(ctx_root2):
 def test_report_level_operations():
     cfg = ExperimentConfig(xi=ROOT2, norm_bound=5000)
     rep = run_experiment(cfg)
-    est, trace = estimate_uniform_exponent(rep)
-    assert 0 < est.lo < est.hi < 2
-    assert len(trace) == len(rep.sequence) - 1
-    out = height_checks(rep)
-    assert out["cross_primitive_all"] and out["cross_ratio_all"]
+    est = rep.monitors["lambda_hat_window_min"]
+    assert 0 < Fraction(est["lo"]) < Fraction(est["hi"]) < 2
+    assert est["window"] == min(cfg.lambda_window, len(rep.sequence) - 1)
+    assert len(rep.lambda_hat) == len(rep.sequence) - 1
+    assert all(rep.monitors[f"heights_{k}"] for k in ("cross_primitive_all",
+                                                       "cross_ratio_all"))
 
 
 def test_run_experiment_and_determinism(tmp_path):
@@ -98,6 +122,36 @@ def test_prop8_decided_on_real_pair():
     assert verdicts & {"holds", "fails"}
     decided = [p for p in rep.prop8 if p["verdict"] in ("holds", "fails")]
     assert all(set(p["diagnostics"]) == {"f", "s", "t", "sigma"} for p in decided)
+
+
+@pytest.mark.parametrize("prec", [30, 300])
+def test_outputs_ignore_global_iv_precision(tmp_path, prec):
+    # reports and pair-inequality diagnostics must not depend on mpmath's
+    # process-wide interval precision, nor change it
+    from mpmath import iv
+
+    def outputs():
+        out = []
+        for xi, bound in (("alg:x^4-x-1 in [1.2,1.3]", 12_000),
+                          ("alg:x^4-10*x-1 in [2,3]", 100_000)):
+            cfg = ExperimentConfig(xi=xi, norm_bound=bound,
+                                   csv_path=str(tmp_path / "pairs.csv"),
+                                   json_path=str(tmp_path / "summary.json"))
+            run_experiment(cfg)
+            out.append((tmp_path / "pairs.csv").read_bytes())
+            out.append((tmp_path / "summary.json").read_bytes())
+        out.append(prop8_decide(1000, 1, 1, 5, Fraction(1, 10)))
+        out.append(prop8_decide(10, 100, 1000, 11, 0))
+        return out
+
+    expected = outputs()
+    old = iv.prec
+    iv.prec = prec
+    try:
+        assert outputs() == expected
+        assert iv.prec == prec
+    finally:
+        iv.prec = old
 
 
 def test_suite_toggles():

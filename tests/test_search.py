@@ -165,9 +165,13 @@ def test_prop8_boundary_cases():
     # |F| = |S^2V| = 1: the left side is the full 6 log^2|T|
     holds, diag = prop8_decide(1000, 1, 1, 5, Fraction(1, 10))
     assert holds
-    assert set(diag) == {"f", "s", "t", "sigma"}
+    assert diag == {"f": "0.0", "s": "0.0", "t": "4.29202967422018",
+                    "sigma": "110.529112346319"}
     # eps = 0 with F = T^2 and S^2V = T^3: holds iff |q| >= |T|
-    assert prop8_decide(10, 100, 1000, 11, 0)[0]
+    holds, diag = prop8_decide(10, 100, 1000, 11, 0)
+    assert holds
+    assert diag == {"f": "1.92050513557826", "s": "2.88075770336738",
+                    "t": "0.960252567789128", "sigma": "0.0"}
     assert not prop8_decide(10, 100, 1000, 3, 0)[0]
 
 
