@@ -21,10 +21,13 @@ from .identities import run_identity_suite
 from .lab import ALL_SUITES, ExperimentConfig, run_experiment
 from .minimal import minimal_sequence
 from .realctx import RealContext
-from .ring import j_subspace, tau
+# ring-dims reads j_subspace_dims and s_subspace_dims; j_subspace and
+# s_subspace_dim stay imported because bench/spans.py wraps them here by
+# name until the trace moves into the program (ROADMAP item 2)
+from .ring import j_subspace, j_subspace_dims, tau
 from .rigor import decimal
 from .search import (SupportSet, hp_decompose, maximal_j_element,
-                     s_subspace_dim, special_family)
+                     s_subspace_dim, s_subspace_dims, special_family)
 
 _INT_KEYS = {"bound", "precision", "max_bits", "ell", "lmax", "s_lmax",
              "samples", "seed", "degree", "window"}
@@ -150,9 +153,8 @@ def _cmd_minpoints(args) -> int:
     return 0
 
 
-def _dims_row(label: str, ell: int, dim) -> int:
+def _dims_row(label: str, ell: int, row: list[int]) -> int:
     """Print one table row with its own verdict; return its disagreeing cells."""
-    row = [dim(k) for k in range(ell + 3)]
     bad = sum(got != max(0, tau(ell) - tau(k - 1)) for k, got in enumerate(row))
     print(f"{label}: dims k=0..{ell + 2}: {row}  [{'FAIL' if bad else 'PASS'}]")
     return bad
@@ -161,9 +163,8 @@ def _dims_row(label: str, ell: int, dim) -> int:
 def _cmd_ring_dims(args) -> int:
     lmax = args.lmax if args.lmax is not None else 10
     s_lmax = args.s_lmax if args.s_lmax is not None else 8
-    bad = sum(_dims_row(f"R_{ell}", ell, lambda k: len(j_subspace(ell, k)))
-              for ell in range(lmax + 1))
-    bad += sum(_dims_row(f"S_{2 * ell}", ell, lambda k: s_subspace_dim(2 * ell, k))
+    bad = sum(_dims_row(f"R_{ell}", ell, j_subspace_dims(ell)) for ell in range(lmax + 1))
+    bad += sum(_dims_row(f"S_{2 * ell}", ell, s_subspace_dims(2 * ell))
                for ell in range(s_lmax + 1))
     if bad:
         print(f"{bad} cells disagree with the dimension formula", file=sys.stderr)

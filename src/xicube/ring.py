@@ -59,6 +59,16 @@ def basis_of(ell: int) -> list[tuple[int, int]]:
     return [(m, n) for m in range(ell // 2 + 1) for n in range((ell - 2 * m) // 3 + 1)]
 
 
+def mul_keyed(p: dict, r: dict) -> dict:
+    """Product of two sparse polynomials keyed by exponent pairs, zeros dropped."""
+    out: dict = {}
+    for (m1, n1), c1 in p.items():
+        for (m2, n2), c2 in r.items():
+            k = (m1 + m2, n1 + n2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
 class RingElem:
     """A homogeneous element of degree `degree`, sparse over the (m, n) basis."""
 
@@ -102,12 +112,7 @@ class RingElem:
 
     def __mul__(self, other):
         if isinstance(other, RingElem):
-            out: dict[tuple[int, int], Fraction] = {}
-            for (m1, n1), c1 in self.coeffs.items():
-                for (m2, n2), c2 in other.coeffs.items():
-                    k = (m1 + m2, n1 + n2)
-                    out[k] = out.get(k, Fraction(0)) + c1 * c2
-            return RingElem(self.degree + other.degree, out)
+            return RingElem(self.degree + other.degree, mul_keyed(self.coeffs, other.coeffs))
         return RingElem(self.degree, {k: c * Fraction(other) for k, c in self.coeffs.items()})
 
     __rmul__ = __mul__
@@ -302,14 +307,8 @@ def _tab_monomial(m: int, n: int) -> dict[tuple[int, int], int]:
             _certify_weights()
             hit = {(0, 0): 1}
         else:
-            prev, gen = ((_tab_monomial(m - 1, n), _3F_TAB) if m
-                         else (_tab_monomial(0, n - 1), _27G0_TAB))
-            hit = {}
-            for (b1, c1), v1 in prev.items():
-                for (b2, c2), v2 in gen.items():
-                    k = (b1 + b2, c1 + c2)
-                    hit[k] = hit.get(k, 0) + v1 * v2
-            hit = {k: v for k, v in hit.items() if v}
+            hit = (mul_keyed(_tab_monomial(m - 1, n), _3F_TAB) if m
+                   else mul_keyed(_tab_monomial(0, n - 1), _27G0_TAB))
         _tab_cache[(m, n)] = hit
     return hit
 
@@ -346,18 +345,49 @@ def j_valuation(e: RingElem) -> int:
 
 # -- subspaces cut out by a J-valuation bound --------------------------------
 
-def _low_echelon(columns: list[dict], k: int) -> IntEchelon:
-    """Echelon form of the rows (b, c) with 2b + 3c < k of the (T, A, B) columns.
+def _weight_rows(columns: list[dict]) -> list[tuple[int, list[int]]]:
+    """The rows (b, c) of integer (T, A, B) columns with their weights 2b + 3c.
 
-    Column entries are integers or Fractions.  The nullspace holds the
-    combinations of the columns with J-valuation >= k.
+    Rows come in ascending weight, ties in key order, so the rows of weight
+    below any k form a prefix.
+    """
+    keys = sorted({bc for col in columns for bc in col},
+                  key=lambda bc: (2 * bc[0] + 3 * bc[1], bc))
+    return [(2 * b + 3 * c, [col.get((b, c), 0) for col in columns]) for b, c in keys]
+
+
+def _low_echelon(columns: list[dict], k: int) -> IntEchelon:
+    """Echelon form of the rows of weight below k: the prefix at k of `dim_profile`.
+
+    Its nullspace holds the combinations of the columns with J-valuation >= k.
+    The nullspace basis does not depend on the order the rows are inserted
+    in, since every echelon form of a row space has the same pivot columns
+    and the basis is normalised per free column.
     """
     ech = IntEchelon(len(columns))
-    for key in sorted({bc for col in columns for bc in col if 2 * bc[0] + 3 * bc[1] < k}):
-        row = [col.get(key, 0) for col in columns]
-        den = lcm(*(v.denominator for v in row))
-        ech.insert([int(v * den) for v in row])
+    for w, row in _weight_rows(columns):
+        if w >= k or ech.full_rank():
+            break
+        ech.insert(row)
     return ech
+
+
+def dim_profile(columns: list[dict], kmax: int) -> list[int]:
+    """Nullity of the rows of weight below k, for every k = 0..kmax, in one pass.
+
+    The rows go into a single echelon form in weight order; before the first
+    row of weight w goes in, the rows of weight below every k <= w are in,
+    so the nullity `ncols - rank` then is the dimension for those k.
+    """
+    ech = IntEchelon(len(columns))
+    dims: list[int] = []
+    for w, row in _weight_rows(columns):
+        while len(dims) <= min(w, kmax):
+            dims.append(ech.ncols - ech.rank)
+        if len(dims) > kmax or ech.full_rank():
+            break
+        ech.insert(row)
+    return dims + [ech.ncols - ech.rank] * (kmax + 1 - len(dims))
 
 
 _support_columns_cache: dict[tuple, list[dict[tuple[int, int], int]]] = {}
@@ -395,6 +425,13 @@ def j_subspace(ell: int, k: int) -> list[RingElem]:
     support = tuple(basis_of(ell))
     vectors = _subspace_vectors(ell, support, k)
     return [RingElem(ell, dict(zip(support, vec))) for vec in vectors]
+
+
+def j_subspace_dims(ell: int) -> list[int]:
+    """The dimensions of `j_subspace(ell, k)` for k = 0..ell+2, from one elimination."""
+    if ell < 0:
+        raise ValueError("ell must be >= 0")
+    return dim_profile(_support_columns(tuple(basis_of(ell))), ell + 2)
 
 
 def evaluate(e: RingElem, x: Vec3, y: Vec3):

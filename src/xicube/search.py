@@ -15,15 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .errors import (DecompositionFailure, DimensionMismatch, InvalidEll,
                      InvariantViolation)
 from .linalg import IntEchelon, solve_unique, vec_content
 from .minimal import PairRecord
 from .rigor import MID_PREC, decide_sign, evaluate, log_abs, mid_str, rational
-from .ring import (RingElem, _low_echelon, _subspace_vectors, basis_of,
-                   named_element, tab_coordinates)
+from .ring import (RingElem, _scaled_coordinates, _subspace_vectors,
+                   _support_columns, basis_of, dim_profile, mul_keyed,
+                   named_element)
 
 
 @dataclass(frozen=True)
@@ -54,16 +55,17 @@ class SearchResult:
 def maximal_j_element(support: SupportSet) -> SearchResult:
     """Largest k with a nonzero element of the span inside J^(k), with a basis.
 
-    Binary search on k; each probe is an exact nullspace computation.  When
+    Binary search on k over the dimensions of one weight-ordered
+    elimination (`dim_profile`); the probed dimensions are reported.  When
     the top intersection has dimension > 1 the whole basis is returned and
     `unique` is False (no canonical single element exists then).
     """
     d, pairs = support.d, support.pairs
+    profile = dim_profile(_support_columns(pairs), d + 1)
     dims: dict[int, int] = {}
 
     def dim_at(k: int) -> int:
-        if k not in dims:
-            dims[k] = len(_subspace_vectors(d, pairs, k))
+        dims[k] = profile[k]
         return dims[k]
 
     if dim_at(d + 1) > 0:
@@ -119,60 +121,73 @@ def special_family(ell: int) -> RingElem:
 
 # -- the subring generated by F, M, N ----------------------------------------
 
-_fmn_cache: dict[tuple[int, int, int], RingElem] = {}
+# F, M and N have integer coefficients, so their products stay in integers
+_FMN = {name: {key: int(c) for key, c in named_element(name).coeffs.items()}
+        for name in "FMN"}
+_fmn_cache: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
 
 
-def _fmn_product(e: int, m: int, n: int) -> RingElem:
-    """F^e M^m N^n, one generator times a cached shorter product."""
+def _fmn_product(e: int, m: int, n: int) -> dict[tuple[int, int], int]:
+    """F^e M^m N^n on the (m, n) keys, one generator times a cached shorter product."""
     key = (e, m, n)
     hit = _fmn_cache.get(key)
     if hit is None:
         if e:
-            hit = _fmn_product(e - 1, m, n) * named_element("F")
+            hit = mul_keyed(_fmn_product(e - 1, m, n), _FMN["F"])
         elif m:
-            hit = _fmn_product(0, m - 1, n) * named_element("M")
+            hit = mul_keyed(_fmn_product(0, m - 1, n), _FMN["M"])
         elif n:
-            hit = _fmn_product(0, 0, n - 1) * named_element("N")
+            hit = mul_keyed(_fmn_product(0, 0, n - 1), _FMN["N"])
         else:
-            hit = RingElem(0, {(0, 0): 1})
+            hit = {(0, 0): 1}
         _fmn_cache[key] = hit
     return hit
 
 
-_s_columns_cache: dict[int, list[dict[tuple[int, int], Fraction]]] = {}
+_s_columns_cache: dict[int, list[dict[tuple[int, int], int]]] = {}
 
 
-def _s_columns(ell: int) -> list[dict[tuple[int, int], Fraction]]:
-    """(T, A, B) coordinates of the products F^(l-2m-3n) M^m N^n, once per degree.
+def _s_columns(ell: int) -> list[dict[tuple[int, int], int]]:
+    """Integer (T, A, B) columns of the products F^(l-2m-3n) M^m N^n, once per degree.
 
-    The products are checked linearly independent when first built.
+    The products are checked linearly independent when first built.  Each
+    column carries its own power of 3, which changes no rank.
     """
     hit = _s_columns_cache.get(ell)
     if hit is None:
         cols = [_fmn_product(ell - 2 * m - 3 * n, m, n) for (m, n) in basis_of(ell)]
-        keys = sorted({mk for col in cols for mk in col.coeffs})
-        den = lcm(*(c.denominator for col in cols for c in col.coeffs.values()))
         indep = IntEchelon(len(cols))
-        for mk in keys:
-            indep.insert([int(col.coefficient(*mk) * den) for col in cols])
+        for mk in sorted({mk for col in cols for mk in col}):
+            indep.insert([col.get(mk, 0) for col in cols])
         if not indep.full_rank():
             raise InvariantViolation("subspace columns are linearly dependent", {})
-        hit = [tab_coordinates(col) for col in cols]
+        hit = [_scaled_coordinates(col)[0] for col in cols]
         _s_columns_cache[ell] = hit
     return hit
+
+
+def _check_even(two_ell: int) -> None:
+    if two_ell < 0 or two_ell % 2:
+        raise ValueError("degree must be even and >= 0")
 
 
 def s_subspace_dim(two_ell: int, k: int) -> int:
     """dim of the degree-2l part of Q[F,M,N] meeting J^(k).
 
     Columns are the products F^(l-2m-3n) M^m N^n, checked linearly
-    independent; the computation is the same honest nullspace as for the
+    independent; the computation is the same honest elimination as for the
     full ring, on their (T, A, B) coordinates.
     """
-    if two_ell < 0 or two_ell % 2:
-        raise ValueError("degree must be even and >= 0")
-    columns = _s_columns(two_ell // 2)
-    return len(columns) - _low_echelon(columns, k).rank
+    _check_even(two_ell)
+    k = max(k, 0)
+    return dim_profile(_s_columns(two_ell // 2), k)[k]
+
+
+def s_subspace_dims(two_ell: int) -> list[int]:
+    """`s_subspace_dim(two_ell, k)` for k = 0..l+2, from one elimination."""
+    _check_even(two_ell)
+    ell = two_ell // 2
+    return dim_profile(_s_columns(ell), ell + 2)
 
 
 # -- decomposition of the H-multiplied family element -------------------------
@@ -219,14 +234,14 @@ def hp_decompose(pl: RingElem, ell: int) -> HpDecomposition:
     h = RingElem(6, {(0, 2): 1})
     hp = h * pl
 
-    cols: list[RingElem] = []
+    cols: list[dict[tuple[int, int], int]] = []
     for k in range(ell + 1):
         m, n = 3 * k, 2 * ell - 2 * k  # the tail M^m N^n
         cols += [_fmn_product(1, m, n + 1), _fmn_product(2, m + 1, n),
                  _fmn_product(0, m + 2, n)]
 
-    keys = sorted({mk for col in cols for mk in col.coeffs} | set(hp.coeffs))
-    rows = [[col.coeffs.get(mk, Fraction(0)) for col in cols] for mk in keys]
+    keys = sorted({mk for col in cols for mk in col} | set(hp.coeffs))
+    rows = [[col.get(mk, 0) for col in cols] for mk in keys]
     rhs = [hp.coeffs.get(mk, Fraction(0)) for mk in keys]
     try:
         sol = solve_unique(rows, rhs)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -49,19 +50,44 @@ def test_ring_dims(capsys):
 def test_ring_dims_marks_only_the_wrong_row(monkeypatch, capsys):
     import xicube.cli as cli
 
-    right = cli.j_subspace
+    right = cli.j_subspace_dims
 
-    def wrong_at_r2(ell, k):
-        basis = right(ell, k)
-        return basis + basis[:1] if (ell, k) == (2, 1) else basis
+    def wrong_at_r2(ell):
+        row = right(ell)
+        if ell == 2:
+            row[1] += 1
+        return row
 
-    monkeypatch.setattr(cli, "j_subspace", wrong_at_r2)
+    monkeypatch.setattr(cli, "j_subspace_dims", wrong_at_r2)
     assert main(["ring-dims", "--lmax", "4", "--s-lmax", "1"]) == 1
     captured = capsys.readouterr()
     failing = [line for line in captured.out.splitlines() if line.endswith("[FAIL]")]
     assert failing == ["R_2: dims k=0..4: [2, 2, 1, 0, 0]  [FAIL]"]
     assert captured.out.count("[PASS]") == 6
     assert captured.err.startswith("1 cells disagree")
+
+
+# sha256 of the find-relation --json bytes for the D2, D3, D6 supports,
+# recorded before the k_max search read the dimensions from one elimination
+RELATION_JSON = {
+    "D2": (6, "3,0;0,2", {"0": 2, "1": 1, "2": 1, "3": 0, "7": 0},
+           "06ebce1d4a4002a9a759dc2f001e518571854bd7a7ffd889cf935e754b4d9d8f"),
+    "D3": (6, "3,0;1,1;0,2", {"0": 3, "3": 1, "4": 0, "5": 0, "7": 0},
+           "ae758df66ea8adfd004865c5436b09710f55971bbb00d1ec76c5a34dae1783fc"),
+    "D6": (9, "4,0;3,1;2,1;1,2;0,2;0,3", {"0": 6, "5": 2, "6": 1, "7": 0, "10": 0},
+           "6f1f121ab8c9e812d345af2303c8ddf308ecdbf8304e9aa9b39d2366d9b1e81b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RELATION_JSON))
+def test_find_relation_json_bytes_are_pinned(tmp_path, name):
+    degree, support, dims_probed, digest = RELATION_JSON[name]
+    out_json = tmp_path / "rel.json"
+    assert main(["find-relation", "--degree", str(degree), "--support", support,
+                 "--json", str(out_json)]) == 0
+    data = out_json.read_bytes()
+    assert json.loads(data)["dims_probed"] == dims_probed
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_find_relation(tmp_path, capsys):
