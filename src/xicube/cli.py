@@ -5,22 +5,24 @@ verify-identities, run.  Exit codes: 0 success with all requested suites
 passing, 1 invariant failure, 2 usage error (argparse uses this too),
 3 precision-ceiling abort.
 
-Every flag can also be supplied through ``--config FILE`` holding
-``key = value`` lines (comments start with '#'); explicit flags win.
+Each flag is declared once, in `_parser`, with its type and a default taken
+from the library object that uses it; ranges are checked where values are
+used, and a value out of range is a usage error.  ``--config FILE`` holds
+``key = value`` lines (comments start with '#'), each read as the flag
+``--key=value`` placed before the explicit flags, so explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import (DependenceError, InvariantViolation, PrecisionError,
                      XicubeError)
 from .identities import run_identity_suite
-from .lab import ALL_SUITES, ExperimentConfig, run_experiment
+from .lab import ALL_SUITES, ExperimentConfig, dump_json, run_experiment
 from .minimal import minimal_sequence
-from .realctx import RealContext
+from .realctx import DEFAULT_MAX_BITS, DEFAULT_PRECISION_BITS, RealContext
 # ring-dims reads j_subspace_dims and s_subspace_dims; j_subspace and
 # s_subspace_dim stay imported because bench/spans.py wraps them here by
 # name until the trace moves into the program (ROADMAP item 2)
@@ -29,16 +31,21 @@ from .rigor import decimal
 from .search import (SupportSet, hp_decompose, maximal_j_element,
                      s_subspace_dim, s_subspace_dims, special_family)
 
-_INT_KEYS = {"bound", "precision", "max_bits", "ell", "lmax", "s_lmax",
-             "samples", "seed", "degree", "window"}
+
+class _ConfigParser(argparse.ArgumentParser):
+    """The CLI parser for config flags: its errors raise ValueError."""
+
+    def error(self, message):
+        raise ValueError(f"config file: {message}")
 
 
-def _load_config(path: str) -> dict:
-    out = {}
+def _config_flags(path: str) -> list[str]:
+    """The `key = value` lines of a config file as `--key=value` flags."""
     try:
         fh = open(path)
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
+    flags = []
     with fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
@@ -47,92 +54,95 @@ def _load_config(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line {line!r}; expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key in _INT_KEYS:
-                try:
-                    value = int(value)
-                except ValueError:
-                    raise ValueError(f"config key {key!r} needs an integer, "
-                                     f"got {value!r}") from None
-            out[key] = value
-    return out
+            if key == "config":
+                raise ValueError(f"config file {path} cannot name another config file")
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
-def _merge_config(args: argparse.Namespace):
-    if getattr(args, "config", None):
-        for key, value in _load_config(args.config).items():
-            if key in ("command", "config") or not hasattr(args, key):
-                raise ValueError(f"config key {key!r} is not an option of {args.command}")
-            if getattr(args, key) is None:
-                setattr(args, key, value)
-
-
-def _add_common(sub):
-    sub.add_argument("--config", help="key = value file mirroring the flags")
+def _support(text: str) -> tuple[tuple[int, int], ...]:
+    """Semicolon-separated `m,n` pairs."""
+    pairs = []
+    for chunk in text.split(";"):
+        try:
+            m, n = map(int, chunk.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"pair {chunk!r} is not of the form m,n") from None
+        pairs.append((m, n))
+    return tuple(pairs)
 
 
 def _add_xi_flags(sub):
     sub.add_argument("--xi", help="dec:<digits> or 'alg:<poly> in [a,b]'")
     sub.add_argument("--bound", type=int, help="sup-norm bound for the scan")
-    sub.add_argument("--precision", type=int, help="base working precision in bits")
-    sub.add_argument("--max-bits", type=int, dest="max_bits",
-                     help="precision-escalation ceiling in bits")
+    sub.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS,
+                     help="base working precision in bits (default %(default)s)")
+    sub.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS,
+                     help="precision-escalation ceiling in bits (default %(default)s)")
 
 
 def _require(args, *names):
     for name in names:
-        if getattr(args, name, None) is None:
+        if getattr(args, name) is None:
             raise ValueError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="xicube",
-                                description="exact lab for approximation to (1, xi, xi^3)")
+def _parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    p = parser_class(prog="xicube",
+                     description="exact lab for approximation to (1, xi, xi^3)")
     subs = p.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("minpoints", help="compute the minimal-point sequence")
-    _add_common(sp)
+    def subcommand(name, help):
+        sp = subs.add_parser(name, help=help)
+        sp.add_argument("--config", help="key = value file mirroring the flags")
+        return sp
+
+    sp = subcommand("minpoints", "compute the minimal-point sequence")
     _add_xi_flags(sp)
     sp.add_argument("--csv", help="write the sequence as CSV")
     sp.add_argument("--json", help="write the sequence as JSON")
 
-    sp = subs.add_parser("ring-dims", help="verify the graded dimension tables")
-    _add_common(sp)
-    sp.add_argument("--lmax", type=int, help="largest degree for the full ring (default 10)")
-    sp.add_argument("--s-lmax", type=int, dest="s_lmax",
-                    help="largest half-degree for the F,M,N subring (default 8)")
+    sp = subcommand("ring-dims", "verify the graded dimension tables")
+    sp.add_argument("--lmax", type=int, default=10,
+                    help="largest degree for the full ring (default %(default)s)")
+    sp.add_argument("--s-lmax", type=int, default=8,
+                    help="largest half-degree for the F,M,N subring (default %(default)s)")
 
-    sp = subs.add_parser("find-relation", help="maximal-valuation element on a support")
-    _add_common(sp)
+    sp = subcommand("find-relation", "maximal-valuation element on a support")
     sp.add_argument("--degree", type=int, help="ring degree d")
-    sp.add_argument("--support", help="semicolon-separated pairs, e.g. '3,0;0,2'")
+    sp.add_argument("--support", type=_support,
+                    help="semicolon-separated m,n pairs, e.g. '3,0;0,2'")
     sp.add_argument("--json", help="write the search report as JSON")
 
-    sp = subs.add_parser("special-family", help="the distinguished one-dimensional family")
-    _add_common(sp)
+    sp = subcommand("special-family", "the distinguished one-dimensional family")
     sp.add_argument("--ell", type=int, help="family parameter (>= 1)")
     sp.add_argument("--json", help="write coefficients and certificates as JSON")
 
-    sp = subs.add_parser("verify-identities", help="run the exact identity suite")
-    _add_common(sp)
-    sp.add_argument("--samples", type=int, help="random triples per identity (default 200)")
-    sp.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    sp = subcommand("verify-identities", "run the exact identity suite")
+    sp.add_argument("--samples", type=int, default=200,
+                    help="random triples per identity (default %(default)s)")
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
 
-    sp = subs.add_parser("run", help="full experiment: scan, suites, reports")
-    _add_common(sp)
+    sp = subcommand("run", "full experiment: scan, suites, reports")
     _add_xi_flags(sp)
-    sp.add_argument("--epsilon", help="rational epsilon for the pair inequality (default 1/10)")
-    sp.add_argument("--suites", help=f"comma list from {','.join(ALL_SUITES)} (default all)")
-    sp.add_argument("--window", type=int, help="trailing window for the exponent estimate")
+    sp.add_argument("--epsilon", default=ExperimentConfig.epsilon,
+                    help="rational epsilon for the pair inequality (default %(default)s)")
+    sp.add_argument("--suites", type=lambda text: tuple(text.split(",")),
+                    default=ExperimentConfig.suites,
+                    help=f"comma list from {','.join(ALL_SUITES)} (default all)")
+    sp.add_argument("--window", type=int, default=ExperimentConfig.lambda_window,
+                    help="trailing window for the exponent estimate (default %(default)s)")
     sp.add_argument("--csv", help="write per-pair CSV")
     sp.add_argument("--json", help="write the JSON summary")
-    sp.add_argument("--reproducer", help="path for the failure reproducer dump")
+    sp.add_argument("--reproducer", default=ExperimentConfig.reproducer_path,
+                    help="path for the failure reproducer dump (default %(default)s)")
     return p
 
 
 def _cmd_minpoints(args) -> int:
     _require(args, "xi", "bound")
-    ctx = RealContext(args.xi, args.precision or 192, args.max_bits or (1 << 16))
+    ctx = RealContext(args.xi, args.precision, args.max_bits)
     seq = minimal_sequence(ctx, args.bound)
     rows = [{"index": p.index, "x0": p.point[0], "x1": p.point[1], "x2": p.point[2],
              "norm": p.norm, "err": decimal(p.err, 12)} for p in seq]
@@ -146,9 +156,7 @@ def _cmd_minpoints(args) -> int:
             w.writeheader()
             w.writerows(rows)
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(rows, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        dump_json(args.json, rows)
     print(f"{len(seq)} minimal points with norm <= {args.bound}")
     return 0
 
@@ -161,11 +169,12 @@ def _dims_row(label: str, ell: int, row: list[int]) -> int:
 
 
 def _cmd_ring_dims(args) -> int:
-    lmax = args.lmax if args.lmax is not None else 10
-    s_lmax = args.s_lmax if args.s_lmax is not None else 8
-    bad = sum(_dims_row(f"R_{ell}", ell, j_subspace_dims(ell)) for ell in range(lmax + 1))
+    for flag, top in (("--lmax", args.lmax), ("--s-lmax", args.s_lmax)):
+        if top < 0:
+            raise ValueError(f"{flag} must be >= 0, got {top}")
+    bad = sum(_dims_row(f"R_{ell}", ell, j_subspace_dims(ell)) for ell in range(args.lmax + 1))
     bad += sum(_dims_row(f"S_{2 * ell}", ell, s_subspace_dims(2 * ell))
-               for ell in range(s_lmax + 1))
+               for ell in range(args.s_lmax + 1))
     if bad:
         print(f"{bad} cells disagree with the dimension formula", file=sys.stderr)
         return 1
@@ -173,17 +182,9 @@ def _cmd_ring_dims(args) -> int:
     return 0
 
 
-def _parse_support(text: str):
-    pairs = []
-    for chunk in text.split(";"):
-        m, n = chunk.split(",")
-        pairs.append((int(m), int(n)))
-    return tuple(pairs)
-
-
 def _cmd_find_relation(args) -> int:
     _require(args, "degree", "support")
-    support = SupportSet(args.degree, _parse_support(args.support))
+    support = SupportSet(args.degree, args.support)
     result = maximal_j_element(support)
     print(f"degree {support.d}, support {list(support.pairs)}")
     print(f"maximal valuation k = {result.k_max}, dimension {len(result.basis)}"
@@ -191,7 +192,7 @@ def _cmd_find_relation(args) -> int:
     for elem in result.basis:
         print("  " + elem.integer_normalized().serialize())
     if args.json:
-        payload = {
+        dump_json(args.json, {
             "degree": support.d,
             "support": [list(p) for p in support.pairs],
             "k_max": result.k_max,
@@ -199,10 +200,7 @@ def _cmd_find_relation(args) -> int:
             "unique": result.unique,
             "dims_probed": {str(k): v for k, v in sorted(result.dims.items())},
             "basis": [e.integer_normalized().serialize() for e in result.basis],
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        })
     return 0
 
 
@@ -219,7 +217,7 @@ def _cmd_special_family(args) -> int:
     failed = sorted(name for name, ok in dec.checks.items() if not ok)
     print("parity certificate: " + ("PASS" if not failed else f"FAIL {failed}"))
     if args.json:
-        payload = {
+        dump_json(args.json, {
             "ell": ell,
             "element": elem.serialize(),
             "anchors": {
@@ -231,47 +229,40 @@ def _cmd_special_family(args) -> int:
             "b": dec.b,
             "scale": str(dec.scale),
             "checks": dict(sorted(dec.checks.items())),
-        }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        })
     return 0 if not failed else 1
 
 
 def _cmd_verify_identities(args) -> int:
-    samples = args.samples if args.samples is not None else 200
-    seed = args.seed if args.seed is not None else 0
-    results = run_identity_suite(samples, seed)
+    results = run_identity_suite(args.samples, args.seed)
     bad = 0
     for name, ok in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         bad += not ok
     print(f"{len(results) - bad}/{len(results)} identities hold "
-          f"({samples} samples, seed {seed})")
+          f"({args.samples} samples, seed {args.seed})")
     return 0 if bad == 0 else 1
 
 
 def _cmd_run(args) -> int:
     _require(args, "xi", "bound")
-    suites = tuple(args.suites.split(",")) if args.suites else ALL_SUITES
-    cfg = ExperimentConfig(
+    report = run_experiment(ExperimentConfig(
         xi=args.xi,
         norm_bound=args.bound,
-        precision_bits=args.precision or 192,
-        max_bits=args.max_bits or (1 << 16),
-        epsilon=args.epsilon or "1/10",
-        suites=suites,
-        lambda_window=args.window or 8,
+        precision_bits=args.precision,
+        max_bits=args.max_bits,
+        epsilon=args.epsilon,
+        suites=args.suites,
+        lambda_window=args.window,
         csv_path=args.csv,
         json_path=args.json,
-        reproducer_path=args.reproducer or "xicube_reproducer.json",
-    )
-    report = run_experiment(cfg)
+        reproducer_path=args.reproducer,
+    ))
     for name, verdict in sorted(report.suites.items()):
         print(f"suite {name}: {verdict}")
     print(f"{len(report.sequence)} points, {len(report.records)} pairs, "
           f"zero counts {report.monitors['nonvanishing_zero_counts']}")
-    return 0 if report.all_pass() else 1
+    return 0
 
 
 _COMMANDS = {
@@ -285,9 +276,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a usage error in argv itself exits through argparse."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _parser().parse_args(argv)
     try:
-        _merge_config(args)
+        if args.config:
+            at = argv.index(args.command) + 1
+            args = _parser(_ConfigParser).parse_args(
+                argv[:at] + _config_flags(args.config) + argv[at:])
         return _COMMANDS[args.command](args)
     except (ValueError, DependenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

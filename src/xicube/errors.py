@@ -33,8 +33,8 @@ class Undecidable(XicubeError):
     """An interval comparison stayed ambiguous at the precision ceiling."""
 
 
-class InvalidEll(XicubeError):
-    """Family parameter out of range (the defining constraint needs ell >= 1)."""
+class InvalidEll(XicubeError, ValueError):
+    """Family parameter out of range (needs ell >= 1); a usage error, so a ValueError."""
 
 
 class InvariantViolation(XicubeError):

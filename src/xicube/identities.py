@@ -63,7 +63,7 @@ def _rand_vec(rng: random.Random):
     return tuple(rng.randint(-50, 50) for _ in range(3))
 
 
-def sampled_checks(samples: int = 200, seed: int = 0) -> list[tuple[str, bool]]:
+def sampled_checks(samples: int, seed: int) -> list[tuple[str, bool]]:
     rng = random.Random(seed)
     ok_sym = ok_pol = ok_lin = ok_psi = ok_g = ok_cross = ok_eval = True
     F = named_element("F")
@@ -103,5 +103,7 @@ def sampled_checks(samples: int = 200, seed: int = 0) -> list[tuple[str, bool]]:
     ]
 
 
-def run_identity_suite(samples: int = 200, seed: int = 0) -> list[tuple[str, bool]]:
+def run_identity_suite(samples: int, seed: int) -> list[tuple[str, bool]]:
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     return symbolic_checks() + sampled_checks(samples, seed)

@@ -20,7 +20,8 @@ from .errors import (DependenceError, InvariantViolation, PrecisionError,
 from .intervals import Interval
 from .minimal import (MinimalPoint, PairRecord, build_pair_records,
                       independence_set, minimal_sequence, pair_checks)
-from .realctx import RealContext, approx_error
+from .realctx import (DEFAULT_MAX_BITS, DEFAULT_PRECISION_BITS, RealContext,
+                      approx_error)
 from .rigor import decimal, lambda_hat, log_ratio
 from .search import prop8_inequality
 from .vectors import content, cross, sup_norm, vscale
@@ -32,8 +33,8 @@ ALL_SUITES = ("divisibility", "heights", "prop8")
 class ExperimentConfig:
     xi: str
     norm_bound: int = 100_000
-    precision_bits: int = 192
-    max_bits: int = 1 << 16
+    precision_bits: int = DEFAULT_PRECISION_BITS
+    max_bits: int = DEFAULT_MAX_BITS
     epsilon: str = "1/10"
     suites: tuple[str, ...] = ALL_SUITES
     lambda_window: int = 8
@@ -46,6 +47,8 @@ class ExperimentConfig:
             raise ValueError("norm_bound must be >= 1")
         if Fraction(self.epsilon) <= 0:
             raise ValueError("epsilon must be positive")
+        if self.lambda_window < 1:
+            raise ValueError(f"lambda_window must be >= 1, got {self.lambda_window}")
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites {sorted(unknown)}")
@@ -108,9 +111,6 @@ class ExperimentReport:
             "suites": self.suites,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.summary_dict(), sort_keys=True, indent=2) + "\n"
-
     def csv_rows(self) -> tuple[list[str], list[list]]:
         check_names = sorted({name for chk in self.checks for name in chk})
         header = ["i", "j", "X_i", "X_ip1", "X_j", "p", "q", "S", "T", "U", "V",
@@ -139,11 +139,14 @@ class ExperimentReport:
             w.writerows(rows)
 
     def write_json(self, path: str):
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
+        dump_json(path, self.summary_dict())
 
-    def all_pass(self) -> bool:
-        return all(v != "FAIL" for v in self.suites.values())
+
+def dump_json(path: str, payload):
+    """Write payload as sorted, 2-space-indented JSON with a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _positive_err(ctx: RealContext, point) -> Interval:
@@ -226,8 +229,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """The full pipeline for one xi; deterministic for a fixed configuration.
 
     A run that fails writes a reproducer to cfg.reproducer_path: the failing
-    pair for a divisibility failure, the exception class and message for a
-    PrecisionError, Undecidable or DependenceError.  A passing run writes none.
+    pair for a divisibility failure, the height monitors for a height failure,
+    the exception class and message for a PrecisionError, Undecidable or
+    DependenceError.  A passing run writes none.
     """
     try:
         return _experiment(cfg)
@@ -245,11 +249,9 @@ def _experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     checks = [pair_checks(rec) for rec in records]
     if "divisibility" in cfg.suites:
-        suites["divisibility"] = "PASS"
         for rec, chk in zip(records, checks):
             failed = sorted(name for name, ok in chk.items() if not ok)
             if failed:
-                suites["divisibility"] = "FAIL"
                 payload = _dump_reproducer(cfg, pair={
                     "i": rec.i, "j": rec.j,
                     "x_i": list(rec.x_i), "x_ip1": list(rec.x_ip1), "x_j": list(rec.x_j),
@@ -258,14 +260,16 @@ def _experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     f"exact invariant failed on pair ({rec.i},{rec.j}): {failed}",
                     payload,
                 )
+        suites["divisibility"] = "PASS"
     else:
         suites["divisibility"] = "SKIPPED"
 
     if "heights" in cfg.suites:
         heights = height_checks(seq, records, ctx)
-        suites["heights"] = "PASS" if heights["cross_primitive_all"] and heights["cross_ratio_all"] else "FAIL"
-        if suites["heights"] == "FAIL":
-            raise InvariantViolation("cross-product height check failed", heights)
+        if not (heights["cross_primitive_all"] and heights["cross_ratio_all"]):
+            raise InvariantViolation("cross-product height check failed",
+                                     _dump_reproducer(cfg, heights=heights))
+        suites["heights"] = "PASS"
     else:
         heights = {}
         suites["heights"] = "SKIPPED"

@@ -470,9 +470,9 @@ class RealContext:
         if isinstance(spec, str):
             spec = parse_xi_spec(spec)
         if precision_bits < 4:
-            raise ValueError("precision_bits must be >= 4")
+            raise ValueError(f"precision_bits must be >= 4, got {precision_bits}")
         if max_bits < precision_bits:
-            raise ValueError("max_bits must be >= precision_bits")
+            raise ValueError(f"max_bits must be >= precision_bits, got {max_bits}")
         self.spec = spec
         self.precision_bits = precision_bits
         self.max_bits = max_bits
@@ -509,9 +509,6 @@ class RealContext:
 
     def describe(self) -> str:
         return self.spec.describe()
-
-    def is_decimal(self) -> bool:
-        return self._isolating_poly is None
 
     def warn_if_assumed(self):
         if self.independence_assumed:

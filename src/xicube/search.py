@@ -87,7 +87,7 @@ def maximal_j_element(support: SupportSet) -> SearchResult:
 def special_support(ell: int) -> SupportSet:
     """The triangle support of degree 12*ell+2 anchored at (6*ell+1, 0) and (0, 3*ell)."""
     if ell < 1:
-        raise InvalidEll("the support family needs ell >= 1")
+        raise InvalidEll(f"the support family needs ell >= 1, got {ell}")
     d = 12 * ell + 2
     pairs = [
         (m, n)

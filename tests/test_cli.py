@@ -186,3 +186,74 @@ def test_passing_run_writes_no_reproducer(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--xi", ROOT2, "--bound", "200"]) == 0
     assert list(tmp_path.iterdir()) == []
+
+
+def test_minpoints_json_bytes_are_pinned(tmp_path):
+    out_json = tmp_path / "seq.json"
+    assert main(["minpoints", "--xi", ROOT2, "--bound", "200", "--json", str(out_json)]) == 0
+    assert hashlib.sha256(out_json.read_bytes()).hexdigest() == (
+        "afae74db6f17b2aa9a2bb5b22d81dc3a2861012681bd5e4b89ed2a91a938674d")
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["run", "--xi", ROOT2, "--bound", "200", "--window", "0"], "window"),
+    (["run", "--xi", ROOT2, "--bound", "200", "--window", "-3"], "window"),
+    (["minpoints", "--xi", ROOT2, "--bound", "200", "--precision", "0"], "precision"),
+    (["minpoints", "--xi", ROOT2, "--bound", "200", "--max-bits", "0"], "max_bits"),
+    (["verify-identities", "--samples", "0"], "samples"),
+    (["ring-dims", "--lmax", "-1"], "--lmax"),
+    (["ring-dims", "--s-lmax", "-1"], "--s-lmax"),
+    (["special-family", "--ell", "0"], "ell"),
+])
+def test_value_out_of_range_is_usage_error(tmp_path, monkeypatch, capsys, argv, name):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert name in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("line,name", [
+    ("window = 0", "window"),
+    ("epsilon = -1/10", "epsilon"),
+    ("config = other.cfg", "another config"),
+])
+def test_bad_config_value_exits_2(tmp_path, monkeypatch, capsys, line, name):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "xicube.cfg"
+    cfg.write_text(f"xi = {ROOT2}\nbound = 200\n{line}\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert name in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_explicit_epsilon_wins_over_config(tmp_path):
+    cfg, json_path = tmp_path / "xicube.cfg", tmp_path / "run.json"
+    cfg.write_text(f"xi = {ROOT2}\nbound = 200\nepsilon = 1/5\njson = {json_path}\n")
+    assert main(["run", "--config", str(cfg), "--epsilon", "1/3"]) == 0
+    config = json.loads(json_path.read_text())["config"]
+    assert (config["epsilon"], config["norm_bound"]) == ("1/3", 200)
+
+
+@pytest.mark.parametrize("support,chunk", [("3", "3"), ("3,0,1", "3,0,1"), ("3,0;a,b", "a,b")])
+def test_malformed_support_pair_is_usage_error(tmp_path, capsys, support, chunk):
+    with pytest.raises(SystemExit) as exc:
+        main(["find-relation", "--degree", "6", "--support", support])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert repr(chunk) in err and "m,n" in err
+    cfg = tmp_path / "xicube.cfg"
+    cfg.write_text(f"degree = 6\nsupport = {support}\n")
+    assert main(["find-relation", "--config", str(cfg)]) == 2
+    assert repr(chunk) in capsys.readouterr().err
+
+
+def test_failed_suite_exits_1_with_reproducer(tmp_path, monkeypatch, capsys):
+    import xicube.lab as lab
+
+    monkeypatch.setattr(lab, "pair_checks", lambda rec: {"q2_divides_a": False})
+    repro = tmp_path / "repro.json"
+    assert main(["run", "--xi", ROOT2, "--bound", "2000", "--reproducer", str(repro)]) == 1
+    assert "invariant FAILED" in capsys.readouterr().err
+    assert json.loads(repro.read_text())["failed_checks"] == ["q2_divides_a"]

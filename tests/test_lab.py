@@ -40,6 +40,11 @@ def test_config_validation():
         ExperimentConfig(xi=ROOT2, suites=("divisibility", "nosuch"))
 
 
+def test_window_must_be_positive():
+    with pytest.raises(ValueError, match="lambda_window"):
+        ExperimentConfig(xi=ROOT2, lambda_window=0)
+
+
 def test_estimate_on_synthetic_half_power():
     # L_i = X_{i+1}^(-1/2) exactly: the estimate must pin 1/2
     trace = []
@@ -175,3 +180,16 @@ def test_failure_dumps_reproducer(tmp_path, monkeypatch):
     payload = json.loads(repro.read_text())
     assert payload["failed_checks"] == ["q2_divides_a"]
     assert payload["xi"] == ROOT2 and "pair" in payload
+
+
+def test_height_failure_dumps_reproducer(tmp_path, monkeypatch):
+    from xicube import lab
+
+    failing = {"cross_primitive_all": True, "cross_ratio_all": False,
+               "ratio_min": "", "ratio_max": ""}
+    monkeypatch.setattr(lab, "height_checks", lambda seq, records, ctx: failing)
+    repro = tmp_path / "repro.json"
+    cfg = ExperimentConfig(xi=ROOT2, norm_bound=2000, reproducer_path=str(repro))
+    with pytest.raises(InvariantViolation):
+        lab.run_experiment(cfg)
+    assert json.loads(repro.read_text())["heights"] == failing
