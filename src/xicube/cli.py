@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from .errors import (DependenceError, InvariantViolation, PrecisionError,
                      XicubeError)
@@ -73,6 +74,17 @@ def _support(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _positive_rational(text: str) -> str:
+    """A positive rational such as 1/10, kept as written for the report."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return text
+
+
 def _add_xi_flags(sub):
     sub.add_argument("--xi", help="dec:<digits> or 'alg:<poly> in [a,b]'")
     sub.add_argument("--bound", type=int, help="sup-norm bound for the scan")
@@ -126,7 +138,7 @@ def _parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
 
     sp = subcommand("run", "full experiment: scan, suites, reports")
     _add_xi_flags(sp)
-    sp.add_argument("--epsilon", default=ExperimentConfig.epsilon,
+    sp.add_argument("--epsilon", type=_positive_rational, default=ExperimentConfig.epsilon,
                     help="rational epsilon for the pair inequality (default %(default)s)")
     sp.add_argument("--suites", type=lambda text: tuple(text.split(",")),
                     default=ExperimentConfig.suites,

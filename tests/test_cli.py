@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import xicube
 from xicube.cli import main
 from xicube.errors import Undecidable
 
@@ -217,6 +221,7 @@ def test_value_out_of_range_is_usage_error(tmp_path, monkeypatch, capsys, argv, 
 @pytest.mark.parametrize("line,name", [
     ("window = 0", "window"),
     ("epsilon = -1/10", "epsilon"),
+    ("epsilon = abc", "argument --epsilon: 'abc' is not a rational number"),
     ("config = other.cfg", "another config"),
 ])
 def test_bad_config_value_exits_2(tmp_path, monkeypatch, capsys, line, name):
@@ -257,3 +262,69 @@ def test_failed_suite_exits_1_with_reproducer(tmp_path, monkeypatch, capsys):
     assert main(["run", "--xi", ROOT2, "--bound", "2000", "--reproducer", str(repro)]) == 1
     assert "invariant FAILED" in capsys.readouterr().err
     assert json.loads(repro.read_text())["failed_checks"] == ["q2_divides_a"]
+
+
+@pytest.mark.parametrize("flag,message", [
+    ("--epsilon=abc", "'abc' is not a rational number"),
+    ("--epsilon=1/0", "'1/0' is not a rational number"),
+    ("--epsilon=0", "must be positive, got 0"),
+    ("--epsilon=-1/10", "must be positive, got -1/10"),
+])
+def test_bad_epsilon_names_the_flag(tmp_path, monkeypatch, capsys, flag, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--xi", ROOT2, "--bound", "200", flag])
+    assert exc.value.code == 2
+    assert f"argument --epsilon: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_epsilon_is_echoed_as_written(tmp_path):
+    json_path = tmp_path / "run.json"
+    assert main(["run", "--xi", ROOT2, "--bound", "200", "--epsilon", "2/20",
+                 "--json", str(json_path)]) == 0
+    assert json.loads(json_path.read_text())["config"]["epsilon"] == "2/20"
+
+
+PI60 = "dec:3.141592653589793238462643383279502884197169399375105820974944"
+
+
+# SHA-256 of pairs.csv and summary.json, copied from PAPER_DIGESTS in
+# bench/workloads.py, where the benchmark's paper_xi workload checks them
+@pytest.mark.parametrize("spec,bound,digests", [
+    (ROOT2, 16_000,
+     ("3560d7b44846245a5a2667f85dad92e633705bbd64c72446640573b76d39074c",
+      "b52c57140c90c376ee3ef66fb631ad2a96080b71c703ad4b4de3f04610247064")),
+    ("alg:x^4-x-1 in [1.2,1.3]", 12_000,
+     ("4723372121acd41b0141b2499824773753249ee9b079d9779d5e240aeed55ecd",
+      "9c4311260843be1f5390f77886f4a0f1e915cf52e0009ed4f28d6cdeee590951")),
+    (PI60, 25_000,
+     ("7c3d4496ab6c56d2ec0011108e673d11271bef4ae31ee472a2ce2baff7f97552",
+      "7aed4b3d3ef64b6616a1245806da6de9a06bb13528c4be3c3b5d3144b1a240d8")),
+], ids=["root2", "quartic", "pi60"])
+@pytest.mark.filterwarnings("ignore:decimal xi spec")
+def test_paper_run_bytes_are_pinned(tmp_path, monkeypatch, spec, bound, digests):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--xi", spec, "--bound", str(bound),
+                 "--csv", "pairs.csv", "--json", "summary.json"]) == 0
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("pairs.csv", "summary.json"))
+    assert got == digests
+
+
+def test_commands_do_not_import_mpmath(tmp_path):
+    argvs = [
+        ["ring-dims"],
+        ["special-family", "--ell", "2"],
+        ["find-relation", "--degree", "6", "--support", "3,0;0,2"],
+        ["verify-identities", "--samples", "5"],
+        ["run", "--xi", ROOT2, "--bound", "2000"],
+    ]
+    code = ("import sys\nfrom xicube.cli import main\n"
+            f"for argv in {argvs!r}:\n    assert main(argv) == 0, argv\n"
+            "print('mpmath' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(xicube.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
