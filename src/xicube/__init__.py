@@ -10,7 +10,7 @@ from .lab import ExperimentConfig, ExperimentReport, run_experiment
 from .minimal import (MinimalPoint, PairRecord, build_pair_records,
                       candidate_for, decompose_pair, independence_set,
                       minimal_sequence, pair_checks)
-from .realctx import RealContext, approx_error, delta_of, l_norm, parse_xi_spec
+from .realctx import RealContext, approx_error, delta_of, parse_xi_spec
 from .ring import (RingElem, basis_of, evaluate, expand, j_subspace,
                    j_valuation, named_element, parse_elem, rho, tau)
 from .search import (SearchResult, SupportSet, hp_decompose,

@@ -86,10 +86,6 @@ class Interval:
     def max_with(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
 
-    def contains(self, value) -> bool:
-        value = Fraction(value)
-        return self.lo <= value <= self.hi
-
     def is_point(self) -> bool:
         return self.lo == self.hi
 
@@ -103,14 +99,4 @@ class Interval:
             return False
         if self.is_point() and other.is_point():
             return False  # exact equality, resolvable without escalation
-        return None
-
-    def sign(self) -> int | None:
-        """-1, 0 or +1 when certain, else None."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        if self.lo == 0 and self.hi == 0:
-            return 0
         return None

@@ -220,8 +220,7 @@ def _dump_reproducer(cfg: ExperimentConfig, **failure) -> dict:
         "max_bits": cfg.max_bits,
         **failure,
     }
-    with open(cfg.reproducer_path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+    dump_json(cfg.reproducer_path, payload)
     return payload
 
 

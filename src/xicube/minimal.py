@@ -12,8 +12,9 @@ the scaled enclosures of x0*xi and x0*xi^3 (RealContext.nearest_to_multiple),
 and its record test by comparing integer enclosures of 2^bits * L at the base
 precision, with the current record's enclosure computed once per record.  An
 integer verdict is final, because the true values lie inside those
-enclosures; a comparison they leave open goes to the exact interval probe,
-which escalates precision.  Nothing is ever settled by a midpoint guess.
+enclosures; a comparison they leave open is put again on the same integer
+enclosures at escalating precision (RealContext.decide).  Nothing is ever
+settled by a midpoint guess.
 """
 
 from __future__ import annotations
@@ -71,15 +72,6 @@ def candidate_for(x0: int, ctx: RealContext) -> Vec3:
     return (x0, ctx.nearest_to_multiple(x0, 1), ctx.nearest_to_multiple(x0, 3))
 
 
-def _less(ctx: RealContext, make_a, make_b, what: str) -> bool:
-    """Decide value(a) < value(b) from interval factories, escalating bits."""
-
-    def probe(bits):
-        return make_a(bits).strictly_less(make_b(bits))
-
-    return ctx.decide(probe, what=what)
-
-
 def _fixed_less(a: tuple[int, int], b: tuple[int, int]) -> bool | None:
     """Interval.strictly_less on integer enclosures (lo, hi)."""
     if a[1] < b[0]:
@@ -96,8 +88,9 @@ def _err_less_than_half(ctx: RealContext, x: Vec3, ex: tuple[int, int]) -> bool:
     half = 1 << (ctx.precision_bits - 1)
     verdict = _fixed_less(ex, (half, half))
     if verdict is None:
-        verdict = _less(ctx, lambda b: approx_error(x, ctx, b), lambda b: Interval(HALF),
-                        what=f"L{x} < 1/2")
+        verdict = ctx.decide(lambda b: _fixed_less(scaled_error(x, ctx, b),
+                                                   (1 << (b - 1),) * 2),
+                             what=f"L{x} < 1/2")
     return verdict
 
 
@@ -106,8 +99,9 @@ def _err_less(ctx: RealContext, x: Vec3, y: Vec3, ex: tuple[int, int],
     """L(x) < L(y), given ex, ey = scaled_error(x, ctx), scaled_error(y, ctx)."""
     verdict = _fixed_less(ex, ey)
     if verdict is None:
-        verdict = _less(ctx, lambda b: approx_error(x, ctx, b),
-                        lambda b: approx_error(y, ctx, b), what=f"L{x} < L{y}")
+        verdict = ctx.decide(lambda b: _fixed_less(scaled_error(x, ctx, b),
+                                                   scaled_error(y, ctx, b)),
+                             what=f"L{x} < L{y}")
     return verdict
 
 

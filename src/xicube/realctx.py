@@ -3,15 +3,16 @@
 A :class:`RealContext` wraps a specification of xi (a decimal literal or an
 integer polynomial with an isolating interval) and serves enclosures of xi,
 xi^2, xi^3 with exact rational endpoints, plus the same enclosures rounded
-outward to integer numerators over 2^precision_bits
-(:meth:`RealContext.scaled`).
-Hot decisions (nearest integers, error comparisons) are first tried on those
-scaled integers; an integer verdict is final, because the true value lies
-inside the integer enclosure.  What the integer test leaves open goes to the
-exact interval probe through :meth:`RealContext.decide`, which escalates the
-working precision until the answer is certain and aborts at a configurable
-ceiling instead of guessing.  The algebraic root itself is refined by an
-integer Newton iteration whose cell is certified by exact sign evaluations.
+outward to integer numerators over 2^bits (:meth:`RealContext.scaled`).
+Every decision of the scan (nearest integers, error comparisons) runs on
+those scaled integers; an integer verdict is final, because the true value
+lies inside the integer enclosure.  A question the base precision leaves
+open is put again at doubled precision through :meth:`RealContext.decide`,
+until the answer is certain or a configurable ceiling aborts the run
+instead of guessing.  The algebraic root itself is refined by an integer
+Newton iteration whose cell is certified by exact sign evaluations; a
+decimal literal's interval is fixed, and only its integer rounding gets
+finer.
 
 Spec grammar accepted by :func:`parse_xi_spec`:
 
@@ -44,8 +45,8 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .errors import PrecisionError
-from .intervals import HALF, Interval
-from .vectors import Vec3, sup_norm
+from .intervals import Interval
+from .vectors import Vec3
 
 DEFAULT_PRECISION_BITS = 192
 DEFAULT_MAX_BITS = 1 << 16
@@ -479,7 +480,8 @@ class RealContext:
         self.dependence_reason: str | None = None
         self.independence_assumed = False
         self._pow_cache: dict[tuple[int, int], Interval] = {}
-        self._scaled_cache: dict[int, tuple[int, int]] = {}
+        # keyed k by default and (k, bits) otherwise: the hot path builds no tuple
+        self._scaled_cache: dict[int | tuple[int, int], tuple[int, int]] = {}
 
         if isinstance(spec, DecimalXi):
             value = Fraction(spec.digits)
@@ -529,14 +531,11 @@ class RealContext:
             self._lo, self._hi = _root_cell(self._isolating_poly, self._sign_lo,
                                             self._lo, self._hi, k)
 
-    def xi(self, bits: int | None = None) -> Interval:
-        return self.power(1, bits)
-
     def power(self, k: int, bits: int | None = None) -> Interval:
         """Enclosure of xi^k (k in 1..3) with width <= 2^-bits * max(1, |xi|^3).
 
-        Decimal specs return the fixed literal interval regardless of the
-        requested precision; escalation on them is impossible by design.
+        Decimal specs return the fixed literal interval whatever the
+        requested precision: more bits only refine its rounding in scaled().
         """
         if k not in (1, 2, 3):
             raise ValueError("only powers 1..3 are served")
@@ -564,67 +563,57 @@ class RealContext:
         self._pow_cache[key] = iv
         return iv
 
-    def scaled(self, k: int) -> tuple[int, int]:
-        """Integers (lo, hi) with lo <= 2^bits * xi^k <= hi, bits = precision_bits.
+    def scaled(self, k: int, bits: int | None = None) -> tuple[int, int]:
+        """Integers (lo, hi) with lo <= 2^bits * xi^k <= hi (default precision_bits).
 
-        Rounded outward (floor, ceil) from the exact enclosure power(k) and
-        cached per k.
+        Rounded outward (floor, ceil) from the exact enclosure power(k, bits);
+        cached per k at the default precision and per (k, bits) otherwise.
         """
-        out = self._scaled_cache.get(k)
+        key = k if bits is None else (k, bits)
+        out = self._scaled_cache.get(key)
         if out is None:
-            bits = self.precision_bits
+            bits = self.precision_bits if bits is None else bits
             iv = self.power(k, bits)
             out = ((iv.lo.numerator << bits) // iv.lo.denominator,
                    -((-iv.hi.numerator << bits) // iv.hi.denominator))
-            self._scaled_cache[k] = out
+            self._scaled_cache[key] = out
         return out
-
-    def refinable_beyond(self, bits: int) -> bool:
-        return self._isolating_poly is not None and bits < self.max_bits
 
     # -- decisions ---------------------------------------------------------
     def decide(self, probe, what: str = "comparison"):
         """Run probe(bits) at escalating precision until it returns non-None.
 
-        Raises PrecisionError when the ceiling is hit (or immediately for a
-        decimal spec, whose enclosure cannot shrink).
+        Raises PrecisionError when probe(max_bits) is still undecided.
         """
         bits = self.precision_bits
         while True:
             out = probe(bits)
             if out is not None:
                 return out
-            if not self.refinable_beyond(bits):
-                raise PrecisionError(
-                    f"{what} undecidable for {self.describe()} at {bits} bits "
-                    f"(ceiling {self.max_bits}, decimal specs cannot be refined)"
-                )
+            if bits >= self.max_bits:
+                note = ("; the literal's last digit is the limit"
+                        if self._isolating_poly is None else "")
+                raise PrecisionError(f"{what} undecidable for {self.describe()} at {bits} "
+                                     f"bits (ceiling {self.max_bits}{note})")
             bits = min(2 * bits, self.max_bits)
 
     def nearest_to_multiple(self, m: int, k: int) -> int:
-        """Nearest integer to m * xi^k, certified by strict interval containment.
+        """Nearest integer to m * xi^k, certified by strict enclosure containment.
 
         The scaled integer enclosure at the base precision decides when it
-        lies strictly between two half-integers; otherwise the exact probe
-        decides, escalating through :meth:`decide`.
+        lies strictly between two half-integers; otherwise the same test is
+        put at escalating precision through :meth:`decide`.
         """
         n = self._nearest_fixed(m, k)
-        if n is not None:
-            return n
+        if n is None:
+            n = self.decide(lambda bits: self._nearest_fixed(m, k, bits),
+                            what=f"rounding of {m}*xi^{k}")
+        return n
 
-        def probe(bits):
-            iv = self.power(k, bits) * m
-            n = int((iv.mid + HALF).__floor__())
-            if n - HALF < iv.lo and iv.hi < n + HALF:
-                return n
-            return None
-
-        return self.decide(probe, what=f"rounding of {m}*xi^{k}")
-
-    def _nearest_fixed(self, m: int, k: int) -> int | None:
-        """Nearest integer to m * xi^k if the scaled enclosure certifies it."""
-        bits = self.precision_bits
-        lo, hi = self.scaled(k)
+    def _nearest_fixed(self, m: int, k: int, bits: int | None = None) -> int | None:
+        """Nearest integer to m * xi^k if the scaled enclosure at bits certifies it."""
+        lo, hi = self.scaled(k, bits)
+        bits = self.precision_bits if bits is None else bits
         lo, hi = (m * lo, m * hi) if m >= 0 else (m * hi, m * lo)
         half = 1 << (bits - 1)
         n = (lo + half) >> bits
@@ -647,20 +636,15 @@ def approx_error(x: Vec3, ctx: RealContext, bits: int | None = None) -> Interval
     return e1.max_with(e2)
 
 
-def scaled_error(x: Vec3, ctx: RealContext) -> tuple[int, int]:
-    """Integers (lo, hi) with lo <= 2^bits * L(x) <= hi at ctx.precision_bits."""
-    bits = ctx.precision_bits
+def scaled_error(x: Vec3, ctx: RealContext, bits: int | None = None) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= 2^bits * L(x) <= hi (default ctx.precision_bits)."""
+    shift = ctx.precision_bits if bits is None else bits
     err_lo = err_hi = 0
     for k, target in ((1, x[1]), (3, x[2])):
-        lo, hi = ctx.scaled(k)
+        lo, hi = ctx.scaled(k, bits)
         lo, hi = (x[0] * lo, x[0] * hi) if x[0] >= 0 else (x[0] * hi, x[0] * lo)
-        e_lo, e_hi = (target << bits) - hi, (target << bits) - lo
+        e_lo, e_hi = (target << shift) - hi, (target << shift) - lo
         if e_lo < 0:
             e_lo, e_hi = (-e_hi, -e_lo) if e_hi <= 0 else (0, max(-e_lo, e_hi))
         err_lo, err_hi = max(err_lo, e_lo), max(err_hi, e_hi)
     return err_lo, err_hi
-
-
-def l_norm(x: Vec3, ctx: RealContext, bits: int | None = None) -> tuple[Interval, int]:
-    """(enclosure of L(x), sup-norm of x)."""
-    return approx_error(x, ctx, bits), sup_norm(x)

@@ -10,7 +10,9 @@ must still equal the exact escalation's, a PrecisionError included.
 
 from fractions import Fraction
 
+import pytest
 import sympy
+from conftest import QUARTIC, ROOT2, pi_prefix_spec
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from oracle import bisect_cell, brute_force_minimal_points, exact_nearest
@@ -21,7 +23,7 @@ from xicube.minimal import _err_less, _err_less_than_half, _fixed_less
 from xicube.realctx import AlgebraicXi, DecimalXi, approx_error, scaled_error
 
 MAX_BITS = 768  # a low ceiling keeps the undecidable ties cheap
-# a coarse base precision leaves many questions to the exact fallback
+# a coarse base precision leaves many questions to escalation
 precisions = st.sampled_from([8, 24, 192])
 SLOW = settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 
@@ -142,6 +144,19 @@ def test_scan_matches_brute_force_at_200(spec, bits):
     except PrecisionError:
         assume(False)  # a literal too short to rank its own triples
     assert [p.point for p in minimal_sequence(ctx, 200)] == want
+
+
+@pytest.mark.parametrize("spec", [ROOT2, QUARTIC, pi_prefix_spec(30)])
+def test_scan_decides_on_integer_enclosures_alone(spec, monkeypatch):
+    # at 8 bits nearly every decision escalates; none may compare Intervals
+    want = [p.point for p in minimal_sequence(RealContext(spec), 2000)]
+
+    def forbidden(self, other):
+        raise AssertionError("the scan compared Intervals")
+
+    monkeypatch.setattr(Interval, "strictly_less", forbidden)
+    ctx = RealContext(spec, precision_bits=8, max_bits=MAX_BITS)
+    assert [p.point for p in minimal_sequence(ctx, 2000)] == want
 
 
 def _check_cells(ctx, depths, lo, hi):

@@ -177,7 +177,9 @@ def test_failure_dumps_reproducer(tmp_path, monkeypatch):
     cfg = ExperimentConfig(xi=ROOT2, norm_bound=2000, reproducer_path=str(repro))
     with pytest.raises(InvariantViolation):
         lab.run_experiment(cfg)
-    payload = json.loads(repro.read_text())
+    text = repro.read_text()
+    assert text.endswith("}\n")  # written by lab.dump_json like every JSON output
+    payload = json.loads(text)
     assert payload["failed_checks"] == ["q2_divides_a"]
     assert payload["xi"] == ROOT2 and "pair" in payload
 

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import xicube
-from xicube import (PrecisionError, RealContext, approx_error, delta_of, l_norm,
-                    parse_xi_spec, realctx)
+from xicube import (PrecisionError, RealContext, approx_error, delta_of, parse_xi_spec,
+                    realctx, sup_norm)
 from xicube.realctx import (DEFAULT_MAX_BITS, MAX_DEGREE, AlgebraicXi, DecimalXi,
                             _analyze_algebraic, _analyze_by_factoring, _eval_sign,
                             _root_cell)
@@ -204,12 +204,12 @@ def test_delta_examples(ctx_root2):
 
 
 def test_l_norm_examples(ctx_root2):
-    err, norm = l_norm((1, 1, 2), ctx_root2)
+    err, norm = approx_error((1, 1, 2), ctx_root2), sup_norm((1, 1, 2))
     assert norm == 2
     assert abs(err.mid - Fraction("0.31821")) < Fraction(1, 10**5)
-    err, norm = l_norm((0, 1, 0), ctx_root2)
+    err, norm = approx_error((0, 1, 0), ctx_root2), sup_norm((0, 1, 0))
     assert (err.lo, err.hi, norm) == (1, 1, 1)
-    err, norm = l_norm((4, 5, 7), ctx_root2)
+    err, norm = approx_error((4, 5, 7), ctx_root2), sup_norm((4, 5, 7))
     assert norm == 7
     assert abs(err.mid - Fraction("0.27283")) < Fraction(1, 10**5)
 
@@ -223,7 +223,7 @@ def test_nearest_multiples(ctx_root2):
 
 def test_decimal_interval_semantics():
     ctx = RealContext("dec:1.25")
-    iv = ctx.xi()
+    iv = ctx.power(1)
     assert (iv.lo, iv.hi) == (Fraction("1.25"), Fraction("1.26"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -232,11 +232,12 @@ def test_decimal_interval_semantics():
 
 
 def test_decimal_rounding_contract():
-    # interval decides the round; a literal pinned just above 1/2 rounds up
+    # the literal's interval decides the round; one pinned just above 1/2 rounds up
     ctx = RealContext("dec:0.500000001")
     assert ctx.nearest_to_multiple(1, 1) == 1
     assert ctx.nearest_to_multiple(1, 3) == 0
-    # an exact 0.5 literal straddles the tie and cannot be refined
+    # an exact 0.5 literal starts on the tie: finer rounding of its interval
+    # never lifts it off, so escalation stops at the ceiling
     with pytest.raises(PrecisionError):
         RealContext("dec:0.5").nearest_to_multiple(1, 1)
 
