@@ -15,6 +15,7 @@ used, and a value out of range is a usage error.  ``--config FILE`` holds
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from fractions import Fraction
 
@@ -138,16 +139,17 @@ def _parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
 
     sp = subcommand("run", "full experiment: scan, suites, reports")
     _add_xi_flags(sp)
-    sp.add_argument("--epsilon", type=_positive_rational, default=ExperimentConfig.epsilon,
+    defaults = ExperimentConfig._field_defaults
+    sp.add_argument("--epsilon", type=_positive_rational, default=defaults["epsilon"],
                     help="rational epsilon for the pair inequality (default %(default)s)")
     sp.add_argument("--suites", type=lambda text: tuple(text.split(",")),
-                    default=ExperimentConfig.suites,
+                    default=defaults["suites"],
                     help=f"comma list from {','.join(ALL_SUITES)} (default all)")
-    sp.add_argument("--window", type=int, default=ExperimentConfig.lambda_window,
+    sp.add_argument("--window", type=int, default=defaults["lambda_window"],
                     help="trailing window for the exponent estimate (default %(default)s)")
     sp.add_argument("--csv", help="write per-pair CSV")
     sp.add_argument("--json", help="write the JSON summary")
-    sp.add_argument("--reproducer", default=ExperimentConfig.reproducer_path,
+    sp.add_argument("--reproducer", default=defaults["reproducer_path"],
                     help="path for the failure reproducer dump (default %(default)s)")
     return p
 
@@ -162,9 +164,8 @@ def _cmd_minpoints(args) -> int:
         print(f"{r['index']:4d}  ({r['x0']}, {r['x1']}, {r['x2']})  "
               f"norm={r['norm']}  L~{r['err']}")
     if args.csv:
-        import csv as _csv
         with open(args.csv, "w", newline="") as fh:
-            w = _csv.DictWriter(fh, fieldnames=["index", "x0", "x1", "x2", "norm", "err"])
+            w = csv.DictWriter(fh, fieldnames=["index", "x0", "x1", "x2", "norm", "err"])
             w.writeheader()
             w.writerows(rows)
     if args.json:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .constants import threshold_constants
@@ -29,20 +29,18 @@ from .vectors import content, cross, sup_norm, vscale
 ALL_SUITES = ("divisibility", "heights", "prop8")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    xi: str
-    norm_bound: int = 100_000
-    precision_bits: int = DEFAULT_PRECISION_BITS
-    max_bits: int = DEFAULT_MAX_BITS
-    epsilon: str = "1/10"
-    suites: tuple[str, ...] = ALL_SUITES
-    lambda_window: int = 8
-    csv_path: str | None = None
-    json_path: str | None = None
-    reproducer_path: str = "xicube_reproducer.json"
+class ExperimentConfig(namedtuple(
+        "ExperimentConfig",
+        "xi norm_bound precision_bits max_bits epsilon suites lambda_window "
+        "csv_path json_path reproducer_path",
+        defaults=(100_000, DEFAULT_PRECISION_BITS, DEFAULT_MAX_BITS, "1/10", ALL_SUITES,
+                  8, None, None, "xicube_reproducer.json"))):
+    """The settings of one experiment; every field but `xi` has a default."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.norm_bound < 1:
             raise ValueError("norm_bound must be >= 1")
         if Fraction(self.epsilon) <= 0:
@@ -52,20 +50,19 @@ class ExperimentConfig:
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites {sorted(unknown)}")
+        return self
 
 
-@dataclass
-class ExperimentReport:
-    config: ExperimentConfig
-    sequence: list[MinimalPoint]
-    indep: list[int]
-    records: list[PairRecord]
-    checks: list[dict[str, bool]]
-    prop8: list[dict]
-    lambda_hat: list[dict]          # per index i: enclosure of log(1/L_i)/log X_{i+1}
-    rho_seq: list[dict]             # per index: log X_{i+1} / log X_i (monitor)
-    monitors: dict
-    suites: dict[str, str]
+class ExperimentReport(namedtuple("ExperimentReport", (
+        "config sequence indep records checks prop8 lambda_hat rho_seq "
+        "monitors suites"))):
+    """The results of one experiment.
+
+    `lambda_hat` holds, per index i, the enclosure of log(1/L_i)/log X_{i+1};
+    `rho_seq`, per index, the monitor log X_{i+1} / log X_i.
+    """
+
+    __slots__ = ()
 
     def summary_dict(self) -> dict:
         seq = [
@@ -95,7 +92,7 @@ class ExperimentReport:
         return {
             # "threads" is the setting of the parallel scan that was removed;
             # it stays at its one value so reports keep their recorded bytes
-            "config": {**asdict(self.config), "threads": 1},
+            "config": {**self.config._asdict(), "threads": 1},
             "constants": threshold_constants(),
             "counts": {
                 "sequence": len(self.sequence),

@@ -19,7 +19,7 @@ settled by a midpoint guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .errors import DependenceError, InvariantViolation, NotInSpan
@@ -29,40 +29,26 @@ from .realctx import RealContext, approx_error, delta_of, scaled_error
 from .vectors import Vec3, content, cross, det3, euclid_norm_sq, sup_norm, vadd, vscale
 
 
-@dataclass(frozen=True)
-class MinimalPoint:
-    index: int          # 1-based position in the sequence
-    point: Vec3         # normalized with x0 >= 1
-    norm: int           # sup-norm, exact
-    err: Interval       # enclosure of L(point); upper end < 1/2
-    delta: Interval     # enclosure of the contact form at the point
+class MinimalPoint(namedtuple("MinimalPoint", "index point norm err delta")):
+    """The `index`-th minimal point (1-based).
+
+    `point` is normalized with x0 >= 1, `norm` is its exact sup-norm, `err`
+    an enclosure of L(point) with upper end < 1/2, and `delta` an enclosure
+    of the contact form at the point.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    """One consecutive pair i < j of the independence set, with exact invariants."""
+class PairRecord(namedtuple("PairRecord", (
+        "i j x_i x_ip1 x_j p q s t u v a b f d2 d3 d6 height_sq "
+        "norm_i norm_ip1 norm_j"))):
+    """One consecutive pair i < j of the independence set, with exact invariants.
 
-    i: int
-    j: int
-    x_i: Vec3
-    x_ip1: Vec3
-    x_j: Vec3
-    p: int
-    q: int
-    s: int
-    t: int
-    u: int
-    v: int
-    a: int
-    b: int
-    f: int
-    d2: int
-    d3: int
-    d6: int
-    height_sq: int      # squared Euclidean norm of x_i ^ x_{i+1}
-    norm_i: int
-    norm_ip1: int
-    norm_j: int
+    `height_sq` is the squared Euclidean norm of x_i ^ x_{i+1}.
+    """
+
+    __slots__ = ()
 
 
 def candidate_for(x0: int, ctx: RealContext) -> Vec3:

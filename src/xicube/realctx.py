@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -62,19 +62,19 @@ CERTIFICATE_PRIMES = tuple(p for p in range(2, 300)
                            if all(p % d for d in range(2, isqrt(p) + 1)))
 
 
-@dataclass(frozen=True)
-class DecimalXi:
-    digits: str
+class DecimalXi(namedtuple("DecimalXi", "digits")):
+    """A decimal literal, kept as its digit string."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         return f"dec:{self.digits}"
 
 
-@dataclass(frozen=True)
-class AlgebraicXi:
-    coeffs: tuple[int, ...]  # ascending degree
-    lo: Fraction
-    hi: Fraction
+class AlgebraicXi(namedtuple("AlgebraicXi", "coeffs lo hi")):
+    """The one real root in [lo, hi] of the polynomial `coeffs` (ascending degree)."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         return f"alg:{_poly_str(self.coeffs)} in [{self.lo},{self.hi}]"

@@ -13,7 +13,7 @@ the same pair data the searches predict divisibility for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd
 
@@ -27,25 +27,24 @@ from .ring import (RingElem, _scaled_coordinates, _subspace_vectors,
                    named_element)
 
 
-@dataclass(frozen=True)
-class SupportSet:
-    d: int
-    pairs: tuple[tuple[int, int], ...]  # lexicographic
+class SupportSet(namedtuple("SupportSet", "d pairs")):
+    """Exponents (m, n) of F^m G0^n in degree d; `pairs` lexicographic, no repeats."""
 
-    def __post_init__(self):
-        if not self.pairs:
+    __slots__ = ()
+
+    def __new__(cls, d, pairs):
+        if not pairs:
             raise ValueError("support must be nonempty")
-        for m, n in self.pairs:
-            if m < 0 or n < 0 or 2 * m + 3 * n > self.d:
-                raise ValueError(f"({m},{n}) outside the degree-{self.d} triangle")
-        object.__setattr__(self, "pairs", tuple(sorted(set(self.pairs))))
+        for m, n in pairs:
+            if m < 0 or n < 0 or 2 * m + 3 * n > d:
+                raise ValueError(f"({m},{n}) outside the degree-{d} triangle")
+        return super().__new__(cls, d, tuple(sorted(set(pairs))))
 
 
-@dataclass
-class SearchResult:
-    k_max: int
-    basis: list[RingElem]
-    dims: dict[int, int] = field(default_factory=dict)  # probed k -> dimension
+class SearchResult(namedtuple("SearchResult", "k_max basis dims")):
+    """The top valuation `k_max`, a `basis` there, and `dims`: probed k -> dimension."""
+
+    __slots__ = ()
 
     @property
     def unique(self) -> bool:
@@ -207,14 +206,15 @@ def to_fgh(e: RingElem) -> dict[tuple[int, int, int], Fraction]:
     return out
 
 
-@dataclass
-class HpDecomposition:
-    ell: int
-    rst: list[tuple[int, int, int]]  # (r_k, s_k, t_k) for k = 0..ell, coprime ints
-    a: int                           # coefficient of G^(3l+2) in H*P mod H
-    b: int                           # coefficient of F^(6l+1) in the rescaled P
-    scale: Fraction                  # rescaling applied to the input element
-    checks: dict[str, bool]
+class HpDecomposition(namedtuple("HpDecomposition", "ell rst a b scale checks")):
+    """H*P on the stated products, with its parity certificate.
+
+    `rst` holds the coprime integer triples (r_k, s_k, t_k) for k = 0..ell,
+    `a` the coefficient of G^(3l+2) in H*P mod H, `b` that of F^(6l+1) in
+    the rescaled P, and `scale` the rescaling applied to the input element.
+    """
+
+    __slots__ = ()
 
     def all_pass(self) -> bool:
         return all(self.checks.values())

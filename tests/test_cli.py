@@ -7,8 +7,9 @@ import sys
 import pytest
 
 import xicube
-from xicube.cli import main
+from xicube.cli import _parser, main
 from xicube.errors import Undecidable
+from xicube.lab import ExperimentConfig
 
 ROOT2 = "alg:x^4-2 in [1,2]"
 
@@ -328,3 +329,28 @@ def test_commands_do_not_import_mpmath(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                          capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_cli_import_loads_no_heavy_modules(tmp_path):
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "mpmath", "sympy"]
+    code = f"import sys, xicube.cli\nprint([m for m in {heavy!r} if m in sys.modules])\n"
+    src = os.path.dirname(os.path.dirname(xicube.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_run_defaults_are_the_config_defaults(capsys):
+    cfg = ExperimentConfig(xi=ROOT2)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    shown = " ".join(capsys.readouterr().out.split())
+    for value in (cfg.precision_bits, cfg.max_bits, cfg.epsilon, cfg.lambda_window,
+                  cfg.reproducer_path):
+        assert f"(default {value})" in shown
+    args = _parser().parse_args(["run"])
+    assert (args.precision, args.max_bits, args.epsilon, args.suites, args.window,
+            args.reproducer) == (cfg.precision_bits, cfg.max_bits, cfg.epsilon,
+                                 cfg.suites, cfg.lambda_window, cfg.reproducer_path)

@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from xicube import ExperimentConfig, Interval, run_experiment
+from xicube import ExperimentConfig, Interval, SupportSet, run_experiment
 from xicube.errors import InvariantViolation
 from xicube.lab import height_checks, lambda_hat_trace, lambda_hat_window_min
-from xicube.minimal import build_pair_records, independence_set, minimal_sequence
+from xicube.minimal import (MinimalPoint, PairRecord, build_pair_records,
+                            independence_set, minimal_sequence)
+from xicube.realctx import AlgebraicXi, DecimalXi
 from xicube.rigor import lambda_hat
 from xicube.search import prop8_decide
 
@@ -38,6 +40,20 @@ def test_config_validation():
         ExperimentConfig(xi=ROOT2, epsilon="0")
     with pytest.raises(ValueError):
         ExperimentConfig(xi=ROOT2, suites=("divisibility", "nosuch"))
+
+
+@pytest.mark.parametrize("record,field", [
+    (ExperimentConfig(xi=ROOT2), "norm_bound"),
+    (SupportSet(6, ((3, 0), (0, 2))), "pairs"),
+    (MinimalPoint(1, (1, 1, 1), 1, Interval(0), Interval(0)), "err"),
+    (PairRecord(*range(21)), "height_sq"),
+    (DecimalXi("1.5"), "digits"),
+    (AlgebraicXi((-2, 0, 1), Fraction(1), Fraction(2)), "lo"),
+], ids=["ExperimentConfig", "SupportSet", "MinimalPoint", "PairRecord", "DecimalXi",
+        "AlgebraicXi"])
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
 
 
 def test_window_must_be_positive():
