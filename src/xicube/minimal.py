@@ -243,7 +243,7 @@ def pair_checks(rec: PairRecord) -> dict[str, bool]:
     if q == 0:
         return {"coprime_pq": False}
     checks = {
-        "coprime_pq": gcd(rec.p, q) == 1 and q != 0,
+        "coprime_pq": gcd(rec.p, q) == 1,
         "congruence_t": (rec.t - 3 * rec.p * rec.s) % q == 0,
         "congruence_u": (rec.u - 3 * rec.p * rec.p * rec.s) % q == 0,
         "congruence_v": (rec.v - rec.p**3 * rec.s) % q == 0,

@@ -479,7 +479,7 @@ class RealContext:
         self.max_bits = max_bits
         self.dependence_reason: str | None = None
         self.independence_assumed = False
-        self._pow_cache: dict[tuple[int, int], Interval] = {}
+        self._pow_cache: dict[int, tuple[Interval, Interval, Interval]] = {}
         # keyed k by default and (k, bits) otherwise: the hot path builds no tuple
         self._scaled_cache: dict[int | tuple[int, int], tuple[int, int]] = {}
 
@@ -487,11 +487,11 @@ class RealContext:
             value = Fraction(spec.digits)
             frac_digits = len(spec.digits.split(".")[1]) if "." in spec.digits else 0
             ulp = Fraction(1, 10**frac_digits)
-            # truncation semantics: the literal is a prefix of the true expansion
-            if value >= 0:
-                self._fixed = Interval(value, value + ulp)
-            else:
-                self._fixed = Interval(value - ulp, value)
+            # truncation semantics: the literal is a prefix of the true expansion,
+            # so its "-" (not the sign of its value: -0.0) says on which side
+            base = (Interval(value - ulp, value) if spec.digits.startswith("-")
+                    else Interval(value, value + ulp))
+            self._literal_powers = (base, base * base, base * base * base)
             self._isolating_poly = None
             self.independence_assumed = True
         else:
@@ -503,6 +503,8 @@ class RealContext:
             if self._sign_lo == _eval_sign(self._isolating_poly, self._hi):
                 # simple real root in the open interval forces a sign change
                 raise ValueError("no sign change across the isolating interval")
+            # deepest cell found: xi is in cell _index of the 2^_depth equal cells of [lo, hi]
+            self._depth = self._index = 0
 
     # -- basic properties -------------------------------------------------
     @property
@@ -520,48 +522,50 @@ class RealContext:
             )
 
     # -- enclosures --------------------------------------------------------
-    def _refine_base(self, width_bound: Fraction):
-        """Shrink the root's cell by the fewest halvings reaching width_bound."""
-        ratio = (self._hi - self._lo) / width_bound
-        num, den = ratio.numerator, ratio.denominator
-        k = max(0, num.bit_length() - den.bit_length())
-        if den << k < num:
-            k += 1
-        if k:
-            self._lo, self._hi = _root_cell(self._isolating_poly, self._sign_lo,
-                                            self._lo, self._hi, k)
+    def _cell(self, depth: int) -> Interval:
+        """The cell of the depth-`depth` dyadic grid of [lo, hi] that holds xi.
+
+        Cells nest: a coarser one than the deepest found is its index shifted
+        right, a deeper one is searched from it and becomes the deepest.
+        """
+        step = (self._hi - self._lo) / (1 << depth)
+        if depth > self._depth:
+            start = self._cell(self._depth)
+            cell_lo, _ = _root_cell(self._isolating_poly, self._sign_lo,
+                                    start.lo, start.hi, depth - self._depth)
+            self._depth, self._index = depth, int((cell_lo - self._lo) / step)
+        j = self._index >> (self._depth - depth)
+        return Interval(self._lo + j * step, self._lo + (j + 1) * step)
 
     def power(self, k: int, bits: int | None = None) -> Interval:
         """Enclosure of xi^k (k in 1..3) with width <= 2^-bits * max(1, |xi|^3).
 
-        Decimal specs return the fixed literal interval whatever the
-        requested precision: more bits only refine its rounding in scaled().
+        It depends on k and bits alone: xi, xi^2, xi^3 at bits are the powers
+        of the root cell at the fewest halvings of [lo, hi] that leave it at
+        most 2^-bits wide with all three powers within the bound.  A decimal
+        spec has one literal interval; more bits only refine its rounding.
         """
         if k not in (1, 2, 3):
             raise ValueError("only powers 1..3 are served")
-        bits = self.precision_bits if bits is None else bits
         if self._isolating_poly is None:
-            base = self._fixed
-            if k == 1:
-                return base
-            return base * base if k == 2 else base * base * base
-
-        key = (k, bits)
-        cached = self._pow_cache.get(key)
-        if cached is not None:
-            return cached
-        target = Fraction(1, 1 << bits)
-        self._refine_base(target)
-        while True:
-            base = Interval(self._lo, self._hi)
-            cube = base * base * base
-            scale = max(Fraction(1), abs(cube).hi)
-            iv = {1: base, 2: base * base, 3: cube}[k]
-            if iv.width <= target * scale:
-                break
-            self._refine_base((self._hi - self._lo) / 2)
-        self._pow_cache[key] = iv
-        return iv
+            return self._literal_powers[k - 1]
+        bits = self.precision_bits if bits is None else bits
+        powers = self._pow_cache.get(bits)
+        if powers is None:
+            target = Fraction(1, 1 << bits)
+            # fewest halvings to width <= target: least depth with 2^depth >= width * 2^bits
+            width = self._hi - self._lo
+            depth = (-((-width.numerator << bits) // width.denominator) - 1).bit_length()
+            while True:
+                base = self._cell(depth)
+                square = base * base
+                cube = square * base
+                bound = target * max(Fraction(1), abs(cube).hi)
+                if max(base.width, square.width, cube.width) <= bound:
+                    break
+                depth += 1
+            powers = self._pow_cache[bits] = (base, square, cube)
+        return powers[k - 1]
 
     def scaled(self, k: int, bits: int | None = None) -> tuple[int, int]:
         """Integers (lo, hi) with lo <= 2^bits * xi^k <= hi (default precision_bits).

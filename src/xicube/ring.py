@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 
 from .errors import InvariantViolation, ZeroElement
 from .forms import pair_values
@@ -140,9 +140,7 @@ class RingElem:
         """
         if self.is_zero():
             return self
-        den = 1
-        for c in self.coeffs.values():
-            den = den * c.denominator // gcd(den, c.denominator)
+        den = lcm(*(c.denominator for c in self.coeffs.values()))
         ints = {k: int(c * den) for k, c in self.coeffs.items()}
         g = vec_content(list(ints.values()))
         if g > 1:

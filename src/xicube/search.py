@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, lcm
 
 from .errors import (DecompositionFailure, DimensionMismatch, InvalidEll,
                      InvariantViolation)
@@ -250,9 +250,7 @@ def hp_decompose(pl: RingElem, ell: int) -> HpDecomposition:
     if sol is None:
         raise DecompositionFailure("H*P leaves the span of the stated products")
 
-    den = 1
-    for c in sol:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in sol))
     ints = [int(c * den) for c in sol]
     g = vec_content(ints)
     if g > 1:

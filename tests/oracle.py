@@ -99,8 +99,8 @@ def exact_nearest(ctx, m, k, bits):
 def bisect_cell(coeffs, sign_lo, lo: Fraction, hi: Fraction, width_bound: Fraction):
     """Halve [lo, hi] around the root of coeffs until its width is <= width_bound.
 
-    Plain Fraction bisection: `RealContext._refine_base` must end in the
-    same cell, whatever method it uses to find it.
+    Plain Fraction bisection: `RealContext._cell` at the depth it reaches
+    must be the same cell, whatever method it uses to find it.
     """
     while hi - lo > width_bound:
         mid = (lo + hi) / 2

@@ -25,6 +25,14 @@ def test_minpoints(tmp_path, capsys):
     assert len(lines) == 7  # 6 points at this bound
 
 
+def test_minpoints_err_at_low_precision(capsys):
+    assert main(["minpoints", "--xi", ROOT2, "--bound", "100000", "--precision", "8",
+                 "--max-bits", "768"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "13 minimal points with norm <= 100000"
+    assert lines[12].startswith("  13  ") and lines[12].endswith("L~0.0370635197299")
+
+
 def test_minpoints_missing_flag(capsys):
     assert main(["minpoints", "--xi", ROOT2]) == 2
     assert "bound" in capsys.readouterr().err

@@ -160,11 +160,18 @@ def test_scan_decides_on_integer_enclosures_alone(spec, monkeypatch):
 
 
 def _check_cells(ctx, depths, lo, hi):
+    """Cells of ctx at the depths bisection of [lo, hi] to 2^-bits reaches."""
+    cells = {}
     for bits in depths:
         bound = Fraction(1, 1 << bits)
-        ctx._refine_base(bound)
         lo, hi = bisect_cell(ctx._isolating_poly, ctx._sign_lo, lo, hi, bound)
-        assert (ctx._lo, ctx._hi) == (lo, hi), bits
+        depth = ((ctx._hi - ctx._lo) / (hi - lo)).numerator.bit_length() - 1
+        cells[depth] = (lo, hi)
+        cell = ctx._cell(depth)
+        assert (cell.lo, cell.hi) == (lo, hi), bits
+    for depth, want in cells.items():  # read back off the deepest cell
+        cell = ctx._cell(depth)
+        assert (cell.lo, cell.hi) == want, depth
 
 
 @SLOW

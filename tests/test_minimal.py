@@ -1,4 +1,5 @@
 import pytest
+from conftest import QUARTIC, ROOT2
 from oracle import brute_force_minimal_points
 
 from xicube import (DependenceError, Interval, MinimalPoint, NotInSpan,
@@ -6,7 +7,7 @@ from xicube import (DependenceError, Interval, MinimalPoint, NotInSpan,
                     decompose_pair, independence_set, minimal_sequence,
                     pair_checks)
 from xicube.errors import InvariantViolation
-from xicube.minimal import pair_record
+from xicube.minimal import _certified_err, pair_record
 from xicube.vectors import content
 
 
@@ -133,3 +134,14 @@ def test_imprimitive_point_reported(ctx_root2):
             minimal.minimal_sequence(ctx_root2, 10)
     finally:
         minimal.content = real
+
+
+@pytest.mark.parametrize("spec,count", [(ROOT2, 13), (QUARTIC, 9)])
+def test_certified_err_is_what_a_fresh_context_certifies(spec, count):
+    # at 8 bits most decisions escalate; a point's err must not depend on how
+    # deep those escalations took the enclosures of xi
+    seq = minimal_sequence(RealContext(spec, 8, 768), 30000)
+    assert len(seq) == count
+    for p in seq:
+        fresh = RealContext(spec, 8, 768)
+        assert p.err == fresh.decide(lambda b: _certified_err(fresh, p.point, b)), p.index

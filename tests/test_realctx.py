@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from conftest import QUARTIC, ROOT2
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
@@ -229,6 +230,32 @@ def test_decimal_interval_semantics():
         warnings.simplefilter("always")
         ctx.warn_if_assumed()
     assert any("assumed" in str(w.message) for w in caught)
+
+
+@pytest.mark.parametrize("digits,lo,hi", [
+    ("-0.0", "-1/10", "0"), ("-0", "-1", "0"),
+    ("0.0", "0", "1/10"), ("-0.05", "-6/100", "-5/100"),
+])
+def test_decimal_literal_side_follows_its_sign(digits, lo, hi):
+    # a truncated negative number lies below its literal, even when that reads 0
+    ctx = RealContext(f"dec:{digits}")
+    lo, hi = Fraction(lo), Fraction(hi)
+    assert (ctx.power(1).lo, ctx.power(1).hi) == (lo, hi)
+    assert (ctx.power(3).lo, ctx.power(3).hi) == (lo**3, hi**3)
+
+
+@pytest.mark.parametrize("spec", [ROOT2, QUARTIC])
+def test_enclosures_do_not_depend_on_call_history(spec):
+    after_cube = RealContext(spec)
+    after_cube.power(3)
+    escalated = RealContext(spec)
+    escalated.scaled(1, 1536)
+    for bits in (192, 384, 768):
+        for k in (1, 2, 3):
+            fresh = RealContext(spec)
+            want = fresh.power(k, bits), fresh.scaled(k, bits)
+            for ctx in (after_cube, escalated):
+                assert (ctx.power(k, bits), ctx.scaled(k, bits)) == want, (k, bits)
 
 
 def test_decimal_rounding_contract():
