@@ -2,16 +2,49 @@
 
 A minimal point is a record-setter: an integer triple whose approximation
 error L(x) = max(|x1 - x0*xi|, |x2 - x0*xi^3|) is smaller than that of every
-nonzero triple of smaller sup-norm, with L < 1/2.  Because L < 1/2 forces
-x1 and x2 to be the nearest integers to x0*xi and x0*xi^3, it is enough to
-scan the one candidate per leading coordinate x0; the test suite checks this
-against an exhaustive search over all triples.
+nonzero triple of smaller sup-norm, with L < 1/2.  The sequence is found one
+record at a time by a lattice search, and the argument that it is complete:
 
-The scan decides each candidate on integers: its coordinates by rounding
-the scaled enclosures of x0*xi and x0*xi^3 (RealContext.nearest_to_multiple),
-and its record test by comparing integer enclosures of 2^bits * L at the base
-precision, with the current record's enclosure computed once per record.  An
-integer verdict is final, because the true values lie inside those
+* L < 1/2 forces x1 and x2 to be the nearest integers to x0*xi and x0*xi^3,
+  so each leading coordinate x0 >= 1 has at most one triple with L < 1/2
+  (x0 = 0 gives L >= 1, and L(-x) = L(x)).
+* The norms of those triples increase strictly with x0: all three
+  coordinates are nondecreasing in x0 and one is strict, for any xi with
+  |xi| != 1.  So the minimal points are the records of a sweep over x0,
+  each the triple of least x0 > x_i0 with L < L(x_i).  That sweep, one
+  candidate per x0, is kept in tests/oracle.py as the reference; here a
+  guard turns a violated premise into an abort instead of a wrong sequence.
+* The box is a superset.  With S = 2^bits, a_k and a_k + w_k the integer
+  enclosure of S*xi^k, and e_hi the upper end of the enclosure of S*L(x_i),
+  every triple with x0 <= Y and L(x) < L(x_i) has
+  |x0*a_k - S*x_k| <= e_hi + Y*w_k for k = 1, 3 (x_k is x1 or x2).  Its
+  points are decided in ascending x0 and the first that passes is the next
+  record.  For the first record L(x_i) reads 1/2, and x0 = 1 passes for
+  any irrational xi.
+* Minkowski's theorem bounds Y.  The body |x0| <= Y, |x0*xi - x1| <= L(x_i),
+  |x0*xi^3 - x2| <= L(x_i) is convex, symmetric and of volume
+  8*Y*L(x_i)^2, at least 8 once Y >= 1/L(x_i)^2.  Then Minkowski's second
+  theorem puts two independent integer points in it.  One of them is not
+  +-x_i, so the independence of 1, xi, xi^3 makes its L smaller than
+  L(x_i), and its x0 exceeds x_i0 because x_i is a record.  So the box with
+  Y = floor(S^2/e_lo^2) + 2, e_lo > 0 the lower end of the enclosure of
+  S*L(x_i), holds the next record, unless Y had to be capped at the largest
+  x0 whose triple can meet the norm bound; either way one box per record
+  settles it.
+
+The box is a cube of the lattice (x0*R, (x0*a1 - S*x1)*Y, (x0*a3 - S*x2)*Y),
+with the low bits of a_k and S it does not need shifted away and its bounds
+rounded outward.  Its points come from an integral LLL reduction (Lenstra,
+Lenstra & Lovasz, Math. Ann. 261, 1982, in Cohen's d/lambda form) that
+starts from the previous box's reduced basis, and a Fincke-Pohst
+enumeration (Math. Comp. 44, 1985) of the ball around the cube, in integers
+only.  A box is enumerated only at a precision where Y*w_k <= e_hi, so that
+it is not much larger than the region it covers; the precision doubles
+until it is, and the ceiling raises PrecisionError.
+
+Each record test compares integer enclosures of 2^bits * L at the base
+precision, with the current record's enclosure computed once per record.
+An integer verdict is final, because the true values lie inside those
 enclosures; a comparison they leave open is put again on the same integer
 enclosures at escalating precision (RealContext.decide).  Nothing is ever
 settled by a midpoint guess.
@@ -19,14 +52,19 @@ settled by a midpoint guess.
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import DependenceError, InvariantViolation, NotInSpan
 from .forms import pair_values
 from .intervals import HALF, Interval
 from .realctx import RealContext, approx_error, delta_of, scaled_error
-from .vectors import Vec3, content, cross, det3, euclid_norm_sq, sup_norm, vadd, vscale
+from .vectors import (Vec3, content, cross, det3, dot, euclid_norm_sq, sup_norm,
+                      vadd, vscale)
+
+# bits of the box's scale kept above its x0 range when low bits are shifted away
+SHIFT_GUARD = 8
 
 
 class MinimalPoint(namedtuple("MinimalPoint", "index point norm err delta")):
@@ -96,8 +134,7 @@ def _x0_limit(ctx: RealContext, norm_bound: int) -> int:
     cube = abs(ctx.power(3))
     if cube.lo <= 1:
         return norm_bound
-    cap = int(((Interval(norm_bound) + HALF).hi / cube.lo).__floor__()) + 1
-    return min(norm_bound, cap)
+    return min(norm_bound, int(((Interval(norm_bound) + HALF).hi / cube.lo).__floor__()))
 
 
 def minimal_sequence(ctx: RealContext, norm_bound: int) -> list[MinimalPoint]:
@@ -115,31 +152,18 @@ def minimal_sequence(ctx: RealContext, norm_bound: int) -> list[MinimalPoint]:
     ctx.warn_if_assumed()
 
     limit = _x0_limit(ctx, norm_bound)
-
-    # candidate norms increase strictly with x0 (all three coordinates are
-    # nondecreasing and one is strict, for any xi with |xi| != 1), so a
-    # single streaming sweep keeps only the current record; the guard turns
-    # a violated premise into an abort instead of a wrong sequence
     records: list[tuple[int, Vec3]] = []  # (norm, point)
-    record_err = None  # scaled_error of records[-1]
-    last_norm = 0
-    for x0 in range(1, limit + 1):
-        c = candidate_for(x0, ctx)
-        n = sup_norm(c)
-        if n <= last_norm:
+    basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]  # reduced from one box to the next
+    while True:
+        pt = _next_record(ctx, records[-1][1] if records else None, limit,
+                          norm_bound, basis)
+        if pt is None:
+            break
+        n = sup_norm(pt)
+        if records and n <= records[-1][0]:
             raise InvariantViolation("candidate norms failed to increase",
-                                     {"xi": ctx.describe(), "point": c})
-        last_norm = n
-        if n > norm_bound:
-            continue
-        err = scaled_error(c, ctx)
-        if records:
-            if not _err_less(ctx, c, records[-1][1], err, record_err):
-                continue
-        elif not _err_less_than_half(ctx, c, err):
-            continue
-        records.append((n, c))
-        record_err = err
+                                     {"xi": ctx.describe(), "point": pt})
+        records.append((n, pt))
 
     out: list[MinimalPoint] = []
     for idx, (n, pt) in enumerate(records, start=1):
@@ -157,6 +181,177 @@ def minimal_sequence(ctx: RealContext, norm_bound: int) -> list[MinimalPoint]:
 def _certified_err(ctx: RealContext, pt: Vec3, bits: int) -> Interval | None:
     iv = approx_error(pt, ctx, bits)
     return iv if iv.hi < HALF else None
+
+
+def _next_record(ctx: RealContext, prev: Vec3 | None, limit: int, norm_bound: int,
+                 basis: list[list[int]]) -> Vec3 | None:
+    """The record after prev (the first record when prev is None), or None.
+
+    Decides in ascending x0 the points of one box that holds every triple
+    with x0 <= Y and L < L(prev) (L < 1/2 for the first).  With Y at
+    Minkowski's bound that box holds the next record whenever its x0 is
+    at most `limit`, so a box without one ends the sequence.  `basis` is the
+    reduced basis of the last box, in coordinates (x0, x1, x2); it is
+    updated in place.
+    """
+    done = prev[0] if prev else 0  # x0 <= done holds no better triple
+    if done >= limit:
+        return None
+    size, bits, e_hi = ctx.decide(
+        lambda b: _resolved_box(ctx, prev, limit, b),
+        what=f"search box after {prev}" if prev else "first search box")
+    prev_err = scaled_error(prev, ctx) if prev else None
+    decided = 0
+    found = None
+    for x in _box_points(ctx, bits, e_hi, size, done, basis):
+        if sup_norm(x) > norm_bound:
+            continue
+        decided += 1
+        err = scaled_error(x, ctx)
+        if (_err_less(ctx, x, prev, err, prev_err) if prev
+                else _err_less_than_half(ctx, x, err)):
+            found = x
+            break
+    # logging costs milliseconds to import, more than a small run's search; a
+    # process that never imported it has no handler that could show the line
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(
+            "search after %s: next x0 %s; box x0 <= %d at %d bits, %d lattice points decided",
+            prev, found and found[0], size, bits, decided)
+    return found
+
+
+def _resolved_box(ctx: RealContext, prev: Vec3 | None, limit: int,
+                  bits: int) -> tuple[int, int, int] | None:
+    """(Y, bits, e_hi) when the search box is resolved at bits, else None.
+
+    e_hi is the upper end of the enclosure of 2^bits * L(prev) (2^bits / 2 for
+    the first record) and e_lo, its lower end, must be positive: Y is
+    Minkowski's bound 2^(2*bits) / e_lo^2 + 2, capped at limit.  The box
+    is resolved when Y*w_k <= e_hi for the widths w_k of the enclosures of
+    2^bits * xi^k, k = 1, 3.
+    """
+    e_lo, e_hi = scaled_error(prev, ctx, bits) if prev else (1 << (bits - 1),) * 2
+    if e_lo == 0:
+        return None
+    size = min(limit, (1 << (2 * bits)) // (e_lo * e_lo) + 2)
+    for k in (1, 3):
+        lo, hi = ctx.scaled(k, bits)
+        if size * (hi - lo) > e_hi:
+            return None
+    return size, bits, e_hi
+
+
+def _box_points(ctx: RealContext, bits: int, e_hi: int, size: int, done: int,
+                basis: list[list[int]]) -> list[Vec3]:
+    """The triples with done < x0 <= size and |x0*a_k - 2^bits*x_k| <= e_hi + size*w_k.
+
+    A superset of them, in ascending order: the bounds are rounded outward
+    when the low bits of a_k and 2^bits are shifted away.
+    """
+    (a1, hi1), (a3, hi3) = ctx.scaled(1, bits), ctx.scaled(3, bits)
+    b1, b3 = e_hi + size * (hi1 - a1), e_hi + size * (hi3 - a3)
+    t = max(0, max(b1, b3).bit_length() - size.bit_length() - SHIFT_GUARD)
+    # x0*(a >> t) - (2^bits >> t)*x differs from (x0*a - 2^bits*x) / 2^t by less than x0
+    a1, a3, s = a1 >> t, a3 >> t, 1 << (bits - t)
+    b1, b3 = (b1 >> t) + 1 + size, (b3 >> t) + 1 + size
+    r = max(b1, b3)
+    # in these coordinates the box lies in the cube of half-side r*size
+    vecs = [[c0 * r, (c0 * a1 - s * c1) * size, (c0 * a3 - s * c2) * size]
+            for c0, c1, c2 in basis]
+    d, lam = _lll(vecs, basis)
+    out = []
+    for c0, c1, c2 in _short_vectors(d, lam, 3 * (r * size) ** 2):
+        x = tuple(c0 * u + c1 * v + c2 * w for u, v, w in zip(*basis))
+        if x[0] < 0:
+            x = (-x[0], -x[1], -x[2])
+        if (done < x[0] <= size and abs(x[0] * a1 - s * x[1]) <= b1
+                and abs(x[0] * a3 - s * x[2]) <= b3):
+            out.append(x)
+    out.sort()
+    return out
+
+
+def _lll(b: list[list[int]], h: list[list[int]]):
+    """LLL-reduce the rows of b in place (delta = 3/4), with every step mirrored on h.
+
+    The integral version of Cohen (A Course in Computational Algebraic Number
+    Theory, Algorithm 2.6.7): d[i] is the Gram determinant of the first i
+    rows and lam[k][j] = d[j+1] * mu_kj, both integers.  Returns the (d, lam)
+    of the reduced basis.
+    """
+    n = len(b)
+    d = [1, dot(b[0], b[0])] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:  # Gram-Schmidt of the new row
+            kmax = k
+            for j in range(k + 1):
+                u = dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        _size_reduce(b, h, d, lam, k, k - 1)
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:  # Lovasz fails: swap
+            b[k - 1], b[k] = b[k], b[k - 1]
+            h[k - 1], h[k] = h[k], h[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (dk * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = dk
+            k = max(1, k - 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                _size_reduce(b, h, d, lam, k, j)
+            k += 1
+    return d, lam
+
+
+def _size_reduce(b, h, d, lam, k: int, j: int):
+    """Subtract the multiple of row j from row k that leaves |mu_kj| <= 1/2."""
+    dj = d[j + 1]
+    if 2 * abs(lam[k][j]) > dj:
+        q = (2 * lam[k][j] + dj) // (2 * dj)
+        b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+        h[k] = [x - q * y for x, y in zip(h[k], h[j])]
+        lam[k][j] -= q * dj
+        for i in range(j):
+            lam[k][i] -= q * lam[j][i]
+
+
+def _short_vectors(d: list[int], lam: list[list[int]], radius_sq: int):
+    """Coefficients (c0, c1, c2) of the basis vectors with |sum c_i b_i|^2 <= radius_sq.
+
+    Fincke-Pohst on the integral Gram-Schmidt data of _lll: with
+    N_i = d[i+1]*c_i + sum_{j>i} lam[j][i]*c_j, the squared length times
+    d1*d2*d3 is d2*d3*N_0^2 + d3*N_1^2 + d1*N_2^2, so every bound is an
+    integer square root.  One of each pair +-c is given (the first nonzero
+    of c2, c1, c0 positive), the zero vector not at all.
+    """
+    d1, d2, d3 = d[1], d[2], d[3]
+    l10, l20, l21 = lam[1][0], lam[2][0], lam[2][1]
+    budget = radius_sq * d1 * d2 * d3
+    for c2 in range(isqrt(budget // (d1 * d3 * d3)) + 1):
+        rest2 = budget - d1 * (d3 * c2) ** 2
+        m1 = isqrt(rest2 // d3)
+        lo1 = 0 if c2 == 0 else -((m1 + l21 * c2) // d2)
+        for c1 in range(lo1, (m1 - l21 * c2) // d2 + 1):
+            n1 = d2 * c1 + l21 * c2
+            m0 = isqrt((rest2 - d3 * n1 * n1) // (d2 * d3))
+            s0 = l10 * c1 + l20 * c2
+            lo0 = 1 if c2 == c1 == 0 else -((m0 + s0) // d1)
+            for c0 in range(lo0, (m0 - s0) // d1 + 1):
+                yield c0, c1, c2
 
 
 def independence_set(seq: list[MinimalPoint]) -> list[int]:

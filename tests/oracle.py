@@ -20,6 +20,11 @@ A vectorized float prefilter with a wide safety margin discards triples that
 are far from the L < 1/2 region, every survivor is then confirmed or
 rejected with exact interval arithmetic, and the record sweep below never
 shares logic with the scan under test: no nearest-integer shortcut anywhere.
+
+The linear-scan oracle is the record sweep that the lattice search of
+`xicube.minimal` replaced: one nearest-integer candidate per x0, each put to
+the same integer record test.  It is linear in the bound, so it serves up
+to about 1e6.
 """
 
 from fractions import Fraction
@@ -29,10 +34,13 @@ import numpy as np
 from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
 
-from xicube.errors import InvariantViolation, Undecidable, ZeroElement
+from xicube.errors import DependenceError, InvariantViolation, Undecidable, ZeroElement
 from xicube.intervals import HALF, Interval
 from xicube.linalg import IntEchelon
-from xicube.realctx import _eval_sign, approx_error
+from xicube.minimal import (MinimalPoint, _certified_err, _err_less, _err_less_than_half,
+                            _x0_limit, candidate_for)
+from xicube.realctx import _eval_sign, approx_error, delta_of, scaled_error
+from xicube.vectors import content, sup_norm
 from xicube.ring import _expand_monomial, basis_of, expand, named_element
 
 MARGIN = 1e-6  # far beyond float error for bounds <= a few thousand
@@ -83,6 +91,63 @@ def brute_force_minimal_points(ctx, bound):
             records.append(best)
         idx += len(shell)
     return records
+
+
+def linear_scan_minimal_points(ctx, norm_bound: int) -> list[MinimalPoint]:
+    """All minimal points of sup-norm <= norm_bound, by a sweep over every x0.
+
+    The one-candidate-per-x0 record scan that `minimal.minimal_sequence`
+    replaced; it must return the same `MinimalPoint`s.
+
+    Raises DependenceError when 1, xi, xi^3 are provably dependent; decimal
+    specs only warn (independence cannot be decided from a literal).
+    """
+    if norm_bound < 1:
+        raise ValueError("norm_bound must be >= 1")
+    if ctx.dependent:
+        raise DependenceError(
+            f"{ctx.describe()}: 1, xi, xi^3 are linearly dependent ({ctx.dependence_reason})"
+        )
+    ctx.warn_if_assumed()
+
+    limit = _x0_limit(ctx, norm_bound)
+
+    # candidate norms increase strictly with x0 (all three coordinates are
+    # nondecreasing and one is strict, for any xi with |xi| != 1), so a
+    # single streaming sweep keeps only the current record; the guard turns
+    # a violated premise into an abort instead of a wrong sequence
+    records: list[tuple[int, Vec3]] = []  # (norm, point)
+    record_err = None  # scaled_error of records[-1]
+    last_norm = 0
+    for x0 in range(1, limit + 1):
+        c = candidate_for(x0, ctx)
+        n = sup_norm(c)
+        if n <= last_norm:
+            raise InvariantViolation("candidate norms failed to increase",
+                                     {"xi": ctx.describe(), "point": c})
+        last_norm = n
+        if n > norm_bound:
+            continue
+        err = scaled_error(c, ctx)
+        if records:
+            if not _err_less(ctx, c, records[-1][1], err, record_err):
+                continue
+        elif not _err_less_than_half(ctx, c, err):
+            continue
+        records.append((n, c))
+        record_err = err
+
+    out: list[MinimalPoint] = []
+    for idx, (n, pt) in enumerate(records, start=1):
+        if content(pt) != 1:
+            raise InvariantViolation(
+                "minimal point is not primitive",
+                {"xi": ctx.describe(), "point": pt, "content": content(pt)},
+            )
+        err = ctx.decide(lambda bits, p=pt: _certified_err(ctx, p, bits),
+                         what=f"certified L{pt}")
+        out.append(MinimalPoint(idx, pt, n, err, delta_of(pt, ctx)))
+    return out
 
 
 def exact_nearest(ctx, m, k, bits):

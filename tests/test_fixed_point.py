@@ -15,7 +15,8 @@ import sympy
 from conftest import QUARTIC, ROOT2, pi_prefix_spec
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from oracle import bisect_cell, brute_force_minimal_points, exact_nearest
+from oracle import (bisect_cell, brute_force_minimal_points, exact_nearest,
+                    linear_scan_minimal_points)
 
 from xicube import PrecisionError, RealContext, minimal_sequence
 from xicube.intervals import HALF, Interval
@@ -144,6 +145,17 @@ def test_scan_matches_brute_force_at_200(spec, bits):
     except PrecisionError:
         assume(False)  # a literal too short to rank its own triples
     assert [p.point for p in minimal_sequence(ctx, 200)] == want
+
+
+@SLOW
+@given(spec=st.one_of(algebraic_xi(), decimal_xi(min_digits=25)), bits=precisions)
+def test_lattice_search_matches_linear_scan_at_20000(spec, bits):
+    # the search may abort on a box a literal cannot resolve where the scan
+    # finished, and the scan on a candidate the search never visits
+    new = _outcome(lambda: minimal_sequence(RealContext(spec, bits, MAX_BITS), 20_000))
+    old = _outcome(lambda: linear_scan_minimal_points(RealContext(spec, bits, MAX_BITS), 20_000))
+    if PrecisionError not in (new, old):
+        assert new == old
 
 
 @pytest.mark.parametrize("spec", [ROOT2, QUARTIC, pi_prefix_spec(30)])

@@ -1,14 +1,21 @@
+import hashlib
+import logging
+import time
+from itertools import product
+
 import pytest
-from conftest import QUARTIC, ROOT2
-from oracle import brute_force_minimal_points
+from conftest import QUARTIC, ROOT2, pi_prefix_spec
+from hypothesis import given
+from hypothesis import strategies as st
+from oracle import brute_force_minimal_points, linear_scan_minimal_points
 
 from xicube import (DependenceError, Interval, MinimalPoint, NotInSpan,
-                    RealContext, build_pair_records, candidate_for, cross,
+                    PrecisionError, RealContext, build_pair_records, candidate_for, cross,
                     decompose_pair, independence_set, minimal_sequence,
                     pair_checks)
 from xicube.errors import InvariantViolation
-from xicube.minimal import _certified_err, pair_record
-from xicube.vectors import content
+from xicube.minimal import _box_points, _certified_err, _lll, _short_vectors, pair_record
+from xicube.vectors import content, det3, dot
 
 
 def _fake_seq(points):
@@ -48,6 +55,95 @@ def test_sequence_conditions(ctx_root2):
     for i, a in enumerate(seq):
         for b in seq[i + 1:]:
             assert cross(a.point, b.point) != (0, 0, 0)
+
+
+@pytest.mark.parametrize("spec", [ROOT2, QUARTIC, pi_prefix_spec(60)])
+def test_lattice_search_matches_linear_scan(spec):
+    # whole points, so err and delta must match too
+    seq = minimal_sequence(RealContext(spec), 100_000)
+    assert seq == linear_scan_minimal_points(RealContext(spec), 100_000)
+    assert len(seq) == {ROOT2: 13, QUARTIC: 9}.get(spec, 4)
+
+
+@pytest.mark.parametrize("spec,bound", [("dec:1.61", 2700), ("dec:-2.205", 27_000),
+                                        ("dec:2.5", 10**9)])
+def test_unresolvable_search_box_aborts_fast(spec, bound):
+    # a short literal cannot resolve the box around a record: the search must
+    # give up at the ceiling, not enumerate a box of countless lattice points
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match="search box"):
+        minimal_sequence(RealContext(spec), bound)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_search_logs_one_debug_line_per_record(ctx_root2, caplog, tmp_path):
+    from xicube.cli import main
+
+    caplog.set_level(logging.DEBUG, logger="xicube.minimal")
+    seq = minimal_sequence(ctx_root2, 16_000)
+    lines = [r.getMessage() for r in caplog.records if r.name == "xicube.minimal"]
+    # one per record, and one for the search that finds no further record
+    assert len(lines) == len(seq) + 1
+    for line, p in zip(lines, seq):
+        assert f"next x0 {p.point[0]};" in line and "bits" in line and "decided" in line
+    assert "next x0 None;" in lines[-1]
+    # the lines go to logging only: the report keeps its pinned bytes
+    out_json = tmp_path / "seq.json"
+    assert main(["minpoints", "--xi", ROOT2, "--bound", "200", "--json", str(out_json)]) == 0
+    assert hashlib.sha256(out_json.read_bytes()).hexdigest() == (
+        "afae74db6f17b2aa9a2bb5b22d81dc3a2861012681bd5e4b89ed2a91a938674d")
+
+
+@given(rows=st.lists(st.lists(st.integers(-12, 12), min_size=3, max_size=3),
+                     min_size=3, max_size=3).filter(lambda m: det3(*m) != 0),
+       radius=st.integers(0, 12))
+def test_reduction_and_enumeration_match_brute_force(rows, radius):
+    b = [list(r) for r in rows]
+    h = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    d, lam = _lll(b, h)
+    # b = h * rows with h unimodular, and (d, lam) are b's Gram-Schmidt data
+    assert [[dot(u, col) for col in zip(*rows)] for u in h] == b
+    assert abs(det3(*h)) == 1
+    assert d[1] == dot(b[0], b[0]) and d[3] == det3(*b) ** 2
+    for k in (1, 2):  # size-reduced, and the Lovasz condition with delta = 3/4
+        assert all(2 * abs(lam[k][j]) <= d[j + 1] for j in range(k))
+        assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
+    got = set()
+    for c in _short_vectors(d, lam, radius * radius):
+        v = tuple(sum(ci * row[i] for ci, row in zip(c, b)) for i in range(3))
+        assert v not in got and tuple(-x for x in v) not in got
+        got.add(v)
+    # every lattice point of the ball, up to sign: v = c * rows for integer c,
+    # by Cramer's rule on the matrix whose columns are the rows
+    cols = [[row[i] for row in rows] for i in range(3)]
+    want = set()
+    for v in product(range(-radius, radius + 1), repeat=3):
+        if 0 < dot(v, v) <= radius * radius and v > tuple(-x for x in v):
+            dets = [det3(*[[v[i] if j == m else cols[i][j] for j in range(3)]
+                           for i in range(3)]) for m in range(3)]
+            if all(x % det3(*rows) == 0 for x in dets):
+                want.add(v)
+    assert {max(v, tuple(-x for x in v)) for v in got} == want
+
+
+@pytest.mark.parametrize("spec", ["dec:1.234", "dec:-0.77", ROOT2, "alg:x^4-2 in [-2,-1]"])
+def test_search_box_holds_every_triple_within_its_bounds(spec):
+    # for a short literal the widths w_k make up most of the bounds
+    ctx = RealContext(spec)
+    bits = ctx.precision_bits
+    e_hi, size, done = 1 << (bits - 3), 40, 3
+    basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    got = _box_points(ctx, bits, e_hi, size, done, basis)
+    assert got == sorted(set(got))
+    want = []
+    for x0 in range(done + 1, size + 1):
+        coords = []
+        for k in (1, 3):
+            lo, hi = ctx.scaled(k, bits)
+            bound = e_hi + size * (hi - lo)  # x_k with |x0*lo - 2^bits*x_k| <= bound
+            coords.append(range(-((bound - x0 * lo) >> bits), ((x0 * lo + bound) >> bits) + 1))
+        want += [(x0, x1, x2) for x1 in coords[0] for x2 in coords[1]]
+    assert want and set(want) <= set(got)
 
 
 def test_negative_xi_matches_oracle():
@@ -136,11 +232,12 @@ def test_imprimitive_point_reported(ctx_root2):
         minimal.content = real
 
 
-@pytest.mark.parametrize("spec,count", [(ROOT2, 13), (QUARTIC, 9)])
-def test_certified_err_is_what_a_fresh_context_certifies(spec, count):
-    # at 8 bits most decisions escalate; a point's err must not depend on how
-    # deep those escalations took the enclosures of xi
-    seq = minimal_sequence(RealContext(spec, 8, 768), 30000)
+@pytest.mark.parametrize("spec,bound,count", [(ROOT2, 30000, 13), (QUARTIC, 30000, 9),
+                                              (ROOT2, 10**6, 15), (QUARTIC, 10**6, 11)])
+def test_certified_err_is_what_a_fresh_context_certifies(spec, bound, count):
+    # at 8 bits most decisions and search boxes escalate; a point's err must
+    # not depend on how deep those escalations took the enclosures of xi
+    seq = minimal_sequence(RealContext(spec, 8, 768), bound)
     assert len(seq) == count
     for p in seq:
         fresh = RealContext(spec, 8, 768)
