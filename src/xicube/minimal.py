@@ -23,14 +23,18 @@ record at a time by a lattice search, and the argument that it is complete:
   any irrational xi.
 * Minkowski's theorem bounds Y.  The body |x0| <= Y, |x0*xi - x1| <= L(x_i),
   |x0*xi^3 - x2| <= L(x_i) is convex, symmetric and of volume
-  8*Y*L(x_i)^2, at least 8 once Y >= 1/L(x_i)^2.  Then Minkowski's second
-  theorem puts two independent integer points in it.  One of them is not
-  +-x_i, so the independence of 1, xi, xi^3 makes its L smaller than
-  L(x_i), and its x0 exceeds x_i0 because x_i is a record.  So the box with
-  Y = floor(S^2/e_lo^2) + 2, e_lo > 0 the lower end of the enclosure of
-  S*L(x_i), holds the next record, unless Y had to be capped at the largest
-  x0 whose triple can meet the norm bound; either way one box per record
-  settles it.
+  8*Y*L(x_i)^2, at least 8 once Y >= 1/L(x_i)^2, so its first successive
+  minimum is lambda1 <= 1.  If lambda1 < 1, the point that reaches it lies
+  inside the body, so it is not +-x_i, which lies on the boundary.  If
+  lambda1 = 1, Minkowski's second theorem (lambda1*lambda2*lambda3 <= 1
+  for this volume) gives lambda2 <= 1 as well, and of two independent
+  points one is not +-x_i.  Either way some triple other than +-x_i has
+  x0 <= Y and L <= L(x_i); the independence of 1, xi, xi^3 makes that
+  inequality strict, and its x0 exceeds x_i0 because x_i is a record.  So
+  the box with Y = floor(S^2/e_lo^2) + 2, e_lo > 0 the lower end of the
+  enclosure of S*L(x_i), holds the next record, unless Y had to be capped
+  at `limit`, the largest x0 whose triple can meet the norm bound; when
+  e_lo is 0, Y is that cap.  Either way one box per record settles it.
 
 The box is a cube of the lattice (x0*R, (x0*a1 - S*x1)*Y, (x0*a3 - S*x2)*Y),
 with the low bits of a_k and S it does not need shifted away and its bounds
@@ -38,9 +42,13 @@ rounded outward.  Its points come from an integral LLL reduction (Lenstra,
 Lenstra & Lovasz, Math. Ann. 261, 1982, in Cohen's d/lambda form) that
 starts from the previous box's reduced basis, and a Fincke-Pohst
 enumeration (Math. Comp. 44, 1985) of the ball around the cube, in integers
-only.  A box is enumerated only at a precision where Y*w_k <= e_hi, so that
-it is not much larger than the region it covers; the precision doubles
-until it is, and the ceiling raises PrecisionError.
+only.  The work is bounded twice.  A box is enumerated only at a precision
+where the number of lattice points it should hold, about
+4*Y*b1*b3/S^2 with half-widths b_k = e_hi + Y*w_k, is at most 24; and an
+enumeration that meets more than BOX_CAP lattice points, as a box around
+a nearly rational literal can, is given up.  Either way the precision
+doubles, and the ceiling raises PrecisionError; a literal's box, which
+more bits do not shrink, raises it at once.
 
 Each record test compares integer enclosures of 2^bits * L at the base
 precision, with the current record's enclosure computed once per record.
@@ -56,15 +64,17 @@ import sys
 from collections import namedtuple
 from math import gcd, isqrt
 
-from .errors import DependenceError, InvariantViolation, NotInSpan
+from .errors import DependenceError, InvariantViolation, NotInSpan, PrecisionError
 from .forms import pair_values
 from .intervals import HALF, Interval
-from .realctx import RealContext, approx_error, delta_of, scaled_error
+from .realctx import DecimalXi, RealContext, approx_error, delta_of, scaled_error
 from .vectors import (Vec3, content, cross, det3, dot, euclid_norm_sq, sup_norm,
                       vadd, vscale)
 
 # bits of the box's scale kept above its x0 range when low bits are shifted away
 SHIFT_GUARD = 8
+# lattice points one enumeration may meet before it is given up
+BOX_CAP = 1 << 17
 
 
 class MinimalPoint(namedtuple("MinimalPoint", "index point norm err delta")):
@@ -197,13 +207,27 @@ def _next_record(ctx: RealContext, prev: Vec3 | None, limit: int, norm_bound: in
     done = prev[0] if prev else 0  # x0 <= done holds no better triple
     if done >= limit:
         return None
-    size, bits, e_hi = ctx.decide(
-        lambda b: _resolved_box(ctx, prev, limit, b),
-        what=f"search box after {prev}" if prev else "first search box")
+    what = f"search box after {prev}" if prev else "first search box"
+    boxes = []  # (Y, bits) of every box enumerated
+
+    def search(bits):
+        box = _resolved_box(ctx, prev, limit, bits)
+        if box is None:
+            return None
+        boxes.append((box[0], bits))
+        points = _box_points(ctx, bits, box[1], box[0], done, basis)
+        if points is None and isinstance(ctx.spec, DecimalXi):
+            # a literal's interval, and so the box, is the same at every precision
+            raise PrecisionError(f"{what} holds more than {BOX_CAP} lattice points for "
+                                 f"{ctx.describe()} at any precision (the literal's "
+                                 "last digit is the limit)")
+        return points
+
+    points = ctx.decide(search, what=what)
     prev_err = scaled_error(prev, ctx) if prev else None
     decided = 0
     found = None
-    for x in _box_points(ctx, bits, e_hi, size, done, basis):
+    for x in points:
         if sup_norm(x) > norm_bound:
             continue
         decided += 1
@@ -217,38 +241,41 @@ def _next_record(ctx: RealContext, prev: Vec3 | None, limit: int, norm_bound: in
     logging = sys.modules.get("logging")
     if logging is not None:
         logging.getLogger(__name__).debug(
-            "search after %s: next x0 %s; box x0 <= %d at %d bits, %d lattice points decided",
-            prev, found and found[0], size, bits, decided)
+            "search after %s: next x0 %s; %d box(es) enumerated, the last x0 <= %d "
+            "at %d bits, %d lattice points decided",
+            prev, found and found[0], len(boxes), *boxes[-1], decided)
     return found
 
 
 def _resolved_box(ctx: RealContext, prev: Vec3 | None, limit: int,
-                  bits: int) -> tuple[int, int, int] | None:
-    """(Y, bits, e_hi) when the search box is resolved at bits, else None.
+                  bits: int) -> tuple[int, int] | None:
+    """(Y, e_hi) when the search box is worth enumerating at bits, else None.
 
     e_hi is the upper end of the enclosure of 2^bits * L(prev) (2^bits / 2 for
-    the first record) and e_lo, its lower end, must be positive: Y is
-    Minkowski's bound 2^(2*bits) / e_lo^2 + 2, capped at limit.  The box
-    is resolved when Y*w_k <= e_hi for the widths w_k of the enclosures of
-    2^bits * xi^k, k = 1, 3.
+    the first record).  Y is Minkowski's bound 2^(2*bits) / e_lo^2 + 2 for
+    its lower end e_lo, capped at limit, and limit itself when e_lo is 0.
+    The box's half-widths are b_k = e_hi + Y*w_k, w_k the widths of the
+    enclosures of 2^bits * xi^k, k = 1, 3; it is worth enumerating when
+    the number of lattice points it should hold, about 4*Y*b1*b3 / 2^(2*bits),
+    is at most 24.  A box resolved to Y*w_k <= e_hi with e_hi close to e_lo
+    passes: then Y*b1*b3 <= 4*Y*e_hi^2, about 4*Y*e_lo^2, and Minkowski's Y
+    gives Y*e_lo^2 <= 2^(2*bits) + 2*e_lo^2 <= 1.5 * 2^(2*bits).
     """
     e_lo, e_hi = scaled_error(prev, ctx, bits) if prev else (1 << (bits - 1),) * 2
-    if e_lo == 0:
+    size = limit if e_lo == 0 else min(limit, (1 << (2 * bits)) // (e_lo * e_lo) + 2)
+    (lo1, hi1), (lo3, hi3) = ctx.scaled(1, bits), ctx.scaled(3, bits)
+    if size * (e_hi + size * (hi1 - lo1)) * (e_hi + size * (hi3 - lo3)) > 6 << (2 * bits):
         return None
-    size = min(limit, (1 << (2 * bits)) // (e_lo * e_lo) + 2)
-    for k in (1, 3):
-        lo, hi = ctx.scaled(k, bits)
-        if size * (hi - lo) > e_hi:
-            return None
-    return size, bits, e_hi
+    return size, e_hi
 
 
 def _box_points(ctx: RealContext, bits: int, e_hi: int, size: int, done: int,
-                basis: list[list[int]]) -> list[Vec3]:
+                basis: list[list[int]]) -> list[Vec3] | None:
     """The triples with done < x0 <= size and |x0*a_k - 2^bits*x_k| <= e_hi + size*w_k.
 
     A superset of them, in ascending order: the bounds are rounded outward
-    when the low bits of a_k and 2^bits are shifted away.
+    when the low bits of a_k and 2^bits are shifted away.  None when the
+    enumeration meets more than BOX_CAP lattice points.
     """
     (a1, hi1), (a3, hi3) = ctx.scaled(1, bits), ctx.scaled(3, bits)
     b1, b3 = e_hi + size * (hi1 - a1), e_hi + size * (hi3 - a3)
@@ -262,7 +289,9 @@ def _box_points(ctx: RealContext, bits: int, e_hi: int, size: int, done: int,
             for c0, c1, c2 in basis]
     d, lam = _lll(vecs, basis)
     out = []
-    for c0, c1, c2 in _short_vectors(d, lam, 3 * (r * size) ** 2):
+    for met, (c0, c1, c2) in enumerate(_short_vectors(d, lam, 3 * (r * size) ** 2)):
+        if met == BOX_CAP:
+            return None
         x = tuple(c0 * u + c1 * v + c2 * w for u, v, w in zip(*basis))
         if x[0] < 0:
             x = (-x[0], -x[1], -x[2])

@@ -40,7 +40,7 @@ from xicube.linalg import IntEchelon
 from xicube.minimal import (MinimalPoint, _certified_err, _err_less, _err_less_than_half,
                             _x0_limit, candidate_for)
 from xicube.realctx import _eval_sign, approx_error, delta_of, scaled_error
-from xicube.vectors import content, sup_norm
+from xicube.vectors import Vec3, content, sup_norm
 from xicube.ring import _expand_monomial, basis_of, expand, named_element
 
 MARGIN = 1e-6  # far beyond float error for bounds <= a few thousand

@@ -138,6 +138,7 @@ def test_integer_error_comparisons_match_exact_probe(spec, bits, data):
 
 @settings(SLOW, max_examples=25)
 @given(spec=st.one_of(algebraic_xi(), decimal_xi(min_digits=25)), bits=precisions)
+@example(spec=DecimalXi("0.0000000000000000000000025"), bits=192)  # widths dominate the box
 def test_scan_matches_brute_force_at_200(spec, bits):
     ctx = RealContext(spec, bits, MAX_BITS)
     try:
@@ -150,11 +151,11 @@ def test_scan_matches_brute_force_at_200(spec, bits):
 @SLOW
 @given(spec=st.one_of(algebraic_xi(), decimal_xi(min_digits=25)), bits=precisions)
 def test_lattice_search_matches_linear_scan_at_20000(spec, bits):
-    # the search may abort on a box a literal cannot resolve where the scan
-    # finished, and the scan on a candidate the search never visits
+    # the scan may abort on a candidate the search never visits, but the
+    # search must return wherever the scan does
     new = _outcome(lambda: minimal_sequence(RealContext(spec, bits, MAX_BITS), 20_000))
     old = _outcome(lambda: linear_scan_minimal_points(RealContext(spec, bits, MAX_BITS), 20_000))
-    if PrecisionError not in (new, old):
+    if old is not PrecisionError:
         assert new == old
 
 

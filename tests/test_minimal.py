@@ -1,6 +1,5 @@
 import hashlib
 import logging
-import time
 from itertools import product
 
 import pytest
@@ -13,6 +12,7 @@ from xicube import (DependenceError, Interval, MinimalPoint, NotInSpan,
                     PrecisionError, RealContext, build_pair_records, candidate_for, cross,
                     decompose_pair, independence_set, minimal_sequence,
                     pair_checks)
+from xicube import minimal
 from xicube.errors import InvariantViolation
 from xicube.minimal import _box_points, _certified_err, _lll, _short_vectors, pair_record
 from xicube.vectors import content, det3, dot
@@ -65,15 +65,50 @@ def test_lattice_search_matches_linear_scan(spec):
     assert len(seq) == {ROOT2: 13, QUARTIC: 9}.get(spec, 4)
 
 
+def _count_lattice_points(monkeypatch) -> list[int]:
+    """Lattice points each enumeration meets, one count per box, in order."""
+    counts = []
+    real = minimal._short_vectors
+
+    def counted(*args):
+        counts.append(0)
+        for c in real(*args):
+            counts[-1] += 1
+            yield c
+
+    monkeypatch.setattr(minimal, "_short_vectors", counted)
+    return counts
+
+
 @pytest.mark.parametrize("spec,bound", [("dec:1.61", 2700), ("dec:-2.205", 27_000),
                                         ("dec:2.5", 10**9)])
-def test_unresolvable_search_box_aborts_fast(spec, bound):
-    # a short literal cannot resolve the box around a record: the search must
-    # give up at the ceiling, not enumerate a box of countless lattice points
-    start = time.perf_counter()
-    with pytest.raises(PrecisionError, match="search box"):
+def test_short_literal_aborts_on_little_work(spec, bound, monkeypatch):
+    # a short literal must give up at the ceiling after a handful of lattice
+    # points; dec:2.5 leaves every box too wide to enumerate at all
+    counts = _count_lattice_points(monkeypatch)
+    with pytest.raises(PrecisionError):
         minimal_sequence(RealContext(spec), bound)
-    assert time.perf_counter() - start < 1.0
+    assert sum(counts) < 1000
+    if spec == "dec:2.5":
+        assert counts == []
+
+
+@pytest.mark.parametrize("spec", ["dec:3.0000000000000000000000001",
+                                  "dec:0.0000000000000000000000025"])
+def test_box_around_nearly_rational_literal_is_capped(spec, monkeypatch):
+    # x0*xi and x0*xi^3 stay within the literal's widths of integers for
+    # every x0 of the box, so it holds about a point per x0 up to 10^9/27;
+    # more bits would not shrink it, so the first capped box is the last
+    counts = _count_lattice_points(monkeypatch)
+    with pytest.raises(PrecisionError, match="search box .* lattice points"):
+        minimal_sequence(RealContext(spec), 10**9)
+    assert counts[-1] == minimal.BOX_CAP + 1 and sum(counts[:-1]) < 1000
+
+
+def test_box_of_many_plainly_worse_points_is_decided():
+    # about 4*10^4 triples (x0, 0, 0) fit the box after (1, 0, 0), all worse
+    seq = minimal_sequence(RealContext("dec:0.0000000000000000000000025"), 10**6)
+    assert [p.point for p in seq] == [(1, 0, 0)]
 
 
 def test_search_logs_one_debug_line_per_record(ctx_root2, caplog, tmp_path):
@@ -221,8 +256,6 @@ def test_record_fields_match_ring_evaluation(ctx_root2):
 
 
 def test_imprimitive_point_reported(ctx_root2):
-    from xicube import minimal
-
     real = minimal.content
     minimal.content = lambda v: 2  # simulate a primitivity violation
     try:
@@ -232,9 +265,12 @@ def test_imprimitive_point_reported(ctx_root2):
         minimal.content = real
 
 
-@pytest.mark.parametrize("spec,bound,count", [(ROOT2, 30000, 13), (QUARTIC, 30000, 9),
-                                              (ROOT2, 10**6, 15), (QUARTIC, 10**6, 11)])
-def test_certified_err_is_what_a_fresh_context_certifies(spec, bound, count):
+@pytest.mark.parametrize("spec,count,bound", [
+    pytest.param(ROOT2, 13, 30000, id=f"{ROOT2}-13"),
+    pytest.param(QUARTIC, 9, 30000, id=f"{QUARTIC}-9"),
+    pytest.param(ROOT2, 15, 10**6, id=f"{ROOT2}-15-1e6"),
+    pytest.param(QUARTIC, 11, 10**6, id=f"{QUARTIC}-11-1e6")])
+def test_certified_err_is_what_a_fresh_context_certifies(spec, count, bound):
     # at 8 bits most decisions and search boxes escalate; a point's err must
     # not depend on how deep those escalations took the enclosures of xi
     seq = minimal_sequence(RealContext(spec, 8, 768), bound)
