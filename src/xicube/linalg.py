@@ -10,6 +10,9 @@ augmented system, so rationals appear only where its input denominators are
 cleared and its solution is returned.  All outputs are deterministic: rows
 are processed in the order given, free columns ascend, and each basis vector
 is primitive with its first nonzero entry positive.
+
+`_lll`, integral LLL in Cohen's d/lambda form, is the one lattice reduction
+of the minimal-point search and of the independence certificate of `realctx`.
 """
 
 from __future__ import annotations
@@ -115,3 +118,62 @@ def solve_unique(rows, rhs) -> list[Fraction] | None:
         raise ValueError("solution is not unique")
     (v,) = ech.nullspace()
     return [Fraction(-x, v[n]) for x in v[:n]]
+
+
+def _lll(b: list[list[int]], h: list[list[int]] | None = None):
+    """LLL-reduce the rows of b in place (delta = 3/4), every step mirrored on h if given.
+
+    The rows are linearly independent, of any one length.  The integral
+    version of Cohen (A Course in Computational Algebraic Number Theory,
+    Algorithm 2.6.7): d[i] is the Gram determinant of the first i rows and
+    lam[k][j] = d[j+1] * mu_kj, both integers.  Returns the (d, lam) of the
+    reduced basis.
+    """
+    n = len(b)
+    d = [1, sum(map(mul, b[0], b[0]))] + [0] * (n - 1)
+    lam = [[0] * n for _ in range(n)]
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:  # Gram-Schmidt of the new row
+            kmax = k
+            for j in range(k + 1):
+                u = sum(map(mul, b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        _size_reduce(b, h, d, lam, k, k - 1)
+        lk = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:  # Lovasz fails: swap
+            b[k - 1], b[k] = b[k], b[k - 1]
+            if h is not None:
+                h[k - 1], h[k] = h[k], h[k - 1]
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+                lam[i][k - 1] = (dk * t + lk * lam[i][k]) // d[k + 1]
+            d[k] = dk
+            k = max(1, k - 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                _size_reduce(b, h, d, lam, k, j)
+            k += 1
+    return d, lam
+
+
+def _size_reduce(b, h, d, lam, k: int, j: int):
+    """Subtract the multiple of row j from row k that leaves |mu_kj| <= 1/2."""
+    dj = d[j + 1]
+    if 2 * abs(lam[k][j]) > dj:
+        q = (2 * lam[k][j] + dj) // (2 * dj)
+        b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+        if h is not None:
+            h[k] = [x - q * y for x, y in zip(h[k], h[j])]
+        lam[k][j] -= q * dj
+        for i in range(j):
+            lam[k][i] -= q * lam[j][i]

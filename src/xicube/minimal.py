@@ -67,9 +67,10 @@ from math import gcd, isqrt
 from .errors import DependenceError, InvariantViolation, NotInSpan, PrecisionError
 from .forms import pair_values
 from .intervals import HALF, Interval
+from .linalg import _lll
 from .realctx import DecimalXi, RealContext, approx_error, delta_of, scaled_error
-from .vectors import (Vec3, content, cross, det3, dot, euclid_norm_sq, sup_norm,
-                      vadd, vscale)
+from .vectors import (Vec3, content, cross, det3, euclid_norm_sq, sup_norm, vadd,
+                      vscale)
 
 # bits of the box's scale kept above its x0 range when low bits are shifted away
 SHIFT_GUARD = 8
@@ -300,62 +301,6 @@ def _box_points(ctx: RealContext, bits: int, e_hi: int, size: int, done: int,
             out.append(x)
     out.sort()
     return out
-
-
-def _lll(b: list[list[int]], h: list[list[int]]):
-    """LLL-reduce the rows of b in place (delta = 3/4), with every step mirrored on h.
-
-    The integral version of Cohen (A Course in Computational Algebraic Number
-    Theory, Algorithm 2.6.7): d[i] is the Gram determinant of the first i
-    rows and lam[k][j] = d[j+1] * mu_kj, both integers.  Returns the (d, lam)
-    of the reduced basis.
-    """
-    n = len(b)
-    d = [1, dot(b[0], b[0])] + [0] * (n - 1)
-    lam = [[0] * n for _ in range(n)]
-    k, kmax = 1, 0
-    while k < n:
-        if k > kmax:  # Gram-Schmidt of the new row
-            kmax = k
-            for j in range(k + 1):
-                u = dot(b[k], b[j])
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = u
-                else:
-                    d[k + 1] = u
-        _size_reduce(b, h, d, lam, k, k - 1)
-        lk = lam[k][k - 1]
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:  # Lovasz fails: swap
-            b[k - 1], b[k] = b[k], b[k - 1]
-            h[k - 1], h[k] = h[k], h[k - 1]
-            for j in range(k - 1):
-                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
-            dk = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
-            for i in range(k + 1, kmax + 1):
-                t = lam[i][k]
-                lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
-                lam[i][k - 1] = (dk * t + lk * lam[i][k]) // d[k + 1]
-            d[k] = dk
-            k = max(1, k - 1)
-        else:
-            for j in range(k - 2, -1, -1):
-                _size_reduce(b, h, d, lam, k, j)
-            k += 1
-    return d, lam
-
-
-def _size_reduce(b, h, d, lam, k: int, j: int):
-    """Subtract the multiple of row j from row k that leaves |mu_kj| <= 1/2."""
-    dj = d[j + 1]
-    if 2 * abs(lam[k][j]) > dj:
-        q = (2 * lam[k][j] + dj) // (2 * dj)
-        b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-        h[k] = [x - q * y for x, y in zip(h[k], h[j])]
-        lam[k][j] -= q * dj
-        for i in range(j):
-            lam[k][i] -= q * lam[j][i]
 
 
 def _short_vectors(d: list[int], lam: list[list[int]], radius_sq: int):

@@ -29,11 +29,11 @@ Spec grammar accepted by :func:`parse_xi_spec`:
   never evaluated.
 
 Independence of 1, xi, xi^3 for an ``alg:`` spec is decided exactly in
-integers: a Sturm sequence of the squarefree part g of the polynomial
-counts the roots in the interval, and distinct-degree factorisation of g
-modulo a fixed list of primes certifies, in the common case, that g has no
-factor of degree 1, 2 or 3 over Q.  Only when that certificate leaves a
-degree open is sympy imported, to factor g over Q.
+integers.  A Sturm sequence counts the roots in the interval of the
+squarefree part g of the polynomial, the isolating polynomial.  LLL on the
+rows (e_j | 2^s * xi^j rounded), j = 0..k, then finds xi's minimal
+polynomial m if deg m <= k; Mignotte's bound ||m||_1 <= 8 * ||g||_2 for
+the factor m of g makes a long first reduced row a proof that there is none.
 """
 
 from __future__ import annotations
@@ -42,10 +42,11 @@ import re
 import warnings
 from collections import namedtuple
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import PrecisionError
 from .intervals import Interval
+from .linalg import _lll
 from .vectors import Vec3
 
 DEFAULT_PRECISION_BITS = 192
@@ -56,10 +57,6 @@ GUARD_BITS = 32
 # Degrees above this are refused at parse time: the exact analysis of an
 # alg: spec grows with a high power of the degree.
 MAX_DEGREE = 64
-# Primes tried by the degree certificate of an alg: spec; a spec the
-# certificate leaves open within them is settled by factoring over Q.
-CERTIFICATE_PRIMES = tuple(p for p in range(2, 300)
-                           if all(p % d for d in range(2, isqrt(p) + 1)))
 
 
 class DecimalXi(namedtuple("DecimalXi", "digits")):
@@ -319,84 +316,6 @@ def _sturm_count(g, lo: Fraction, hi: Fraction) -> int:
     return changes(lo) - changes(hi)
 
 
-def _gf_rem(a, b, p: int) -> list[int]:
-    """Remainder of a on division by b over GF(p); b has no zero leading coefficient."""
-    a, db = list(a), len(b) - 1
-    inv = pow(b[-1], -1, p)
-    while len(a) > db:
-        top = a.pop() * inv % p
-        shift = len(a) - db
-        for i in range(db):
-            a[shift + i] = (a[shift + i] - top * b[i]) % p
-    return _trim(a)
-
-
-def _gf_gcd(a, b, p: int) -> list[int]:
-    while b:
-        a, b = b, _gf_rem(a, b, p)
-    return a
-
-
-def _gf_mulmod(a, b, m, p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        for j, d in enumerate(b):
-            out[i + j] += c * d
-    return _gf_rem([c % p for c in out], m, p)
-
-
-def _gf_powmod(a, e: int, m, p: int) -> list[int]:
-    out = [1]
-    while e:
-        if e & 1:
-            out = _gf_mulmod(out, a, m, p)
-        e >>= 1
-        if e:
-            a = _gf_mulmod(a, a, m, p)
-    return out
-
-
-def _small_degree_sums(g, p: int) -> set[int] | None:
-    """Sums of degrees of the irreducible factors of g mod p that are <= 3.
-
-    None when p divides the leading coefficient or g is not squarefree mod p.
-    With n_i the count of degree-i factors, gcd(g, x^(p^i) - x) has degree
-    the sum of j * n_j over the j dividing i, which gives n_1, n_2, n_3.
-    """
-    h = _trim([c % p for c in g])
-    if len(h) < len(g) or len(_gf_gcd(h, _trim([c % p for c in _derivative(h)]), p)) != 1:
-        return None
-    total = []
-    w = [0, 1]
-    for _ in range(3):
-        w = _gf_powmod(w, p, h, p)  # x^(p^i) mod h
-        w_minus_x = w + [0] * (2 - len(w))
-        w_minus_x[1] = (w_minus_x[1] - 1) % p
-        total.append(len(_gf_gcd(h, _trim(w_minus_x), p)) - 1)
-    n1, n2, n3 = total[0], (total[1] - total[0]) // 2, (total[2] - total[0]) // 3
-    return {a + 2 * b + 3 * c for a in range(min(n1, 3) + 1)
-            for b in range(min(n2, 1) + 1) for c in range(min(n3, 1) + 1)}
-
-
-def _no_small_factor(g) -> bool:
-    """True if g provably has no factor over Q of degree 1..min(3, deg g - 1).
-
-    A factor of degree d over Q reduces mod p to a product of irreducible
-    factors whose degrees sum to d, so d survives every prime's subset sums.
-    False means some such degree survived all of CERTIFICATE_PRIMES.
-    """
-    open_degrees = set(range(1, min(4, len(g) - 1)))
-    for p in CERTIFICATE_PRIMES:
-        if not open_degrees:
-            break
-        sums = _small_degree_sums(g, p)
-        if sums is not None:
-            open_degrees &= sums
-    return not open_degrees
-
-
 def _dependence_reason(minpoly) -> str | None:
     """Why 1, xi, xi^3 are Q-dependent, from xi's minimal polynomial; None if not."""
     deg = len(minpoly) - 1
@@ -420,47 +339,71 @@ def _root_count_error(spec: AlgebraicXi, nroots: int) -> ValueError:
                       "of the polynomial, need exactly 1")
 
 
-def _analyze_algebraic(spec: AlgebraicXi):
-    """Validate the isolating interval and decide dependence, in integers.
-
-    Returns (isolating polynomial, dependence reason or None): a squarefree
-    integer polynomial, ascending with a positive leading coefficient, whose
-    only root in [lo, hi] is xi.  It is the primitive squarefree part g of
-    the spec's polynomial, whose roots are counted by a Sturm sequence.  If
-    the mod-p certificate shows that g has no factor of degree <= 3, xi has
-    degree >= 4 or g is its minimal polynomial; otherwise the answer comes
-    from factoring over Q (:func:`_analyze_by_factoring`).
-    """
+def _isolating_polynomial(spec: AlgebraicXi) -> tuple[int, ...]:
+    """The squarefree part g of the spec's polynomial; xi is its only root in [lo, hi]."""
     _check_endpoints(spec)
     g = _squarefree_part(spec.coeffs)
     nroots = _sturm_count(g, spec.lo, spec.hi)
     if nroots != 1:
         raise _root_count_error(spec, nroots)
-    if not _no_small_factor(g):
-        return _analyze_by_factoring(spec)
-    return tuple(g), _dependence_reason(g)
+    return tuple(g)
 
 
-def _analyze_by_factoring(spec: AlgebraicXi):
-    """:func:`_analyze_algebraic` by sympy's root count and factorisation over Q.
+def _analyze_algebraic(ctx: RealContext) -> str | None:
+    """Why 1, xi, xi^3 are Q-dependent for an alg: context, or None; in integers.
 
-    The isolating polynomial it returns is xi's minimal polynomial.
+    An integer relation search (Kannan, Lenstra & Lovasz, Math. Comp. 50,
+    1988) finds the least k <= 3 for which xi is a root of an integer
+    polynomial of degree k, if any: the degree of xi's minimal polynomial m.
+    m divides the isolating polynomial g in Z[x], so Mignotte's bound (Math.
+    Comp. 28, 1974) gives ||m||_1 <= 2^deg(m) * ||g||_2 <= 8 * ||g||_2.  The
+    lattice has the rows (e_j | a_j), j = 0..k, where a_0 = 2^s and a_j is
+    the lower end of ctx.scaled(j, s), at most w below 2^s * xi^j.  As
+    m(xi) = 0, m's vector (m | sum m_j a_j) has a last entry of size at most
+    w * ||m||_1, so its squared length is at most R2 = 64 * ||g||_2^2 * (1 + w^2),
+    and LLL with delta = 3/4 gives ||b1||^2 <= 2^k * lambda1^2.  So
+    ||b1||^2 > 2^k * R2, an integer comparison, certifies that xi has
+    degree > k.
+
+    One reduction at k = min(3, deg g - 1) settles the common case: xi has
+    degree > k, so g is its minimal polynomial when deg g <= 3.  Otherwise
+    k = 1, 2, 3 in turn.  At the first k with a relation, the relations of
+    degree <= k are exactly Z*m, so b1 = +-m once s is large enough.  b1 is
+    taken for m only when it divides g and changes sign on [lo, hi], which
+    identifies m because xi is g's only root there, and a simple one.  A
+    short b1 that fails either check doubles s, up to the context's ceiling
+    (PrecisionError).
     """
-    _check_endpoints(spec)
-    import sympy
+    g = ctx._isolating_poly
+    norm_sq = sum(c * c for c in g)
+    half = (64 * norm_sq).bit_length() // 2
 
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(spec.coeffs)), x, domain="QQ")
-    lo, hi = sympy.Rational(spec.lo), sympy.Rational(spec.hi)
-    nroots = poly.count_roots(lo, hi)
-    if nroots != 1:
-        raise _root_count_error(spec, nroots)
-    minpoly = next(fac for fac, _mult in poly.factor_list()[1]
-                   if fac.degree() >= 1 and fac.count_roots(lo, hi) == 1)
-    mp_coeffs = tuple(int(c) for c in sympy.Poly(minpoly, x, domain="ZZ").all_coeffs()[::-1])
-    if mp_coeffs[-1] < 0:
-        mp_coeffs = tuple(-c for c in mp_coeffs)
-    return mp_coeffs, _dependence_reason(mp_coeffs)
+    def reduced(k, s):  # b1's coefficients, and whether ||b1||^2 > 2^k * R2
+        enclosures = [ctx.scaled(j, s) for j in range(1, k + 1)]
+        width = max((hi - lo for lo, hi in enclosures), default=0)
+        rows = [[int(i == j) for i in range(k + 1)] + [a]
+                for j, a in enumerate([1 << s] + [lo for lo, _ in enclosures])]
+        _lll(rows)
+        return rows[0][:-1], sum(c * c for c in rows[0]) > (64 * norm_sq * (1 + width**2)) << k
+
+    top = min(3, len(g) - 2)
+    if reduced(top, (top + 1) * (half + top + 8))[1]:
+        return _dependence_reason(g)
+    s = 0
+    for k in range(1, top + 1):
+        s = max(s, (k + 1) * (half + k + 8))
+        while True:
+            h, certified = reduced(k, s)
+            if certified:
+                break
+            h = _trim(h)
+            if _eval_sign(h, ctx._lo) == -_eval_sign(h, ctx._hi) != 0 and not _prem(g, h):
+                return _dependence_reason(h)
+            if s >= ctx.max_bits:
+                raise PrecisionError(f"independence of 1, xi, xi^3 undecidable for "
+                                     f"{ctx.describe()} at {s} bits (ceiling {ctx.max_bits})")
+            s = min(2 * s, ctx.max_bits)
+    return _dependence_reason(g)
 
 
 class RealContext:
@@ -496,15 +439,13 @@ class RealContext:
             self.independence_assumed = True
         else:
             # xi is the only root of _isolating_poly in [lo, hi], a simple one
-            self._isolating_poly, self.dependence_reason = _analyze_algebraic(spec)
+            self._isolating_poly = _isolating_polynomial(spec)
             self._lo = Fraction(spec.lo)
             self._hi = Fraction(spec.hi)
             self._sign_lo = _eval_sign(self._isolating_poly, self._lo)
-            if self._sign_lo == _eval_sign(self._isolating_poly, self._hi):
-                # simple real root in the open interval forces a sign change
-                raise ValueError("no sign change across the isolating interval")
             # deepest cell found: xi is in cell _index of the 2^_depth equal cells of [lo, hi]
             self._depth = self._index = 0
+            self.dependence_reason = _analyze_algebraic(self)
 
     # -- basic properties -------------------------------------------------
     @property

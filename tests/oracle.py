@@ -25,6 +25,12 @@ The linear-scan oracle is the record sweep that the lattice search of
 `xicube.minimal` replaced: one nearest-integer candidate per x0, each put to
 the same integer record test.  It is linear in the bound, so it serves up
 to about 1e6.
+
+Algebraic-analysis oracle: sympy's root count and factorisation over Q of
+an `alg:` spec, the route that the integer relation certificate of
+`xicube.realctx` replaced.  Its isolating polynomial is xi's minimal
+polynomial where the package keeps the squarefree part; both have the same
+one root in the interval, so every bisection cell agrees.
 """
 
 from fractions import Fraction
@@ -39,7 +45,8 @@ from xicube.intervals import HALF, Interval
 from xicube.linalg import IntEchelon
 from xicube.minimal import (MinimalPoint, _certified_err, _err_less, _err_less_than_half,
                             _x0_limit, candidate_for)
-from xicube.realctx import _eval_sign, approx_error, delta_of, scaled_error
+from xicube.realctx import (AlgebraicXi, _check_endpoints, _dependence_reason, _eval_sign,
+                            _root_count_error, approx_error, delta_of, scaled_error)
 from xicube.vectors import Vec3, content, sup_norm
 from xicube.ring import _expand_monomial, basis_of, expand, named_element
 
@@ -148,6 +155,28 @@ def linear_scan_minimal_points(ctx, norm_bound: int) -> list[MinimalPoint]:
                          what=f"certified L{pt}")
         out.append(MinimalPoint(idx, pt, n, err, delta_of(pt, ctx)))
     return out
+
+
+def _analyze_by_factoring(spec: AlgebraicXi):
+    """:func:`_analyze_algebraic` by sympy's root count and factorisation over Q.
+
+    The isolating polynomial it returns is xi's minimal polynomial.
+    """
+    _check_endpoints(spec)
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(list(reversed(spec.coeffs)), x, domain="QQ")
+    lo, hi = sympy.Rational(spec.lo), sympy.Rational(spec.hi)
+    nroots = poly.count_roots(lo, hi)
+    if nroots != 1:
+        raise _root_count_error(spec, nroots)
+    minpoly = next(fac for fac, _mult in poly.factor_list()[1]
+                   if fac.degree() >= 1 and fac.count_roots(lo, hi) == 1)
+    mp_coeffs = tuple(int(c) for c in sympy.Poly(minpoly, x, domain="ZZ").all_coeffs()[::-1])
+    if mp_coeffs[-1] < 0:
+        mp_coeffs = tuple(-c for c in mp_coeffs)
+    return mp_coeffs, _dependence_reason(mp_coeffs)
 
 
 def exact_nearest(ctx, m, k, bits):

@@ -1,10 +1,11 @@
 import hashlib
 import logging
-from itertools import product
+from itertools import permutations, product
+from math import prod
 
 import pytest
 from conftest import QUARTIC, ROOT2, pi_prefix_spec
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from oracle import brute_force_minimal_points, linear_scan_minimal_points
 
@@ -14,7 +15,8 @@ from xicube import (DependenceError, Interval, MinimalPoint, NotInSpan,
                     pair_checks)
 from xicube import minimal
 from xicube.errors import InvariantViolation
-from xicube.minimal import _box_points, _certified_err, _lll, _short_vectors, pair_record
+from xicube.linalg import _lll
+from xicube.minimal import _box_points, _certified_err, _short_vectors, pair_record
 from xicube.vectors import content, det3, dot
 
 
@@ -129,20 +131,47 @@ def test_search_logs_one_debug_line_per_record(ctx_root2, caplog, tmp_path):
         "afae74db6f17b2aa9a2bb5b22d81dc3a2861012681bd5e4b89ed2a91a938674d")
 
 
+def _det(m) -> int:
+    """Leibniz's formula, for the few rows of these checks."""
+    n = len(m)
+    return sum((-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+               * prod(m[i][p[i]] for i in range(n)) for p in permutations(range(n)))
+
+
+def _gram_det(rows) -> int:
+    return _det([[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows])
+
+
+def _checked_reduction(rows):
+    """_lll of rows with its transform, checked; returns (b, d, lam)."""
+    n = len(rows)
+    b = [list(r) for r in rows]
+    h = [[int(i == j) for j in range(n)] for i in range(n)]
+    d, lam = _lll(b, h)
+    # b = h * rows with h unimodular, and (d, lam) are b's Gram-Schmidt data
+    assert [[sum(x * y for x, y in zip(u, col)) for col in zip(*rows)] for u in h] == b
+    assert abs(_det(h)) == 1
+    assert d[1] == _gram_det(b[:1]) and d[n] == _gram_det(b) == _gram_det(rows)
+    for k in range(1, n):  # size-reduced, and the Lovasz condition with delta = 3/4
+        assert all(2 * abs(lam[k][j]) <= d[j + 1] for j in range(k))
+        assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
+    return b, d, lam
+
+
+# the rows (e_j | 2^40 * 2^(j/3) rounded down) of an integer relation search
+@example(rows=[[int(i == j) for i in range(4)] + [int(2 ** (40 + j / 3))] for j in range(4)])
+@given(rows=st.lists(st.lists(st.integers(-12, 12), min_size=5, max_size=5),
+                     min_size=4, max_size=4).filter(lambda m: _gram_det(m) != 0))
+def test_reduction_of_four_rows(rows):
+    _checked_reduction(rows)
+
+
 @given(rows=st.lists(st.lists(st.integers(-12, 12), min_size=3, max_size=3),
                      min_size=3, max_size=3).filter(lambda m: det3(*m) != 0),
        radius=st.integers(0, 12))
 def test_reduction_and_enumeration_match_brute_force(rows, radius):
-    b = [list(r) for r in rows]
-    h = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    d, lam = _lll(b, h)
-    # b = h * rows with h unimodular, and (d, lam) are b's Gram-Schmidt data
-    assert [[dot(u, col) for col in zip(*rows)] for u in h] == b
-    assert abs(det3(*h)) == 1
-    assert d[1] == dot(b[0], b[0]) and d[3] == det3(*b) ** 2
-    for k in (1, 2):  # size-reduced, and the Lovasz condition with delta = 3/4
-        assert all(2 * abs(lam[k][j]) <= d[j + 1] for j in range(k))
-        assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
+    b, d, lam = _checked_reduction(rows)
+    assert d[3] == det3(*b) ** 2
     got = set()
     for c in _short_vectors(d, lam, radius * radius):
         v = tuple(sum(ci * row[i] for ci, row in zip(c, b)) for i in range(3))

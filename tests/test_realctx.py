@@ -6,16 +6,17 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from conftest import QUARTIC, ROOT2
+from conftest import QUARTIC, ROOT2, cube_root_product_spec
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from oracle import _analyze_by_factoring
 
 import xicube
 from xicube import (PrecisionError, RealContext, approx_error, delta_of, parse_xi_spec,
                     realctx, sup_norm)
-from xicube.realctx import (DEFAULT_MAX_BITS, MAX_DEGREE, AlgebraicXi, DecimalXi,
-                            _analyze_algebraic, _analyze_by_factoring, _eval_sign,
+from xicube.linalg import _lll
+from xicube.realctx import (DEFAULT_MAX_BITS, MAX_DEGREE, AlgebraicXi, DecimalXi, _eval_sign,
                             _root_cell)
 
 
@@ -88,7 +89,8 @@ def test_dependence_detected(spec, why):
 
 def test_certified_specs_do_not_import_sympy():
     # root2, quartic and the hostile shapes: |xi| near 1, a negative root,
-    # 2^64 coefficients, x^2 - n and a depressed cubic
+    # 2^64 coefficients, x^2 - n and a depressed cubic; then sqrt2 + sqrt3,
+    # (x^2 - 2)(x^2 - 3) and a reducible polynomial of degree 41
     specs = [
         "alg:x^4-2 in [1,2]", "alg:x^4-x-1 in [1.2,1.3]",
         "alg:27611*x^4-3*x-27571 in [68595/68618,14912/14917]",
@@ -98,6 +100,8 @@ def test_certified_specs_do_not_import_sympy():
         "-12243072578608432099*x+18256623104515805912 in [-111951/119842,-8186/8763]",
         "alg:x^2-12 in [121635/35113,140452/40545]",
         "alg:x^3+7*x-1 in [5372/37713,5717/40135]",
+        "alg:x^4-10*x^2+1 in [3,4]", "alg:x^4-5*x^2+6 in [1.2,1.5]",
+        cube_root_product_spec(38),
     ]
     code = ("import sys\nfrom xicube import RealContext\n"
             f"for spec in {specs!r}:\n    RealContext(spec)\n"
@@ -109,26 +113,28 @@ def test_certified_specs_do_not_import_sympy():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("spec,reason", [
-    # (x^2 - 2)(x^2 - 3): the degree 2 of either factor survives every prime
-    ("alg:x^4-5*x^2+6 in [1.2,1.5]", "quadratic"),
-    # sqrt2 + sqrt3, irreducible but split into degrees <= 2 mod every prime
-    ("alg:x^4-10*x^2+1 in [3,4]", None),
-])
-def test_uncertified_specs_reach_factoring(monkeypatch, spec, reason):
-    calls = []
+def test_reducible_spec_of_degree_41_settles_on_few_reductions(monkeypatch):
+    # (x^3 - 2) * q with 2^64 coefficients: the relation x^3 - 2 is found
+    # without factoring the polynomial
+    bits = []
 
-    def factoring(s):
-        calls.append(s)
-        return _analyze_by_factoring(s)
+    def counted(rows, h=None):
+        bits.append(rows[0][-1].bit_length() - 1)  # row 0 is (1, 0, ..., 0 | 2^s)
+        return _lll(rows, h)
 
-    monkeypatch.setattr(realctx, "_analyze_by_factoring", factoring)
-    ctx = RealContext(spec)
-    assert calls == [ctx.spec]
-    if reason is None:
-        assert not ctx.dependent
-    else:
-        assert reason in ctx.dependence_reason
+    monkeypatch.setattr(realctx, "_lll", counted)
+    ctx = RealContext(cube_root_product_spec(38))
+    assert "a*x^3+b*x+c" in ctx.dependence_reason
+    assert 1 <= len(bits) <= 6 and max(bits) <= 1024, bits
+
+
+def test_certificate_stops_at_the_ceiling():
+    # xi near 10^20: the widths of the enclosures of 2^s * xi^j hold the
+    # first reductions back, so the certificate doubles its precision
+    spec = f"alg:x^4-{10**80 + 1} in [{10**20 - 1},{10**20 + 1}]"
+    assert not RealContext(spec).dependent
+    with pytest.raises(PrecisionError, match=r"independence of 1, xi, xi\^3 undecidable"):
+        RealContext(spec, max_bits=1024)
 
 
 @st.composite
@@ -153,6 +159,11 @@ def factored_spec(draw):
     return AlgebraicXi(tuple(int(c) for c in reversed(poly.all_coeffs())), lo, hi)
 
 
+def _context_analysis(spec):
+    ctx = RealContext(spec)
+    return ctx._isolating_poly, ctx.dependence_reason
+
+
 def _analysis(analyze, spec):
     """(None, isolating polynomial, reason), or (error message, None, None)."""
     try:
@@ -165,7 +176,7 @@ def _analysis(analyze, spec):
 @settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(spec=factored_spec())
 def test_integer_analysis_matches_factoring(spec):
-    error, poly, reason = _analysis(_analyze_algebraic, spec)
+    error, poly, reason = _analysis(_context_analysis, spec)
     want_error, want_poly, want_reason = _analysis(_analyze_by_factoring, spec)
     assert (error, reason) == (want_error, want_reason)
     if error is None:
@@ -180,6 +191,8 @@ def test_independent_quartics(ctx_root2, ctx_quartic):
     assert not ctx_quartic.dependent
     # cubic with nonzero x^2 coefficient keeps 1, xi, xi^3 independent
     assert not RealContext("alg:x^3-x^2-1 in [1,2]").dependent
+    # sqrt2 + sqrt3: irreducible, though it splits into degrees <= 2 mod every prime
+    assert not RealContext("alg:x^4-10*x^2+1 in [3,4]").dependent
 
 
 def test_enclosure_width_contract(ctx_root2):
