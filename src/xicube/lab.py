@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -130,7 +131,7 @@ class ExperimentReport(namedtuple("ExperimentReport", (
 
     def write_csv(self, path: str):
         header, rows = self.csv_rows()
-        with open(path, "w", newline="") as fh:
+        with _LongInts(), open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(rows)
@@ -139,9 +140,25 @@ class ExperimentReport(namedtuple("ExperimentReport", (
         dump_json(path, self.summary_dict())
 
 
+class _LongInts:
+    """Lifts the int-to-str digit limit (Python 3.11, 3.10.7) while output is written.
+
+    Deep pairs hold integers of more than its default 4300 digits.
+    """
+
+    def __enter__(self):
+        self.limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if self.limit:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        if self.limit:
+            sys.set_int_max_str_digits(self.limit)
+
+
 def dump_json(path: str, payload):
     """Write payload as sorted, 2-space-indented JSON with a trailing newline."""
-    with open(path, "w") as fh:
+    with _LongInts(), open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 

@@ -1,18 +1,17 @@
 """Rigorous arithmetic for the target number xi.
 
 A :class:`RealContext` wraps a specification of xi (a decimal literal or an
-integer polynomial with an isolating interval) and serves enclosures of xi,
-xi^2, xi^3 with exact rational endpoints, plus the same enclosures rounded
-outward to integer numerators over 2^bits (:meth:`RealContext.scaled`).
-Every decision of the scan (nearest integers, error comparisons) runs on
-those scaled integers; an integer verdict is final, because the true value
-lies inside the integer enclosure.  A question the base precision leaves
-open is put again at doubled precision through :meth:`RealContext.decide`,
-until the answer is certain or a configurable ceiling aborts the run
-instead of guessing.  The algebraic root itself is refined by an integer
-Newton iteration whose cell is certified by exact sign evaluations; a
-decimal literal's interval is fixed, and only its integer rounding gets
-finer.
+integer polynomial with an isolating interval) and keeps one integer form of
+its cell's powers: per precision `bits`, xi, xi^2, xi^3 lie in [a, b] / D,
+[s_lo, s_hi] / D^2 and [c_lo, c_hi] / D^3.  The rest are views of it:
+:meth:`RealContext.scaled` rounds outward to numerators over 2^bits, on which
+every decision of the scan runs; :meth:`RealContext.power`, :func:`approx_error`
+and :func:`delta_of` give exact `Interval`s.  An integer verdict is final; a
+question left open is put again at doubled precision through
+:meth:`RealContext.decide`, until it is certain or a configurable ceiling
+aborts the run instead of guessing.  An ``alg:`` cell is one of the 2^depth
+equal cells of [lo, hi], found once per level by an integer Newton iteration
+certified by exact sign evaluations; a ``dec:`` cell is [a, a + 1] / 10^d.
 
 Spec grammar accepted by :func:`parse_xi_spec`:
 
@@ -209,22 +208,18 @@ def _scaled_poly(coeffs, start: int, step: int, den: int) -> list[int]:
     return out
 
 
-def _root_cell(coeffs, sign_lo: int, lo: Fraction, hi: Fraction, k: int):
-    """The depth-k bisection cell of [lo, hi] that holds the root.
+def _root_cell(coeffs, sign_lo: int, start: int, width: int, den: int, k: int) -> int:
+    """Index j of the depth-k bisection cell of [start, start + width] / den holding the root.
 
-    With w = (hi - lo) / 2^k, returns the cell [lo + j*w, lo + (j+1)*w] whose
-    left end has sign sign_lo and whose right end has not: the cell k
-    halvings of [lo, hi] end in.  An integer Newton iteration on the grid
-    2^GUARD_BITS times finer guesses j; exact sign evaluations at the guess
-    and its neighbours certify it, and bisection of the integer bracket
-    [0, 2^k] finishes the search whenever they do not.
+    The cell [start + j*w, start + (j+1)*w] / den, w = width / 2^k, whose left
+    end has sign sign_lo and whose right end has not.  An integer Newton
+    iteration on the grid 2^GUARD_BITS times finer guesses j; exact sign
+    evaluations at the guess and its neighbours certify it, and bisection of
+    the integer bracket [0, 2^k] finishes the search whenever they do not.
     """
-    q = lo.denominator * hi.denominator
-    p = lo.numerator * hi.denominator
-    width = hi.numerator * lo.denominator - p
     depth = k + GUARD_BITS
-    # g(t) = (q*2^depth)^n f(lo + t*w/2^GUARD_BITS), positive multiple of f
-    g = _scaled_poly(coeffs, p << depth, width, q << depth)
+    # g(t) = (den*2^depth)^n f((start + t*width/2^depth) / den), positive multiple of f
+    g = _scaled_poly(coeffs, start << depth, width, den << depth)
 
     top = 1 << depth
     t = top >> 1
@@ -249,8 +244,28 @@ def _root_cell(coeffs, sign_lo: int, lo: Fraction, hi: Fraction, k: int):
             a = m
         else:
             b = m
-    return (Fraction((p << k) + a * width, q << k),
-            Fraction((p << k) + b * width, q << k))
+    return a
+
+
+def _cell_powers(a: int, b: int, den: int):
+    """((den^k, lo, hi) for k = 1..3): the powers of [a, b] / den are [lo, hi] / den^k,
+    with the min and max of all endpoint products, as Interval multiplication takes them."""
+    square = (a * a, a * b, b * b)
+    s_lo, s_hi = min(square), max(square)
+    cube = (s_lo * a, s_lo * b, s_hi * a, s_hi * b)
+    return (den, a, b), (den * den, s_lo, s_hi), (den**3, min(cube), max(cube))
+
+
+def _times(m: int, lo: int, hi: int) -> tuple[int, int]:
+    """Bounds of m * [lo, hi]."""
+    return (m * lo, m * hi) if m >= 0 else (m * hi, m * lo)
+
+
+def _abs_gap(target: int, m: int, lo: int, hi: int) -> tuple[int, int]:
+    """Bounds of |target - m * [lo, hi]|, taken as Interval's abs takes them."""
+    lo, hi = _times(m, lo, hi)
+    lo, hi = target - hi, target - lo
+    return (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
 
 
 # -- exact analysis of an alg: spec -------------------------------------------
@@ -363,7 +378,8 @@ def _analyze_algebraic(ctx: RealContext) -> str | None:
     w * ||m||_1, so its squared length is at most R2 = 64 * ||g||_2^2 * (1 + w^2),
     and LLL with delta = 3/4 gives ||b1||^2 <= 2^k * lambda1^2.  So
     ||b1||^2 > 2^k * R2, an integer comparison, certifies that xi has
-    degree > k.
+    degree > k.  The first s is sized to R2 at w <= max(1, |lo|, |hi|)^3 + 2,
+    a bound on every width, since the cell's powers stay within [lo, hi]'s.
 
     One reduction at k = min(3, deg g - 1) settles the common case: xi has
     degree > k, so g is its minimal polynomial when deg g <= 3.  Otherwise
@@ -376,7 +392,11 @@ def _analyze_algebraic(ctx: RealContext) -> str | None:
     """
     g = ctx._isolating_poly
     norm_sq = sum(c * c for c in g)
-    half = (64 * norm_sq).bit_length() // 2
+    wide = int(max(1, abs(ctx._lo), abs(ctx._hi)) ** 3) + 2
+    at_zero, at_wide = ((64 * norm_sq * (1 + w * w)).bit_length() // 2 for w in (0, wide))
+
+    def start(k):  # s for R2 at the widths' bound; past the ceiling only as far as at w = 0
+        return max((k + 1) * (at_zero + k + 8), min((k + 1) * (at_wide + k + 8), ctx.max_bits))
 
     def reduced(k, s):  # b1's coefficients, and whether ||b1||^2 > 2^k * R2
         enclosures = [ctx.scaled(j, s) for j in range(1, k + 1)]
@@ -387,11 +407,11 @@ def _analyze_algebraic(ctx: RealContext) -> str | None:
         return rows[0][:-1], sum(c * c for c in rows[0]) > (64 * norm_sq * (1 + width**2)) << k
 
     top = min(3, len(g) - 2)
-    if reduced(top, (top + 1) * (half + top + 8))[1]:
+    if reduced(top, start(top))[1]:
         return _dependence_reason(g)
     s = 0
     for k in range(1, top + 1):
-        s = max(s, (k + 1) * (half + k + 8))
+        s = max(s, start(k))
         while True:
             h, certified = reduced(k, s)
             if certified:
@@ -422,26 +442,26 @@ class RealContext:
         self.max_bits = max_bits
         self.dependence_reason: str | None = None
         self.independence_assumed = False
-        self._pow_cache: dict[int, tuple[Interval, Interval, Interval]] = {}
+        self._pow_cache: dict[int, tuple] = {}  # per bits: the integer powers of _powers
+        self._iv_cache: dict[tuple[int, int], Interval] = {}  # Interval views, per (k, bits)
         # keyed k by default and (k, bits) otherwise: the hot path builds no tuple
         self._scaled_cache: dict[int | tuple[int, int], tuple[int, int]] = {}
 
         if isinstance(spec, DecimalXi):
-            value = Fraction(spec.digits)
-            frac_digits = len(spec.digits.split(".")[1]) if "." in spec.digits else 0
-            ulp = Fraction(1, 10**frac_digits)
+            whole, _, frac = spec.digits.partition(".")
             # truncation semantics: the literal is a prefix of the true expansion,
             # so its "-" (not the sign of its value: -0.0) says on which side
-            base = (Interval(value - ulp, value) if spec.digits.startswith("-")
-                    else Interval(value, value + ulp))
-            self._literal_powers = (base, base * base, base * base * base)
+            low = int(whole + frac) - spec.digits.startswith("-")
+            self._literal = _cell_powers(low, low + 1, 10 ** len(frac))
             self._isolating_poly = None
             self.independence_assumed = True
         else:
+            self._literal = None
             # xi is the only root of _isolating_poly in [lo, hi], a simple one
             self._isolating_poly = _isolating_polynomial(spec)
-            self._lo = Fraction(spec.lo)
-            self._hi = Fraction(spec.hi)
+            lo, hi = self._lo, self._hi = Fraction(spec.lo), Fraction(spec.hi)
+            p = lo.numerator * hi.denominator  # [lo, hi] = [p, p + w] / q
+            self._grid = (p, hi.numerator * lo.denominator - p, lo.denominator * hi.denominator)
             self._sign_lo = _eval_sign(self._isolating_poly, self._lo)
             # deepest cell found: xi is in cell _index of the 2^_depth equal cells of [lo, hi]
             self._depth = self._index = 0
@@ -463,65 +483,75 @@ class RealContext:
             )
 
     # -- enclosures --------------------------------------------------------
-    def _cell(self, depth: int) -> Interval:
-        """The cell of the depth-`depth` dyadic grid of [lo, hi] that holds xi.
+    def _cell(self, depth: int) -> int:
+        """Index j of the cell [lo + j*w, lo + (j+1)*w], w = (hi - lo) / 2^depth, holding xi.
 
         Cells nest: a coarser one than the deepest found is its index shifted
         right, a deeper one is searched from it and becomes the deepest.
         """
-        step = (self._hi - self._lo) / (1 << depth)
         if depth > self._depth:
-            start = self._cell(self._depth)
-            cell_lo, _ = _root_cell(self._isolating_poly, self._sign_lo,
-                                    start.lo, start.hi, depth - self._depth)
-            self._depth, self._index = depth, int((cell_lo - self._lo) / step)
-        j = self._index >> (self._depth - depth)
-        return Interval(self._lo + j * step, self._lo + (j + 1) * step)
+            p, w, q = self._grid
+            shift = depth - self._depth
+            j = _root_cell(self._isolating_poly, self._sign_lo,
+                           (p << self._depth) + self._index * w, w, q << self._depth, shift)
+            self._depth, self._index = depth, (self._index << shift) + j
+        return self._index >> (self._depth - depth)
+
+    def _powers(self, bits: int | None) -> tuple:
+        """((D^k, lo, hi) for k = 1..3): xi^k in [lo, hi] / D^k at bits (default precision).
+
+        An alg: cell has the fewest halvings of [lo, hi] that leave its three
+        powers 2^-bits * max(1, |xi|^3) wide at most, so it depends on bits alone.
+        """
+        bits = self.precision_bits if bits is None else bits
+        out = self._pow_cache.get(bits, self._literal)
+        if out is None:
+            p, w, q = self._grid
+            # fewest halvings to width <= 2^-bits: least depth with 2^depth >= w * 2^bits / q
+            depth = (-((-w << bits) // q) - 1).bit_length()
+            # as 3*xi^2 / max(1, |xi|^3) < 4, the test passes about 2 halvings
+            # further at most: one search there, and the coarser cells are shifts
+            self._cell(depth + 2)
+            while True:
+                a = (p << depth) + self._cell(depth) * w
+                out = _cell_powers(a, a + w, q << depth)
+                (den, _, _), (den2, s_lo, s_hi), (den3, c_lo, c_hi) = out
+                widest = max(w * den2, (s_hi - s_lo) * den, c_hi - c_lo)
+                if widest << bits <= max(den3, -c_lo, c_hi):  # 2^-bits * max(1, |xi^3|)
+                    break
+                depth += 1
+            self._pow_cache[bits] = out
+        return out
+
+    def _power_ints(self, k: int, bits: int | None) -> tuple[int, int, int]:
+        if k not in (1, 2, 3):
+            raise ValueError("only powers 1..3 are served")
+        return self._powers(bits)[k - 1]
 
     def power(self, k: int, bits: int | None = None) -> Interval:
         """Enclosure of xi^k (k in 1..3) with width <= 2^-bits * max(1, |xi|^3).
 
-        It depends on k and bits alone: xi, xi^2, xi^3 at bits are the powers
-        of the root cell at the fewest halvings of [lo, hi] that leave it at
-        most 2^-bits wide with all three powers within the bound.  A decimal
-        spec has one literal interval; more bits only refine its rounding.
+        The exact view of the integer powers, built on first use.
         """
-        if k not in (1, 2, 3):
-            raise ValueError("only powers 1..3 are served")
-        if self._isolating_poly is None:
-            return self._literal_powers[k - 1]
-        bits = self.precision_bits if bits is None else bits
-        powers = self._pow_cache.get(bits)
-        if powers is None:
-            target = Fraction(1, 1 << bits)
-            # fewest halvings to width <= target: least depth with 2^depth >= width * 2^bits
-            width = self._hi - self._lo
-            depth = (-((-width.numerator << bits) // width.denominator) - 1).bit_length()
-            while True:
-                base = self._cell(depth)
-                square = base * base
-                cube = square * base
-                bound = target * max(Fraction(1), abs(cube).hi)
-                if max(base.width, square.width, cube.width) <= bound:
-                    break
-                depth += 1
-            powers = self._pow_cache[bits] = (base, square, cube)
-        return powers[k - 1]
+        key = (k, self.precision_bits if bits is None else bits)
+        iv = self._iv_cache.get(key)
+        if iv is None:
+            den, lo, hi = self._power_ints(k, bits)
+            iv = self._iv_cache[key] = Interval(Fraction(lo, den), Fraction(hi, den))
+        return iv
 
     def scaled(self, k: int, bits: int | None = None) -> tuple[int, int]:
         """Integers (lo, hi) with lo <= 2^bits * xi^k <= hi (default precision_bits).
 
-        Rounded outward (floor, ceil) from the exact enclosure power(k, bits);
+        Rounded outward (floor, ceil) from the integer powers at bits;
         cached per k at the default precision and per (k, bits) otherwise.
         """
         key = k if bits is None else (k, bits)
         out = self._scaled_cache.get(key)
         if out is None:
-            bits = self.precision_bits if bits is None else bits
-            iv = self.power(k, bits)
-            out = ((iv.lo.numerator << bits) // iv.lo.denominator,
-                   -((-iv.hi.numerator << bits) // iv.hi.denominator))
-            self._scaled_cache[key] = out
+            den, lo, hi = self._power_ints(k, bits)
+            shift = self.precision_bits if bits is None else bits
+            out = self._scaled_cache[key] = ((lo << shift) // den, -((-hi << shift) // den))
         return out
 
     # -- decisions ---------------------------------------------------------
@@ -559,7 +589,7 @@ class RealContext:
         """Nearest integer to m * xi^k if the scaled enclosure at bits certifies it."""
         lo, hi = self.scaled(k, bits)
         bits = self.precision_bits if bits is None else bits
-        lo, hi = (m * lo, m * hi) if m >= 0 else (m * hi, m * lo)
+        lo, hi = _times(m, lo, hi)
         half = 1 << (bits - 1)
         n = (lo + half) >> bits
         if (n << bits) - half < lo and hi < (n << bits) + half:
@@ -571,25 +601,24 @@ class RealContext:
 
 def delta_of(x: Vec3, ctx: RealContext, bits: int | None = None) -> Interval:
     """Enclosure of 2*x0*xi^3 - 3*x1*xi^2 + x2 (second-order contact with the curve)."""
-    return ctx.power(3, bits) * (2 * x[0]) - ctx.power(2, bits) * (3 * x[1]) + Interval(x[2])
+    (den, _, _), (_, s_lo, s_hi), (den3, c_lo, c_hi) = ctx._powers(bits)
+    (c_lo, c_hi), (s_lo, s_hi) = _times(2 * x[0], c_lo, c_hi), _times(3 * x[1], s_lo, s_hi)
+    return Interval(Fraction(c_lo - s_hi * den + x[2] * den3, den3),
+                    Fraction(c_hi - s_lo * den + x[2] * den3, den3))
 
 
 def approx_error(x: Vec3, ctx: RealContext, bits: int | None = None) -> Interval:
     """Enclosure of L(x) = max(|x1 - x0*xi|, |x2 - x0*xi^3|)."""
-    e1 = abs(Interval(x[1]) - ctx.power(1, bits) * x[0])
-    e2 = abs(Interval(x[2]) - ctx.power(3, bits) * x[0])
-    return e1.max_with(e2)
+    (den, lo, hi), (den2, _, _), (den3, c_lo, c_hi) = ctx._powers(bits)
+    e1_lo, e1_hi = _abs_gap(x[1] * den, x[0], lo, hi)
+    e2_lo, e2_hi = _abs_gap(x[2] * den3, x[0], c_lo, c_hi)
+    return Interval(Fraction(max(e1_lo * den2, e2_lo), den3),
+                    Fraction(max(e1_hi * den2, e2_hi), den3))
 
 
 def scaled_error(x: Vec3, ctx: RealContext, bits: int | None = None) -> tuple[int, int]:
     """Integers (lo, hi) with lo <= 2^bits * L(x) <= hi (default ctx.precision_bits)."""
     shift = ctx.precision_bits if bits is None else bits
-    err_lo = err_hi = 0
-    for k, target in ((1, x[1]), (3, x[2])):
-        lo, hi = ctx.scaled(k, bits)
-        lo, hi = (x[0] * lo, x[0] * hi) if x[0] >= 0 else (x[0] * hi, x[0] * lo)
-        e_lo, e_hi = (target << shift) - hi, (target << shift) - lo
-        if e_lo < 0:
-            e_lo, e_hi = (-e_hi, -e_lo) if e_hi <= 0 else (0, max(-e_lo, e_hi))
-        err_lo, err_hi = max(err_lo, e_lo), max(err_hi, e_hi)
-    return err_lo, err_hi
+    e1_lo, e1_hi = _abs_gap(x[1] << shift, x[0], *ctx.scaled(1, bits))
+    e3_lo, e3_hi = _abs_gap(x[2] << shift, x[0], *ctx.scaled(3, bits))
+    return max(e1_lo, e3_lo), max(e1_hi, e3_hi)

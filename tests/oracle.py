@@ -26,6 +26,13 @@ The linear-scan oracle is the record sweep that the lattice search of
 the same integer record test.  It is linear in the bound, so it serves up
 to about 1e6.
 
+Enclosure oracle: the cell-by-cell `Fraction` loop that the integer powers
+of `RealContext` replaced.  Each depth's root cell becomes an `Interval`,
+its square and cube are `Interval` products, and the width test compares
+`Fraction`s; `approx_error`, `delta_of` and `scaled` follow from those
+enclosures by `Interval` arithmetic.  Only the cell index comes from the
+context (`_cell`), which the bisection oracle below checks on its own.
+
 Algebraic-analysis oracle: sympy's root count and factorisation over Q of
 an `alg:` spec, the route that the integer relation certificate of
 `xicube.realctx` replaced.  Its isolating polynomial is xi's minimal
@@ -45,8 +52,8 @@ from xicube.intervals import HALF, Interval
 from xicube.linalg import IntEchelon
 from xicube.minimal import (MinimalPoint, _certified_err, _err_less, _err_less_than_half,
                             _x0_limit, candidate_for)
-from xicube.realctx import (AlgebraicXi, _check_endpoints, _dependence_reason, _eval_sign,
-                            _root_count_error, approx_error, delta_of, scaled_error)
+from xicube.realctx import (AlgebraicXi, DecimalXi, _check_endpoints, _dependence_reason,
+                            _eval_sign, _root_count_error, approx_error, delta_of, scaled_error)
 from xicube.vectors import Vec3, content, sup_norm
 from xicube.ring import _expand_monomial, basis_of, expand, named_element
 
@@ -177,6 +184,53 @@ def _analyze_by_factoring(spec: AlgebraicXi):
     if mp_coeffs[-1] < 0:
         mp_coeffs = tuple(-c for c in mp_coeffs)
     return mp_coeffs, _dependence_reason(mp_coeffs)
+
+
+def fraction_powers(ctx, bits: int) -> tuple[Interval, Interval, Interval]:
+    """Enclosures of xi, xi^2, xi^3 at bits, as Fraction intervals, cell by cell.
+
+    From the fewest halvings of [lo, hi] that leave the cell 2^-bits wide,
+    one halving at a time until all three widths are within
+    2^-bits * max(1, |xi^3|); a decimal spec has one literal interval.
+    """
+    if isinstance(ctx.spec, DecimalXi):
+        value = Fraction(ctx.spec.digits)
+        _, _, frac = ctx.spec.digits.partition(".")
+        ulp = Fraction(1, 10 ** len(frac))
+        base = (Interval(value - ulp, value) if ctx.spec.digits.startswith("-")
+                else Interval(value, value + ulp))
+        return base, base * base, base * base * base
+    target = Fraction(1, 1 << bits)
+    width = ctx._hi - ctx._lo
+    depth = (-((-width.numerator << bits) // width.denominator) - 1).bit_length()
+    while True:
+        step = width / (1 << depth)
+        j = ctx._cell(depth)
+        base = Interval(ctx._lo + j * step, ctx._lo + (j + 1) * step)
+        square = base * base
+        cube = square * base
+        if max(base.width, square.width, cube.width) <= target * max(Fraction(1), abs(cube).hi):
+            return base, square, cube
+        depth += 1
+
+
+def fraction_scaled(ctx, k: int, bits: int) -> tuple[int, int]:
+    """floor and ceil of 2^bits times the ends of fraction_powers' xi^k."""
+    iv = fraction_powers(ctx, bits)[k - 1]
+    return ((iv.lo.numerator << bits) // iv.lo.denominator,
+            -((-iv.hi.numerator << bits) // iv.hi.denominator))
+
+
+def fraction_approx_error(x: Vec3, ctx, bits: int) -> Interval:
+    """L(x) = max(|x1 - x0*xi|, |x2 - x0*xi^3|) in Interval arithmetic."""
+    xi, _, cube = fraction_powers(ctx, bits)
+    return abs(Interval(x[1]) - xi * x[0]).max_with(abs(Interval(x[2]) - cube * x[0]))
+
+
+def fraction_delta_of(x: Vec3, ctx, bits: int) -> Interval:
+    """2*x0*xi^3 - 3*x1*xi^2 + x2 in Interval arithmetic."""
+    _, square, cube = fraction_powers(ctx, bits)
+    return cube * (2 * x[0]) - square * (3 * x[1]) + Interval(x[2])
 
 
 def exact_nearest(ctx, m, k, bits):

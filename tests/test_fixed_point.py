@@ -180,11 +180,15 @@ def _check_cells(ctx, depths, lo, hi):
         lo, hi = bisect_cell(ctx._isolating_poly, ctx._sign_lo, lo, hi, bound)
         depth = ((ctx._hi - ctx._lo) / (hi - lo)).numerator.bit_length() - 1
         cells[depth] = (lo, hi)
-        cell = ctx._cell(depth)
-        assert (cell.lo, cell.hi) == (lo, hi), bits
+        assert _cell(ctx, depth) == (lo, hi), bits
     for depth, want in cells.items():  # read back off the deepest cell
-        cell = ctx._cell(depth)
-        assert (cell.lo, cell.hi) == want, depth
+        assert _cell(ctx, depth) == want, depth
+
+
+def _cell(ctx, depth):
+    step = (ctx._hi - ctx._lo) / (1 << depth)
+    j = ctx._cell(depth)
+    return ctx._lo + j * step, ctx._lo + (j + 1) * step
 
 
 @SLOW

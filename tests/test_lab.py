@@ -1,11 +1,12 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from xicube import ExperimentConfig, Interval, SupportSet, run_experiment
 from xicube.errors import InvariantViolation
-from xicube.lab import height_checks, lambda_hat_trace, lambda_hat_window_min
+from xicube.lab import dump_json, height_checks, lambda_hat_trace, lambda_hat_window_min
 from xicube.minimal import (MinimalPoint, PairRecord, build_pair_records,
                             independence_set, minimal_sequence)
 from xicube.realctx import AlgebraicXi, DecimalXi
@@ -132,6 +133,21 @@ def test_csv_schema(tmp_path):
                 "A", "B", "F", "D2", "D3", "D6", "lambda_hat", "rho"):
         assert col in header
     assert any(col.startswith("q2_divides") for col in header)
+
+
+def test_writers_print_integers_past_the_str_limit(tmp_path):
+    # deep runs hold pair integers of more than the 4300 digits Python 3.11
+    # turns into text by default
+    rep = run_experiment(ExperimentConfig(xi=ROOT2, norm_bound=2000))
+    huge, digits = 10**5000 + 1, "1" + "0" * 4999 + "1"
+    rep = rep._replace(records=[rep.records[0]._replace(d6=huge)] + rep.records[1:])
+    limit = sys.get_int_max_str_digits()
+    rep.write_csv(str(tmp_path / "pairs.csv"))
+    rows = (tmp_path / "pairs.csv").read_text().splitlines()
+    assert rows[1].split(",")[rows[0].split(",").index("D6")] == digits
+    dump_json(str(tmp_path / "big.json"), {"D6": huge})
+    assert json.loads((tmp_path / "big.json").read_text().replace(digits, "7")) == {"D6": 7}
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_prop8_decided_on_real_pair():

@@ -10,7 +10,8 @@ from conftest import QUARTIC, ROOT2, cube_root_product_spec
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from oracle import _analyze_by_factoring
+from oracle import (_analyze_by_factoring, fraction_approx_error, fraction_delta_of,
+                    fraction_powers, fraction_scaled)
 
 import xicube
 from xicube import (PrecisionError, RealContext, approx_error, delta_of, parse_xi_spec,
@@ -128,9 +129,23 @@ def test_reducible_spec_of_degree_41_settles_on_few_reductions(monkeypatch):
     assert 1 <= len(bits) <= 6 and max(bits) <= 1024, bits
 
 
+def test_large_root_settles_on_one_reduction(monkeypatch):
+    # xi near 10^20: the enclosures of 2^s * xi^j are about 10^60 wide, and
+    # the first precision takes that into account
+    bits = []
+
+    def counted(rows, h=None):
+        bits.append(rows[0][-1].bit_length() - 1)
+        return _lll(rows, h)
+
+    monkeypatch.setattr(realctx, "_lll", counted)
+    assert not RealContext(f"alg:x^4-{10**80 + 1} in [{10**20 - 1},{10**20 + 1}]").dependent
+    assert len(bits) == 1, bits
+
+
 def test_certificate_stops_at_the_ceiling():
-    # xi near 10^20: the widths of the enclosures of 2^s * xi^j hold the
-    # first reductions back, so the certificate doubles its precision
+    # xi near 10^20 needs about 1900 bits: below that ceiling the
+    # certificate doubles its precision up to it, and stops there
     spec = f"alg:x^4-{10**80 + 1} in [{10**20 - 1},{10**20 + 1}]"
     assert not RealContext(spec).dependent
     with pytest.raises(PrecisionError, match=r"independence of 1, xi, xi\^3 undecidable"):
@@ -173,6 +188,12 @@ def _analysis(analyze, spec):
     return None, poly, reason
 
 
+def _grid(lo, hi):
+    """Integers (p, w, q) with [lo, hi] = [p, p + w] / q."""
+    p = lo.numerator * hi.denominator
+    return p, hi.numerator * lo.denominator - p, lo.denominator * hi.denominator
+
+
 @settings(suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(spec=factored_spec())
 def test_integer_analysis_matches_factoring(spec):
@@ -181,7 +202,7 @@ def test_integer_analysis_matches_factoring(spec):
     assert (error, reason) == (want_error, want_reason)
     if error is None:
         for k in (192, 1536):
-            cells = [_root_cell(p, _eval_sign(p, spec.lo), spec.lo, spec.hi, k)
+            cells = [_root_cell(p, _eval_sign(p, spec.lo), *_grid(spec.lo, spec.hi), k)
                      for p in (poly, want_poly)]
             assert cells[0] == cells[1], k
 
@@ -193,6 +214,88 @@ def test_independent_quartics(ctx_root2, ctx_quartic):
     assert not RealContext("alg:x^3-x^2-1 in [1,2]").dependent
     # sqrt2 + sqrt3: irreducible, though it splits into degrees <= 2 mod every prime
     assert not RealContext("alg:x^4-10*x^2+1 in [3,4]").dependent
+
+
+@st.composite
+def core_spec(draw):
+    """An alg: spec of degree 4-6 with a negative, near-1, below-1 or above-10
+    root, or a decimal literal (-0.0 included)."""
+    kind = draw(st.sampled_from(["negative", "near_one", "below_one", "above_ten", "dec"]))
+    if kind == "dec":
+        sign, whole = draw(st.sampled_from(["", "-"])), draw(st.integers(0, 30))
+        digits = draw(st.integers(1, 40))
+        frac = draw(st.integers(0, 10**digits - 1))
+        return draw(st.sampled_from([f"dec:{sign}{whole}.{frac:0{digits}d}", "dec:-0.0"]))
+    deg = draw(st.integers(4, 6))
+    small = [draw(st.integers(-9, 9)) for _ in range(deg - 1)]
+    if kind == "near_one":
+        n = draw(st.integers(10**3, 10**6))  # N*x^deg + b*x - (N + c): a root near 1
+        coeffs = ([-(n + draw(st.integers(1, 50))), draw(st.integers(-2, 2))]
+                  + [0] * (deg - 2) + [n])
+        accept = lambda r: abs(r - 1) < Fraction(1, 10)
+    elif kind == "below_one":  # ... + B*x -+ 1: a root near +-1/B
+        coeffs = ([draw(st.sampled_from([-1, 1])), draw(st.integers(10, 1000))] + small[1:]
+                  + [draw(st.integers(1, 5))])
+        accept = lambda r: 0 < abs(r) < 1
+        if draw(st.booleans()):  # an interval around 0, so coarse cells hold 0 inside
+            lo, hi = (Fraction(sign, draw(st.integers(2, 9))) for sign in (-1, 1))
+            poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
+            assume(poly.count_roots(lo, hi) == 1 and _eval_sign(coeffs, lo) * _eval_sign(coeffs, hi))
+            return AlgebraicXi(tuple(coeffs), lo, hi).describe()
+    elif kind == "above_ten":  # x^deg - A*x^(deg-1) + ...: a root near A
+        coeffs = small + [-draw(st.integers(11, 40)), 1]
+        accept = lambda r: abs(r) > 10
+    else:
+        coeffs = small + [draw(st.integers(1, 9)), draw(st.integers(1, 5))]
+        accept = lambda r: r < 0
+    poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
+    roots = [(Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)))
+             for (a, b), _mult in poly.sqf_part().intervals()]
+    roots = [(lo, hi) for lo, hi in roots if accept((lo + hi) / 2)
+             and _eval_sign(coeffs, lo) and _eval_sign(coeffs, hi)]
+    assume(roots)
+    lo, hi = draw(st.sampled_from(roots))
+    return AlgebraicXi(tuple(coeffs), lo, hi).describe()
+
+
+@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow,
+                                                  HealthCheck.filter_too_much])
+@given(spec=core_spec(), levels=st.permutations([4, 24, 192, 1536, 8192]),
+       x0=st.integers(-3000, 3000), offsets=st.tuples(*[st.integers(-2, 2)] * 2))
+def test_integer_powers_match_the_fraction_oracle(spec, levels, x0, offsets):
+    ctx, reference = RealContext(spec), RealContext(spec)
+    xi, cube = (float(ctx.power(k, 64).mid) for k in (1, 3))
+    points = [(x0, round(x0 * xi) + offsets[0], round(x0 * xi**3) + offsets[1]),
+              (0, 1, 0), (1, 0, 0)]
+    for bits in levels:
+        powers = fraction_powers(reference, bits)
+        for k in (1, 2, 3):
+            assert ctx.power(k, bits) == powers[k - 1], (k, bits)
+            assert ctx.scaled(k, bits) == fraction_scaled(reference, k, bits), (k, bits)
+        for x in points:
+            assert approx_error(x, ctx, bits) == fraction_approx_error(x, reference, bits)
+            assert delta_of(x, ctx, bits) == fraction_delta_of(x, reference, bits)
+    bits = ctx.precision_bits
+    assert (ctx.power(3), ctx.scaled(3), approx_error(points[0], ctx)) == (
+        fraction_powers(reference, bits)[2], fraction_scaled(reference, 3, bits),
+        fraction_approx_error(points[0], reference, bits))
+
+
+def test_one_newton_search_per_level(monkeypatch):
+    # an exact tie escalated from 192 to 8192 bits: 7 precision levels
+    ctx = RealContext(ROOT2, max_bits=8192)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return _root_cell(*args)
+
+    monkeypatch.setattr(realctx, "_root_cell", counted)
+    x = (1, 0, 0)
+    with pytest.raises(PrecisionError, match="at 8192 bits"):
+        ctx.decide(lambda bits: approx_error(x, ctx, bits).strictly_less(
+            approx_error(x, ctx, bits)), what=f"tie L{x} < L{x}")
+    assert len(calls) <= 7, calls
 
 
 def test_enclosure_width_contract(ctx_root2):
