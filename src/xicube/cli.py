@@ -2,12 +2,12 @@
 
 Subcommands: minpoints, ring-dims, find-relation, special-family,
 verify-identities, run.  Exit codes: 0 success with all requested suites
-passing, 1 invariant failure, 2 usage error (argparse uses this too),
-3 precision-ceiling abort.
+passing, 1 invariant failure or any other error, 2 usage error (argparse
+uses this too) or dependent xi, 3 precision-ceiling abort.
 
 Each flag is declared once, in `_parser`, with its type and a default taken
 from the library object that uses it; ranges are checked where values are
-used, and a value out of range is a usage error.  ``--config FILE`` holds
+used, and a value out of range raises `UsageError`.  ``--config FILE`` holds
 ``key = value`` lines (comments start with '#'), each read as the flag
 ``--key=value`` placed before the explicit flags, so explicit flags win.
 """
@@ -20,14 +20,15 @@ import sys
 from fractions import Fraction
 
 from .errors import (DependenceError, InvariantViolation, PrecisionError,
-                     XicubeError)
+                     UsageError, XicubeError)
 from .identities import run_identity_suite
-from .lab import ALL_SUITES, ExperimentConfig, dump_json, run_experiment
+from .lab import (ALL_SUITES, ExperimentConfig, dump_json, run_experiment,
+                  write_atomically)
 from .minimal import minimal_sequence
 from .realctx import DEFAULT_MAX_BITS, DEFAULT_PRECISION_BITS, RealContext
 # ring-dims reads j_subspace_dims and s_subspace_dims; j_subspace and
 # s_subspace_dim stay imported because bench/spans.py wraps them here by
-# name until the trace moves into the program (ROADMAP item 2)
+# name until the trace moves into the program (ROADMAP item 1)
 from .ring import j_subspace, j_subspace_dims, tau
 from .rigor import decimal
 from .search import (SupportSet, hp_decompose, maximal_j_element,
@@ -35,10 +36,10 @@ from .search import (SupportSet, hp_decompose, maximal_j_element,
 
 
 class _ConfigParser(argparse.ArgumentParser):
-    """The CLI parser for config flags: its errors raise ValueError."""
+    """The CLI parser for config flags: its errors raise UsageError."""
 
     def error(self, message):
-        raise ValueError(f"config file: {message}")
+        raise UsageError(f"config file: {message}")
 
 
 def _config_flags(path: str) -> list[str]:
@@ -46,7 +47,7 @@ def _config_flags(path: str) -> list[str]:
     try:
         fh = open(path)
     except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
     flags = []
     with fh:
         for line in fh:
@@ -54,10 +55,10 @@ def _config_flags(path: str) -> list[str]:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line {line!r}; expected key = value")
+                raise UsageError(f"bad config line {line!r}; expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "config":
-                raise ValueError(f"config file {path} cannot name another config file")
+                raise UsageError(f"config file {path} cannot name another config file")
             flags.append(f"--{key.replace('_', '-')}={value}")
     return flags
 
@@ -98,7 +99,7 @@ def _add_xi_flags(sub):
 def _require(args, *names):
     for name in names:
         if getattr(args, name) is None:
-            raise ValueError(f"missing required option --{name.replace('_', '-')}")
+            raise UsageError(f"missing required option --{name.replace('_', '-')}")
 
 
 def _parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -164,10 +165,9 @@ def _cmd_minpoints(args) -> int:
         print(f"{r['index']:4d}  ({r['x0']}, {r['x1']}, {r['x2']})  "
               f"norm={r['norm']}  L~{r['err']}")
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=["index", "x0", "x1", "x2", "norm", "err"])
-            w.writeheader()
-            w.writerows(rows)
+        fields = ["index", "x0", "x1", "x2", "norm", "err"]
+        write_atomically(args.csv, lambda fh: csv.writer(fh).writerows(
+            [fields] + [[r[f] for f in fields] for r in rows]), newline="")
     if args.json:
         dump_json(args.json, rows)
     print(f"{len(seq)} minimal points with norm <= {args.bound}")
@@ -184,7 +184,7 @@ def _dims_row(label: str, ell: int, row: list[int]) -> int:
 def _cmd_ring_dims(args) -> int:
     for flag, top in (("--lmax", args.lmax), ("--s-lmax", args.s_lmax)):
         if top < 0:
-            raise ValueError(f"{flag} must be >= 0, got {top}")
+            raise UsageError(f"{flag} must be >= 0, got {top}")
     bad = sum(_dims_row(f"R_{ell}", ell, j_subspace_dims(ell)) for ell in range(args.lmax + 1))
     bad += sum(_dims_row(f"S_{2 * ell}", ell, s_subspace_dims(2 * ell))
                for ell in range(args.s_lmax + 1))
@@ -298,7 +298,7 @@ def main(argv=None) -> int:
             args = _parser(_ConfigParser).parse_args(
                 argv[:at] + _config_flags(args.config) + argv[at:])
         return _COMMANDS[args.command](args)
-    except (ValueError, DependenceError) as exc:
+    except (UsageError, DependenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PrecisionError as exc:
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"invariant FAILED: {exc}", file=sys.stderr)
         return 1
-    except XicubeError as exc:
+    except (XicubeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

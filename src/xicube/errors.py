@@ -33,8 +33,12 @@ class Undecidable(XicubeError):
     """An interval comparison stayed ambiguous at the precision ceiling."""
 
 
-class InvalidEll(XicubeError, ValueError):
-    """Family parameter out of range (needs ell >= 1); a usage error, so a ValueError."""
+class UsageError(XicubeError, ValueError):
+    """A malformed xi spec, config file or flag value; the CLI exits 2 on it."""
+
+
+class InvalidEll(UsageError):
+    """Family parameter out of range (needs ell >= 1)."""
 
 
 class InvariantViolation(XicubeError):

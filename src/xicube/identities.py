@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+from .errors import UsageError
 from .forms import (conjugate_point, coupling_form, cubic_form,
                     pair_discriminant, trilinear_form)
 from .ring import (ExpandedPoly, evaluate, expand, j_valuation,
@@ -105,5 +106,5 @@ def sampled_checks(samples: int, seed: int) -> list[tuple[str, bool]]:
 
 def run_identity_suite(samples: int, seed: int) -> list[tuple[str, bool]]:
     if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+        raise UsageError(f"samples must be >= 1, got {samples}")
     return symbolic_checks() + sampled_checks(samples, seed)

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
 
 from .constants import threshold_constants
-from .errors import (DependenceError, InvariantViolation, PrecisionError,
-                     Undecidable)
+from .errors import InvariantViolation, Undecidable, UsageError, XicubeError
 from .intervals import Interval
 from .minimal import (MinimalPoint, PairRecord, build_pair_records,
                       independence_set, minimal_sequence, pair_checks)
@@ -43,14 +43,14 @@ class ExperimentConfig(namedtuple(
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.norm_bound < 1:
-            raise ValueError("norm_bound must be >= 1")
+            raise UsageError("norm_bound must be >= 1")
         if Fraction(self.epsilon) <= 0:
-            raise ValueError("epsilon must be positive")
+            raise UsageError("epsilon must be positive")
         if self.lambda_window < 1:
-            raise ValueError(f"lambda_window must be >= 1, got {self.lambda_window}")
+            raise UsageError(f"lambda_window must be >= 1, got {self.lambda_window}")
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
-            raise ValueError(f"unknown suites {sorted(unknown)}")
+            raise UsageError(f"unknown suites {sorted(unknown)}")
         return self
 
 
@@ -131,10 +131,7 @@ class ExperimentReport(namedtuple("ExperimentReport", (
 
     def write_csv(self, path: str):
         header, rows = self.csv_rows()
-        with _LongInts(), open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
+        write_atomically(path, lambda fh: csv.writer(fh).writerows([header, *rows]), newline="")
 
     def write_json(self, path: str):
         dump_json(path, self.summary_dict())
@@ -156,11 +153,32 @@ class _LongInts:
             sys.set_int_max_str_digits(self.limit)
 
 
+def write_atomically(path: str, write, newline=None):
+    """Call write(fh) on a temporary file beside path, then rename it onto path.
+
+    A reader never sees a part-written file, and a write that fails
+    removes its temporary file and leaves path as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with _LongInts(), open(tmp, "w", newline=newline) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def dump_json(path: str, payload):
     """Write payload as sorted, 2-space-indented JSON with a trailing newline."""
-    with _LongInts(), open(path, "w") as fh:
+    def write(fh):
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+    write_atomically(path, write)
 
 
 def _positive_err(ctx: RealContext, point) -> Interval:
@@ -243,12 +261,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     A run that fails writes a reproducer to cfg.reproducer_path: the failing
     pair for a divisibility failure, the height monitors for a height failure,
-    the exception class and message for a PrecisionError, Undecidable or
-    DependenceError.  A passing run writes none.
+    the exception class and message for any other error that the CLI
+    reports but a UsageError.  A passing run writes none.
     """
     try:
         return _experiment(cfg)
-    except (PrecisionError, Undecidable, DependenceError) as exc:
+    except (UsageError, InvariantViolation):
+        raise
+    except (XicubeError, ValueError) as exc:
         _dump_reproducer(cfg, error=type(exc).__name__, message=str(exc))
         raise
 

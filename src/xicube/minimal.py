@@ -64,7 +64,8 @@ import sys
 from collections import namedtuple
 from math import gcd, isqrt
 
-from .errors import DependenceError, InvariantViolation, NotInSpan, PrecisionError
+from .errors import (DependenceError, InvariantViolation, NotInSpan, PrecisionError,
+                     UsageError)
 from .forms import pair_values
 from .intervals import HALF, Interval
 from .linalg import _lll
@@ -155,7 +156,7 @@ def minimal_sequence(ctx: RealContext, norm_bound: int) -> list[MinimalPoint]:
     specs only warn (independence cannot be decided from a literal).
     """
     if norm_bound < 1:
-        raise ValueError("norm_bound must be >= 1")
+        raise UsageError("norm_bound must be >= 1")
     if ctx.dependent:
         raise DependenceError(
             f"{ctx.describe()}: 1, xi, xi^3 are linearly dependent ({ctx.dependence_reason})"

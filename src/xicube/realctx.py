@@ -43,7 +43,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import PrecisionError
+from .errors import PrecisionError, UsageError
 from .intervals import Interval
 from .linalg import _lll
 from .vectors import Vec3
@@ -104,7 +104,9 @@ def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {text.strip()!r}") from exc
+        raise UsageError(f"zero denominator in {text.strip()!r}") from exc
+    except ValueError as exc:
+        raise UsageError(f"bad interval endpoint {text.strip()!r}") from exc
 
 
 def parse_xi_spec(text: str) -> XiSpec:
@@ -112,18 +114,18 @@ def parse_xi_spec(text: str) -> XiSpec:
     if text.startswith("dec:"):
         digits = text[4:].strip()
         if not re.fullmatch(r"-?\d+(\.\d+)?", digits):
-            raise ValueError(f"bad decimal literal {digits!r}")
+            raise UsageError(f"bad decimal literal {digits!r}")
         return DecimalXi(digits)
     if text.startswith("alg:"):
         m = re.fullmatch(r"alg:(.+?)\s+in\s+\[([^,\]]+),([^,\]]+)\]", text)
         if not m:
-            raise ValueError(f"bad algebraic spec {text!r}; expected 'alg:<poly> in [a,b]'")
+            raise UsageError(f"bad algebraic spec {text!r}; expected 'alg:<poly> in [a,b]'")
         coeffs = _parse_int_poly(m.group(1))
         lo, hi = _parse_fraction(m.group(2)), _parse_fraction(m.group(3))
         if not lo < hi:
-            raise ValueError(f"empty isolating interval [{lo},{hi}]")
+            raise UsageError(f"empty isolating interval [{lo},{hi}]")
         return AlgebraicXi(coeffs, lo, hi)
-    raise ValueError(f"xi spec must start with 'dec:' or 'alg:', got {text!r}")
+    raise UsageError(f"xi spec must start with 'dec:' or 'alg:', got {text!r}")
 
 
 # One signed monomial of the token text that _parse_int_poly builds:
@@ -137,10 +139,10 @@ def _parse_int_poly(expr: str) -> tuple[int, ...]:
     A monomial is c, c*x, c*x^e or x, x^e (``**`` for ``^`` too), with c an
     integer or p/q and e a nonnegative integer; monomials of one degree add
     up, and the sum is scaled by the lcm of its denominators.  Anything
-    else (products, parentheses, names) raises ValueError: the text is
+    else (products, parentheses, names) raises UsageError: the text is
     matched, never evaluated.
     """
-    bad = ValueError(f"cannot parse polynomial {expr!r}")
+    bad = UsageError(f"cannot parse polynomial {expr!r}")
     # whitespace only separates tokens; "**" becomes "^", a missing sign "+"
     tokens = ["^" if t == "**" else t for t in re.findall(r"\d+|\*\*|\S", expr)]
     if tokens[:1] not in (["+"], ["-"]):
@@ -158,7 +160,7 @@ def _parse_int_poly(expr: str) -> tuple[int, ...]:
             raise bad
         e = int(exp) if exp else int(has_x)
         if e > MAX_DEGREE:
-            raise ValueError(f"polynomial {expr!r} has degree above {MAX_DEGREE}")
+            raise UsageError(f"polynomial {expr!r} has degree above {MAX_DEGREE}")
         c = Fraction(int(num or 1), int(den or 1))
         terms[e] = terms.get(e, 0) + (c if sign == "+" else -c)
         pos = m.end()
@@ -168,7 +170,7 @@ def _parse_int_poly(expr: str) -> tuple[int, ...]:
         out[e] = int(c * scale)
     out = _trim(out)
     if len(out) < 2:
-        raise ValueError(f"polynomial {expr!r} must have degree >= 1")
+        raise UsageError(f"polynomial {expr!r} must have degree >= 1")
     return tuple(out)
 
 
@@ -346,11 +348,11 @@ def _dependence_reason(minpoly) -> str | None:
 
 def _check_endpoints(spec: AlgebraicXi):
     if _eval_sign(spec.coeffs, spec.lo) == 0 or _eval_sign(spec.coeffs, spec.hi) == 0:
-        raise ValueError("isolating interval endpoint is a root; shrink the interval")
+        raise UsageError("isolating interval endpoint is a root; shrink the interval")
 
 
-def _root_count_error(spec: AlgebraicXi, nroots: int) -> ValueError:
-    return ValueError(f"interval [{spec.lo},{spec.hi}] contains {nroots} real roots "
+def _root_count_error(spec: AlgebraicXi, nroots: int) -> UsageError:
+    return UsageError(f"interval [{spec.lo},{spec.hi}] contains {nroots} real roots "
                       "of the polynomial, need exactly 1")
 
 
@@ -434,9 +436,9 @@ class RealContext:
         if isinstance(spec, str):
             spec = parse_xi_spec(spec)
         if precision_bits < 4:
-            raise ValueError(f"precision_bits must be >= 4, got {precision_bits}")
+            raise UsageError(f"precision_bits must be >= 4, got {precision_bits}")
         if max_bits < precision_bits:
-            raise ValueError(f"max_bits must be >= precision_bits, got {max_bits}")
+            raise UsageError(f"max_bits must be >= precision_bits, got {max_bits}")
         self.spec = spec
         self.precision_bits = precision_bits
         self.max_bits = max_bits

@@ -25,8 +25,13 @@ an element lies on the monomials T^(l-2b-3c) A^b B^c, which rho maps to
 (3S + qT)^(l-2b-3c) q^(2b+3c) A^b B^c.  As S, A, B are algebraically
 independent, the J-valuation is the least weight 2b + 3c over that support,
 and the subspace cut out by a bound k is the exact nullspace of the
-coordinates of weight below k.  The truncated substitution engine, which
-finds the same subspaces from q-coefficients, is the reference in
+coordinates of weight below k.  With T implicit, (3F)^m (27 G0)^n is
+(4A - 1)^m (1 - 3A - B)^n, whose A^b B^c coefficient
+
+    (-1)^c C(n, c) [u^b] (4u - 1)^m (1 - 3u)^(n-c)
+
+is needed for b < (k - 3c)/2 only.  The truncated substitution engine and
+the product recursion for the coordinates are the references in
 tests/oracle.py.
 """
 
@@ -59,13 +64,16 @@ def basis_of(ell: int) -> list[tuple[int, int]]:
     return [(m, n) for m in range(ell // 2 + 1) for n in range((ell - 2 * m) // 3 + 1)]
 
 
-def mul_keyed(p: dict, r: dict) -> dict:
-    """Product of two sparse polynomials keyed by exponent pairs, zeros dropped."""
+def mul_keyed(p: dict, r: dict, top: int | None = None) -> dict:
+    """Product of sparse polynomials keyed by exponent pairs (i, j), zeros dropped.
+
+    With `top`, so are the keys of weight 2i + 3j above top."""
     out: dict = {}
     for (m1, n1), c1 in p.items():
         for (m2, n2), c2 in r.items():
             k = (m1 + m2, n1 + n2)
-            out[k] = out.get(k, 0) + c1 * c2
+            if top is None or 2 * k[0] + 3 * k[1] <= top:
+                out[k] = out.get(k, 0) + c1 * c2
     return {k: v for k, v in out.items() if v}
 
 
@@ -279,54 +287,59 @@ def rho(p: ExpandedPoly) -> ExpandedPoly:
 
 # -- the (T, A, B) coordinates ------------------------------------------------
 
-# 3F = 4A - T^2 and 27 G0 = T^3 - 3TA - B on T^a A^b B^c, keyed (b, c); the
-# power of T is implied by the degree
-_3F_TAB = {(0, 0): -1, (1, 0): 4}
-_27G0_TAB = {(0, 0): 1, (1, 0): -3, (0, 1): -1}
-_tab_cache: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+_certified = False
 
 
 def _certify_weights() -> None:
-    """Check rho(A) = q^2 A and rho(B) = q^3 B, the premise of the closed form."""
-    for name, w in (("A", 2), ("B", 3)):
-        p = expand(named_element(name))
-        if rho(p) != {(eq + w, *mono): v for (eq, *mono), v in p.items()}:
-            raise InvariantViolation(f"rho({name}) is not q^{w} * {name}", {})
+    """Check rho(A) = q^2 A and rho(B) = q^3 B, the closed form's premise, once."""
+    global _certified
+    if not _certified:
+        for name, w in (("A", 2), ("B", 3)):
+            p = expand(named_element(name))
+            if rho(p) != {(eq + w, *mono): v for (eq, *mono), v in p.items()}:
+                raise InvariantViolation(f"rho({name}) is not q^{w} * {name}", {})
+        _certified = True
 
 
-def _tab_monomial(m: int, n: int) -> dict[tuple[int, int], int]:
-    """(3F)^m * (27 G0)^n on the (b, c) keys, built from cached neighbours.
+def tab_columns(support, k: int) -> list[dict[tuple[int, int], int]]:
+    """Integer (T, A, B) columns of a support's monomials, by the closed form, below weight k.
 
-    The first call, which reaches the root (0, 0), certifies the weights.
+    Column (m, n) is 3^(w-m-3n) (3F)^m (27 G0)^n keyed (b, c), w the largest
+    m + 3n of the support; one scale keeps the exact nullspace.
     """
-    hit = _tab_cache.get((m, n))
-    if hit is None:
-        if not (m or n):
-            _certify_weights()
-            hit = {(0, 0): 1}
-        else:
-            hit = (mul_keyed(_tab_monomial(m - 1, n), _3F_TAB) if m
-                   else mul_keyed(_tab_monomial(0, n - 1), _27G0_TAB))
-        _tab_cache[(m, n)] = hit
-    return hit
-
-
-def _scaled_coordinates(coeffs: dict[tuple[int, int], int]) -> tuple[dict, int]:
-    """3^w times the (T, A, B) coordinates of an integer combination, and w."""
-    w = max((m + 3 * n for m, n in coeffs), default=0)
-    out: dict[tuple[int, int], int] = {}
-    for (m, n), c in coeffs.items():
-        c *= 3 ** (w - m - 3 * n)
-        for key, v in _tab_monomial(m, n).items():
-            out[key] = out.get(key, 0) + c * v
-    return {key: v for key, v in out.items() if v}, w
+    _certify_weights()
+    w = max(m + 3 * n for m, n in support)
+    top = (k + 1) // 2
+    polys = {}  # (m, j) -> u^0..u^(top-1) of (4u-1)^m (1-3u)^j
+    f = [1] + [0] * (top - 1)
+    for m in range(max(m for m, _ in support) + 1):
+        g = polys[m, 0] = f
+        for j in range(1, max(n for _, n in support) + 1):
+            g = polys[m, j] = [g[0]] + [g[b] - 3 * g[b - 1] for b in range(1, top)]
+        f = [-f[0]] + [4 * f[b - 1] - f[b] for b in range(1, top)]
+    cols = []
+    for m, n in support:
+        col = {}
+        for c in range(min(n, (k - 1) // 3) + 1):
+            coef = (-1) ** c * comb(n, c) * 3 ** (w - m - 3 * n)
+            for b, v in enumerate(polys[m, n - c][:(k - 3 * c + 1) // 2]):
+                if v:
+                    col[b, c] = coef * v
+        cols.append(col)
+    return cols
 
 
 def tab_coordinates(e: RingElem) -> dict[tuple[int, int], Fraction]:
     """The element on T^(l-2b-3c) A^b B^c as {(b, c): coefficient}, zeros dropped."""
+    if e.is_zero():
+        return {}
     den = lcm(*(c.denominator for c in e.coeffs.values()))
-    coords, w = _scaled_coordinates({key: int(c * den) for key, c in e.coeffs.items()})
-    return {key: Fraction(v, den * 3**w) for key, v in coords.items()}
+    out: dict = {}
+    for c, col in zip(e.coeffs.values(), tab_columns(list(e.coeffs), e.degree + 1)):
+        for key, v in col.items():
+            out[key] = out.get(key, 0) + int(c * den) * v
+    w = max(m + 3 * n for m, n in e.coeffs)
+    return {key: Fraction(v, den * 3**w) for key, v in out.items() if v}
 
 
 def j_valuation(e: RingElem) -> int:
@@ -388,26 +401,12 @@ def dim_profile(columns: list[dict], kmax: int) -> list[int]:
     return dims + [ech.ncols - ech.rank] * (kmax + 1 - len(dims))
 
 
-_support_columns_cache: dict[tuple, list[dict[tuple[int, int], int]]] = {}
-
-
-def _support_columns(support: tuple) -> list[dict[tuple[int, int], int]]:
-    """Integer (T, A, B) columns of the monomials of a support, once per support."""
-    hit = _support_columns_cache.get(support)
-    if hit is None:
-        # one scale 3^w for all columns keeps the nullspace that of the exact coordinates
-        w = max(m + 3 * n for m, n in support)
-        hit = [_scaled_coordinates({(m, n): 3 ** (w - m - 3 * n)})[0] for (m, n) in support]
-        _support_columns_cache[support] = hit
-    return hit
-
-
 def _subspace_vectors(ell: int, support, k: int) -> list[list[int]]:
     """Nullspace vectors of the weight-below-k coordinates on the span of support.
 
     The coordinates leave the power of T implicit, so ell is not needed.
     """
-    return _low_echelon(_support_columns(tuple(support)), k).nullspace()
+    return _low_echelon(tab_columns(support, k), k).nullspace()
 
 
 def j_subspace(ell: int, k: int) -> list[RingElem]:
@@ -429,7 +428,7 @@ def j_subspace_dims(ell: int) -> list[int]:
     """The dimensions of `j_subspace(ell, k)` for k = 0..ell+2, from one elimination."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    return dim_profile(_support_columns(tuple(basis_of(ell))), ell + 2)
+    return dim_profile(tab_columns(basis_of(ell), ell + 3), ell + 2)
 
 
 def evaluate(e: RingElem, x: Vec3, y: Vec3):

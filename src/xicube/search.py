@@ -18,13 +18,12 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .errors import (DecompositionFailure, DimensionMismatch, InvalidEll,
-                     InvariantViolation)
+                     InvariantViolation, UsageError)
 from .linalg import IntEchelon, solve_unique, vec_content
 from .minimal import PairRecord
 from .rigor import MID_PREC, decide_sign, evaluate, log_abs, mid_str, rational
-from .ring import (RingElem, _scaled_coordinates, _subspace_vectors,
-                   _support_columns, basis_of, dim_profile, mul_keyed,
-                   named_element)
+from .ring import (RingElem, _subspace_vectors, basis_of, dim_profile, mul_keyed,
+                   named_element, tab_columns, tab_coordinates)
 
 
 class SupportSet(namedtuple("SupportSet", "d pairs")):
@@ -34,10 +33,10 @@ class SupportSet(namedtuple("SupportSet", "d pairs")):
 
     def __new__(cls, d, pairs):
         if not pairs:
-            raise ValueError("support must be nonempty")
+            raise UsageError("support must be nonempty")
         for m, n in pairs:
             if m < 0 or n < 0 or 2 * m + 3 * n > d:
-                raise ValueError(f"({m},{n}) outside the degree-{d} triangle")
+                raise UsageError(f"({m},{n}) outside the degree-{d} triangle")
         return super().__new__(cls, d, tuple(sorted(set(pairs))))
 
 
@@ -60,24 +59,16 @@ def maximal_j_element(support: SupportSet) -> SearchResult:
     `unique` is False (no canonical single element exists then).
     """
     d, pairs = support.d, support.pairs
-    profile = dim_profile(_support_columns(pairs), d + 1)
-    dims: dict[int, int] = {}
-
-    def dim_at(k: int) -> int:
-        dims[k] = profile[k]
-        return dims[k]
-
-    if dim_at(d + 1) > 0:
+    profile = dim_profile(tab_columns(pairs, d + 2), d + 1)
+    if profile[d + 1] > 0:
         raise InvariantViolation("nonzero element with valuation beyond its degree",
                                  {"d": d, "support": pairs})
-    lo, hi = 0, d + 1  # dim_at(lo) = |support| > 0, dim_at(hi) = 0
-    dims[0] = len(pairs)
+    lo, hi = 0, d + 1  # profile[lo] = |support| > 0, profile[hi] = 0
+    dims = {lo: len(pairs), hi: 0}
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if dim_at(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+        dims[mid] = profile[mid]
+        lo, hi = (mid, hi) if dims[mid] > 0 else (lo, mid)
     vectors = _subspace_vectors(d, pairs, lo)
     basis = [RingElem(d, dict(zip(pairs, vec))) for vec in vectors]
     return SearchResult(lo, basis, dims)
@@ -143,31 +134,36 @@ def _fmn_product(e: int, m: int, n: int) -> dict[tuple[int, int], int]:
     return hit
 
 
-_s_columns_cache: dict[int, list[dict[tuple[int, int], int]]] = {}
+def _s_columns(ell: int, top: int) -> list[dict[tuple[int, int], int]]:
+    """Integer (T, A, B) columns (3F)^(l-2m-3n) (9M)^m (27N)^n, rows of weight <= top.
 
-
-def _s_columns(ell: int) -> list[dict[tuple[int, int], int]]:
-    """Integer (T, A, B) columns of the products F^(l-2m-3n) M^m N^n, once per degree.
-
-    The products are checked linearly independent when first built.  Each
-    column carries its own power of 3, which changes no rank.
+    The products are checked linearly independent first.  Each product is
+    cut at weight top, where its rows need only those of its factors; a
+    column's own power of 3 changes no rank.
     """
-    hit = _s_columns_cache.get(ell)
-    if hit is None:
-        cols = [_fmn_product(ell - 2 * m - 3 * n, m, n) for (m, n) in basis_of(ell)]
-        indep = IntEchelon(len(cols))
-        for mk in sorted({mk for col in cols for mk in col}):
-            indep.insert([col.get(mk, 0) for col in cols])
-        if not indep.full_rank():
-            raise InvariantViolation("subspace columns are linearly dependent", {})
-        hit = [_scaled_coordinates(col)[0] for col in cols]
-        _s_columns_cache[ell] = hit
-    return hit
+    basis = basis_of(ell)
+    cols = [_fmn_product(ell - 2 * m - 3 * n, m, n) for (m, n) in basis]
+    indep = IntEchelon(len(cols))
+    for mk in sorted({mk for col in cols for mk in col}):
+        indep.insert([col.get(mk, 0) for col in cols])
+    if not indep.full_rank():
+        raise InvariantViolation("subspace columns are linearly dependent", {})
+    powers = []
+    for i, name in enumerate("FMN", 1):
+        form = {bc: int(v * 3**i) for bc, v in tab_coordinates(named_element(name)).items()}
+        powers.append([{(0, 0): 1}])
+        for _ in range(ell // i):
+            powers[-1].append(mul_keyed(powers[-1][-1], form, top))
+    f, m3, n3 = powers
+    return [mul_keyed(mul_keyed(f[ell - 2 * m - 3 * n], m3[m], top), n3[n], top)
+            for m, n in basis]
 
 
-def _check_even(two_ell: int) -> None:
+def _s_profile(two_ell: int, kmax: int) -> list[int]:
     if two_ell < 0 or two_ell % 2:
         raise ValueError("degree must be even and >= 0")
+    ell = two_ell // 2
+    return dim_profile(_s_columns(ell, max(kmax, ell + 2)), kmax)
 
 
 def s_subspace_dim(two_ell: int, k: int) -> int:
@@ -177,16 +173,13 @@ def s_subspace_dim(two_ell: int, k: int) -> int:
     independent; the computation is the same honest elimination as for the
     full ring, on their (T, A, B) coordinates.
     """
-    _check_even(two_ell)
     k = max(k, 0)
-    return dim_profile(_s_columns(two_ell // 2), k)[k]
+    return _s_profile(two_ell, k)[k]
 
 
 def s_subspace_dims(two_ell: int) -> list[int]:
     """`s_subspace_dim(two_ell, k)` for k = 0..l+2, from one elimination."""
-    _check_even(two_ell)
-    ell = two_ell // 2
-    return dim_profile(_s_columns(ell), ell + 2)
+    return _s_profile(two_ell, two_ell // 2 + 2)
 
 
 # -- decomposition of the H-multiplied family element -------------------------

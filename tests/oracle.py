@@ -38,6 +38,12 @@ an `alg:` spec, the route that the integer relation certificate of
 `xicube.realctx` replaced.  Its isolating polynomial is xi's minimal
 polynomial where the package keeps the squarefree part; both have the same
 one root in the interval, so every bisection cell agrees.
+
+Coordinate oracle: the product recursion that the closed form of
+`xicube.ring.tab_columns` replaced.  (3F)^m (27 G0)^n is built on the
+(b, c) keys of T^a A^b B^c from a cached neighbour times 3F = 4A - T^2 or
+27 G0 = T^3 - 3TA - B, with every row of every weight; the F, M, N
+products go through the same conversion term by term.
 """
 
 from fractions import Fraction
@@ -55,7 +61,7 @@ from xicube.minimal import (MinimalPoint, _certified_err, _err_less, _err_less_t
 from xicube.realctx import (AlgebraicXi, DecimalXi, _check_endpoints, _dependence_reason,
                             _eval_sign, _root_count_error, approx_error, delta_of, scaled_error)
 from xicube.vectors import Vec3, content, sup_norm
-from xicube.ring import _expand_monomial, basis_of, expand, named_element
+from xicube.ring import _expand_monomial, basis_of, expand, mul_keyed, named_element
 
 MARGIN = 1e-6  # far beyond float error for bounds <= a few thousand
 
@@ -485,6 +491,71 @@ def s_subspace_dim(two_ell: int, k: int) -> int:
     ell = two_ell // 2
     cols = [F ** (ell - 2 * m - 3 * n) * M**m * N**n for (m, n) in basis_of(ell)]
     return general_subspace_dim(cols, k)
+
+
+# -- (T, A, B) coordinates by the product recursion ---------------------------
+
+# 3F = 4A - T^2 and 27 G0 = T^3 - 3TA - B on T^a A^b B^c, keyed (b, c); the
+# power of T is implied by the degree
+_3F_TAB = {(0, 0): -1, (1, 0): 4}
+_27G0_TAB = {(0, 0): 1, (1, 0): -3, (0, 1): -1}
+_tab_cache: dict = {(0, 0): {(0, 0): 1}}
+
+
+def tab_monomial(m: int, n: int) -> dict:
+    """(3F)^m * (27 G0)^n on the (b, c) keys, built from cached neighbours."""
+    hit = _tab_cache.get((m, n))
+    if hit is None:
+        hit = (mul_keyed(tab_monomial(m - 1, n), _3F_TAB) if m
+               else mul_keyed(tab_monomial(0, n - 1), _27G0_TAB))
+        _tab_cache[(m, n)] = hit
+    return hit
+
+
+def scaled_coordinates(coeffs: dict) -> tuple[dict, int]:
+    """3^w times the (T, A, B) coordinates of an integer combination, and w."""
+    w = max((m + 3 * n for m, n in coeffs), default=0)
+    out: dict = {}
+    for (m, n), c in coeffs.items():
+        c *= 3 ** (w - m - 3 * n)
+        for key, v in tab_monomial(m, n).items():
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}, w
+
+
+def tab_coordinates(e) -> dict:
+    """The element on T^(l-2b-3c) A^b B^c as {(b, c): Fraction}, zeros dropped."""
+    den = 1
+    for c in e.coeffs.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    coords, w = scaled_coordinates({key: int(c * den) for key, c in e.coeffs.items()})
+    return {key: Fraction(v, den * 3**w) for key, v in coords.items()}
+
+
+def support_columns(support) -> list[dict]:
+    """Integer (T, A, B) columns of a support's monomials at one scale 3^w, all rows."""
+    w = max(m + 3 * n for m, n in support)
+    return [scaled_coordinates({(m, n): 3 ** (w - m - 3 * n)})[0] for (m, n) in support]
+
+
+def recursion_subspace_vectors(ell: int, support, k: int) -> list[list[int]]:
+    """Nullspace vectors of the weight-below-k rows of `support_columns`."""
+    cols = support_columns(tuple(support))
+    ech = IntEchelon(len(cols))
+    for b, c in sorted({bc for col in cols for bc in col if 2 * bc[0] + 3 * bc[1] < k}):
+        ech.insert([col.get((b, c), 0) for col in cols])
+    return fraction_nullspace(ech)
+
+
+def s_columns(ell: int) -> list[dict]:
+    """3^w times the (T, A, B) coordinates of each F^(l-2m-3n) M^m N^n, all rows.
+
+    w is the largest m' + 3n' over the product's (m', n') keys, e + 3m + 6n.
+    """
+    F, M, N = (named_element(name) for name in "FMN")
+    products = [F ** (ell - 2 * m - 3 * n) * M**m * N**n for (m, n) in basis_of(ell)]
+    return [scaled_coordinates({key: int(c) for key, c in p.coeffs.items()})[0]
+            for p in products]
 
 
 # -- log layer (mpmath intervals) ----------------------------------------

@@ -195,6 +195,21 @@ def test_failed_run_writes_reproducer(tmp_path, monkeypatch, capsys, xi, rc, err
     }
 
 
+def _raise_value_error(*args, **kwargs):
+    raise ValueError("an internal fault, not a usage error")
+
+
+def test_unexpected_value_error_exits_1_with_reproducer(tmp_path, monkeypatch, capsys):
+    import xicube.lab as lab
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(lab, "lambda_hat_trace", _raise_value_error)
+    assert main(["run", "--xi", ROOT2, "--bound", "200"]) == 1
+    assert "an internal fault" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "xicube_reproducer.json").read_text())
+    assert payload["error"] == "ValueError" and payload["norm_bound"] == 200
+
+
 def test_passing_run_writes_no_reproducer(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--xi", ROOT2, "--bound", "200"]) == 0
@@ -217,6 +232,8 @@ def test_minpoints_json_bytes_are_pinned(tmp_path):
     (["ring-dims", "--lmax", "-1"], "--lmax"),
     (["ring-dims", "--s-lmax", "-1"], "--s-lmax"),
     (["special-family", "--ell", "0"], "ell"),
+    (["run", "--xi", "alg:x^4-2 in [2,3]", "--bound", "200"], "0 real roots"),
+    (["run", "--xi", "alg:x^4-2 in [a,2]", "--bound", "200"], "endpoint"),
 ])
 def test_value_out_of_range_is_usage_error(tmp_path, monkeypatch, capsys, argv, name):
     monkeypatch.chdir(tmp_path)

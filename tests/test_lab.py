@@ -6,7 +6,8 @@ import pytest
 
 from xicube import ExperimentConfig, Interval, SupportSet, run_experiment
 from xicube.errors import InvariantViolation
-from xicube.lab import dump_json, height_checks, lambda_hat_trace, lambda_hat_window_min
+from xicube.lab import (dump_json, height_checks, lambda_hat_trace, lambda_hat_window_min,
+                        write_atomically)
 from xicube.minimal import (MinimalPoint, PairRecord, build_pair_records,
                             independence_set, minimal_sequence)
 from xicube.realctx import AlgebraicXi, DecimalXi
@@ -227,3 +228,23 @@ def test_height_failure_dumps_reproducer(tmp_path, monkeypatch):
     with pytest.raises(InvariantViolation):
         lab.run_experiment(cfg)
     assert json.loads(repro.read_text())["heights"] == failing
+
+
+def _half_then_fail(fh):
+    fh.write("index,x0\n1,1\n")
+    raise RuntimeError("writer failed halfway")
+
+
+def test_failed_writer_leaves_no_file(tmp_path):
+    target = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError):
+        write_atomically(str(target), _half_then_fail, newline="")
+    with pytest.raises(TypeError):  # json.dump stops at the object after writing "a"
+        dump_json(str(tmp_path / "out.json"), {"a": 1, "b": object()})
+    assert list(tmp_path.iterdir()) == []
+    # a failed rewrite keeps the complete file that was there
+    dump_json(str(target), [1, 2])
+    with pytest.raises(RuntimeError):
+        write_atomically(str(target), _half_then_fail)
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "[\n  1,\n  2\n]\n"

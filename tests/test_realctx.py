@@ -16,6 +16,7 @@ from oracle import (_analyze_by_factoring, fraction_approx_error, fraction_delta
 import xicube
 from xicube import (PrecisionError, RealContext, approx_error, delta_of, parse_xi_spec,
                     realctx, sup_norm)
+from xicube.errors import UsageError
 from xicube.linalg import _lll
 from xicube.realctx import (DEFAULT_MAX_BITS, MAX_DEGREE, AlgebraicXi, DecimalXi, _eval_sign,
                             _root_cell)
@@ -39,9 +40,10 @@ def test_parse_specs():
     "x^4-2", "alg:x^4-2", "alg:x^4-2 in [2,1]", "dec:abc", "alg:x^0+1 in [0,1]",
     "alg:x^2-y in [0,1]", "alg:(x-1)*(x+1) in [0,2]", "alg:2x in [-1,1]",
     "alg:x^-1 in [0,1]", f"alg:x^{MAX_DEGREE + 1}-2 in [1,2]", "alg:x^4-2 in [1/0,2]",
+    "alg:x^4-2 in [a,2]",
 ])
 def test_parse_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(UsageError):
         parse_xi_spec(bad)
 
 

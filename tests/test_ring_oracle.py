@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xicube import search
+from xicube import ring, search
 from xicube.errors import InvariantViolation
 from xicube.ring import (RingElem, basis_of, j_subspace, j_valuation,
-                         named_element, rho, tab_coordinates)
-from xicube.search import s_subspace_dim, special_family
+                         named_element, rho, tab_columns, tab_coordinates)
+from xicube.search import _s_columns, s_subspace_dim, special_family
 
 
 @pytest.mark.parametrize("ell", range(11))
@@ -69,9 +69,60 @@ def test_rho_matches_substitution_engine():
 
 
 def test_closed_form_refuses_a_wrong_substitution(monkeypatch):
-    from xicube import ring
-
-    monkeypatch.setattr(ring, "_tab_cache", {})
+    monkeypatch.setattr(ring, "_certified", False)
     monkeypatch.setattr(ring, "rho", lambda p: p)  # an engine that never shifts q
     with pytest.raises(InvariantViolation):
         j_valuation(named_element("F"))
+
+
+def _below(columns, k):
+    return [{(b, c): v for (b, c), v in col.items() if 2 * b + 3 * c < k} for col in columns]
+
+
+@st.composite
+def supports_and_bounds(draw):
+    d = draw(st.integers(0, 40))
+    support = draw(st.lists(st.sampled_from(basis_of(d)), min_size=1, unique=True))
+    return support, draw(st.integers(-2, d + 3))
+
+
+@given(supports_and_bounds())
+def test_closed_form_columns_match_the_product_recursion(case):
+    support, k = case
+    assert tab_columns(support, k) == _below(oracle.support_columns(support), k)
+
+
+@st.composite
+def integer_elements(draw):
+    degree = draw(st.integers(0, 24))
+    coeffs = draw(st.dictionaries(st.sampled_from(basis_of(degree)),
+                                  st.integers(-10**6, 10**6), min_size=1))
+    return RingElem(degree, coeffs)
+
+
+@given(integer_elements())
+def test_tab_coordinates_match_the_product_recursion(elem):
+    assert tab_coordinates(elem) == oracle.tab_coordinates(elem)
+
+
+@pytest.mark.parametrize("ell", range(13))
+def test_s_columns_match_the_product_recursion(ell):
+    # the recursion scales F^e M^m N^n by 3^(e+3m+6n), the closed form by 3^(e+2m+3n)
+    want = _below(oracle.s_columns(ell), ell + 3)
+    got = [{bc: v * 3 ** (m + 3 * n) for bc, v in col.items()}
+           for (m, n), col in zip(basis_of(ell), _s_columns(ell, ell + 2))]
+    assert got == want
+
+
+def test_special_family_builds_no_row_of_weight_26_or_more(monkeypatch):
+    built = []
+
+    def recording(support, k):
+        columns = tab_columns(support, k)
+        built.extend(bc for col in columns for bc in col)
+        return columns
+
+    monkeypatch.setattr(ring, "tab_columns", recording)
+    special_family(4)
+    assert max(2 * b + 3 * c for b, c in built) == 25
+    assert len(set(built)) == 65  # every row of weight below 26 occurs
