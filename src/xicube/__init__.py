@@ -2,7 +2,7 @@
 
 from .errors import (DecompositionFailure, DependenceError, DimensionMismatch,
                      InvalidEll, InvariantViolation, NotInSpan, PrecisionError,
-                     Undecidable, XicubeError, ZeroElement)
+                     Undecidable, UsageError, XicubeError, ZeroElement)
 from .forms import (conjugate_point, coupling_form, cubic_form,
                     pair_discriminant, pair_values, trilinear_form)
 from .intervals import Interval
