@@ -2,28 +2,31 @@
 
 Subcommands: minpoints, ring-dims, find-relation, special-family,
 verify-identities, run.  Exit codes: 0 success with all requested suites
-passing, 1 invariant failure or any other error, 2 usage error (argparse
-uses this too) or dependent xi, 3 precision-ceiling abort.
+passing, 1 invariant failure or any other error, 2 usage error or dependent
+xi, 3 precision-ceiling abort.
 
-Each flag is declared once, in `_parser`, with its type and a default taken
-from the library object that uses it; ranges are checked where values are
-used, and a value out of range raises `UsageError`.  ``--config FILE`` holds
-``key = value`` lines (comments start with '#'), each read as the flag
-``--key=value`` placed before the explicit flags, so explicit flags win.
+Each flag is declared once, in the `_COMMANDS` table, with its converter,
+its help and a default taken from the library object that uses it.  `_parse`
+reads ``--name value`` or ``--name=value``, accepting a unique prefix of a
+name; ``-h``/``--help`` prints the table.  Ranges are checked where values
+are used, and a value out of range raises `UsageError`.  ``--config FILE``
+holds ``key = value`` lines (comments start with '#'), each read as the flag
+``--key=value`` placed before the explicit flags, so explicit flags win.  A
+library warning is printed as one ``warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import sys
+import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import (DependenceError, InvariantViolation, PrecisionError,
                      UsageError, XicubeError)
 from .identities import run_identity_suite
-from .lab import (ALL_SUITES, ExperimentConfig, dump_json, run_experiment,
-                  write_atomically)
+from .lab import ExperimentConfig, dump_json, run_experiment, write_atomically
 from .minimal import minimal_sequence
 from .realctx import DEFAULT_MAX_BITS, DEFAULT_PRECISION_BITS, RealContext
 # ring-dims reads j_subspace_dims and s_subspace_dims; j_subspace and
@@ -33,13 +36,6 @@ from .ring import j_subspace, j_subspace_dims, tau
 from .rigor import decimal
 from .search import (SupportSet, hp_decompose, maximal_j_element,
                      s_subspace_dim, s_subspace_dims, special_family)
-
-
-class _ConfigParser(argparse.ArgumentParser):
-    """The CLI parser for config flags: its errors raise UsageError."""
-
-    def error(self, message):
-        raise UsageError(f"config file: {message}")
 
 
 def _config_flags(path: str) -> list[str]:
@@ -70,8 +66,7 @@ def _support(text: str) -> tuple[tuple[int, int], ...]:
         try:
             m, n = map(int, chunk.split(","))
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"pair {chunk!r} is not of the form m,n") from None
+            raise UsageError(f"pair {chunk!r} is not of the form m,n") from None
         pairs.append((m, n))
     return tuple(pairs)
 
@@ -81,78 +76,16 @@ def _positive_rational(text: str) -> str:
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a rational number") from None
+        raise UsageError(f"{text!r} is not a rational number") from None
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        raise UsageError(f"must be positive, got {text}")
     return text
-
-
-def _add_xi_flags(sub):
-    sub.add_argument("--xi", help="dec:<digits> or 'alg:<poly> in [a,b]'")
-    sub.add_argument("--bound", type=int, help="sup-norm bound for the scan")
-    sub.add_argument("--precision", type=int, default=DEFAULT_PRECISION_BITS,
-                     help="base working precision in bits (default %(default)s)")
-    sub.add_argument("--max-bits", type=int, default=DEFAULT_MAX_BITS,
-                     help="precision-escalation ceiling in bits (default %(default)s)")
 
 
 def _require(args, *names):
     for name in names:
         if getattr(args, name) is None:
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
-
-
-def _parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
-    p = parser_class(prog="xicube",
-                     description="exact lab for approximation to (1, xi, xi^3)")
-    subs = p.add_subparsers(dest="command", required=True)
-
-    def subcommand(name, help):
-        sp = subs.add_parser(name, help=help)
-        sp.add_argument("--config", help="key = value file mirroring the flags")
-        return sp
-
-    sp = subcommand("minpoints", "compute the minimal-point sequence")
-    _add_xi_flags(sp)
-    sp.add_argument("--csv", help="write the sequence as CSV")
-    sp.add_argument("--json", help="write the sequence as JSON")
-
-    sp = subcommand("ring-dims", "verify the graded dimension tables")
-    sp.add_argument("--lmax", type=int, default=10,
-                    help="largest degree for the full ring (default %(default)s)")
-    sp.add_argument("--s-lmax", type=int, default=8,
-                    help="largest half-degree for the F,M,N subring (default %(default)s)")
-
-    sp = subcommand("find-relation", "maximal-valuation element on a support")
-    sp.add_argument("--degree", type=int, help="ring degree d")
-    sp.add_argument("--support", type=_support,
-                    help="semicolon-separated m,n pairs, e.g. '3,0;0,2'")
-    sp.add_argument("--json", help="write the search report as JSON")
-
-    sp = subcommand("special-family", "the distinguished one-dimensional family")
-    sp.add_argument("--ell", type=int, help="family parameter (>= 1)")
-    sp.add_argument("--json", help="write coefficients and certificates as JSON")
-
-    sp = subcommand("verify-identities", "run the exact identity suite")
-    sp.add_argument("--samples", type=int, default=200,
-                    help="random triples per identity (default %(default)s)")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed (default %(default)s)")
-
-    sp = subcommand("run", "full experiment: scan, suites, reports")
-    _add_xi_flags(sp)
-    defaults = ExperimentConfig._field_defaults
-    sp.add_argument("--epsilon", type=_positive_rational, default=defaults["epsilon"],
-                    help="rational epsilon for the pair inequality (default %(default)s)")
-    sp.add_argument("--suites", type=lambda text: tuple(text.split(",")),
-                    default=defaults["suites"],
-                    help=f"comma list from {','.join(ALL_SUITES)} (default all)")
-    sp.add_argument("--window", type=int, default=defaults["lambda_window"],
-                    help="trailing window for the exponent estimate (default %(default)s)")
-    sp.add_argument("--csv", help="write per-pair CSV")
-    sp.add_argument("--json", help="write the JSON summary")
-    sp.add_argument("--reproducer", default=defaults["reproducer_path"],
-                    help="path for the failure reproducer dump (default %(default)s)")
-    return p
 
 
 def _cmd_minpoints(args) -> int:
@@ -278,38 +211,138 @@ def _cmd_run(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "minpoints": _cmd_minpoints,
-    "ring-dims": _cmd_ring_dims,
-    "find-relation": _cmd_find_relation,
-    "special-family": _cmd_special_family,
-    "verify-identities": _cmd_verify_identities,
-    "run": _cmd_run,
+_XI_FLAGS = {
+    "xi": (str, None, "dec:<digits> or 'alg:<poly> in [a,b]'"),
+    "bound": (int, None, "sup-norm bound for the scan"),
+    "precision": (int, DEFAULT_PRECISION_BITS, "base working precision in bits"),
+    "max-bits": (int, DEFAULT_MAX_BITS, "precision-escalation ceiling in bits"),
 }
+_RUN = ExperimentConfig._field_defaults
+
+# command -> (function, help, {flag: (converter, default, help)}); every
+# command also takes --config, prepended below
+_COMMANDS = {
+    "minpoints": (_cmd_minpoints, "compute the minimal-point sequence", {
+        **_XI_FLAGS,
+        "csv": (str, None, "write the sequence as CSV"),
+        "json": (str, None, "write the sequence as JSON"),
+    }),
+    "ring-dims": (_cmd_ring_dims, "verify the graded dimension tables", {
+        "lmax": (int, 10, "largest degree for the full ring"),
+        "s-lmax": (int, 8, "largest half-degree for the F,M,N subring"),
+    }),
+    "find-relation": (_cmd_find_relation, "maximal-valuation element on a support", {
+        "degree": (int, None, "ring degree d"),
+        "support": (_support, None, "semicolon-separated m,n pairs, e.g. '3,0;0,2'"),
+        "json": (str, None, "write the search report as JSON"),
+    }),
+    "special-family": (_cmd_special_family, "the distinguished one-dimensional family", {
+        "ell": (int, None, "family parameter (>= 1)"),
+        "json": (str, None, "write coefficients and certificates as JSON"),
+    }),
+    "verify-identities": (_cmd_verify_identities, "run the exact identity suite", {
+        "samples": (int, 200, "random triples per identity"),
+        "seed": (int, 0, "RNG seed"),
+    }),
+    "run": (_cmd_run, "full experiment: scan, suites, reports", {
+        **_XI_FLAGS,
+        "epsilon": (_positive_rational, _RUN["epsilon"],
+                    "rational epsilon for the pair inequality"),
+        "suites": (lambda text: tuple(text.split(",")), _RUN["suites"],
+                   "comma list of suites"),
+        "window": (int, _RUN["lambda_window"], "trailing window for the exponent estimate"),
+        "csv": (str, None, "write per-pair CSV"),
+        "json": (str, None, "write the JSON summary"),
+        "reproducer": (str, _RUN["reproducer_path"], "path for the failure reproducer dump"),
+    }),
+}
+for _, _, _flags in _COMMANDS.values():
+    _flags["config"] = (str, None, "key = value file mirroring the flags")
+
+def _help(commands) -> str:
+    lines = ["xicube: exact lab for approximation to (1, xi, xi^3)"]
+    for command in commands:
+        _, about, flags = _COMMANDS[command]
+        lines.append(f"\nxicube {command}: {about}")
+        for flag, (_, default, about) in flags.items():
+            if default is not None:
+                shown = ",".join(default) if isinstance(default, tuple) else default
+                about += f" (default {shown})"
+            lines.append(f"  --{flag:<12} {about}")
+    return "\n".join(lines)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and its flag values read from argv.
+
+    ``-h``/``--help`` prints the flags and exits 0; anything else that is not
+    a known command followed by flags with their values raises `UsageError`.
+    """
+    if argv[:1] in (["-h"], ["--help"]):
+        print(_help(_COMMANDS))
+        raise SystemExit(0)
+    if not argv or argv[0] not in _COMMANDS:
+        raise UsageError(f"the command must be one of {', '.join(_COMMANDS)}"
+                         + (f", not {argv[0]!r}" if argv else ""))
+    command, flags = argv[0], _COMMANDS[argv[0]][2]
+    values = {flag: default for flag, (_, default, _) in flags.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_help([command]))
+            raise SystemExit(0)
+        name, eq, text = token.partition("=")
+        # no flag name is a prefix of another, so a full name matches only itself
+        matches = [flag for flag in flags if name.startswith("--") and flag.startswith(name[2:])]
+        if len(matches) != 1:
+            what = "ambiguous option" if matches else "unrecognized argument"
+            raise UsageError(f"{what} {token!r} for {command}")
+        flag = matches[0]
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise UsageError(f"argument --{flag}: expected one value")
+        try:
+            values[flag] = flags[flag][0](text)
+        except ValueError as exc:
+            raise UsageError(f"argument --{flag}: {exc}") from None
+    return SimpleNamespace(command=command,
+                           **{flag.replace("-", "_"): v for flag, v in values.items()})
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a usage error in argv itself exits through argparse."""
+    """Run one subcommand; a usage error in argv itself exits with SystemExit(2)."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parser().parse_args(argv)
     try:
-        if args.config:
-            at = argv.index(args.command) + 1
-            args = _parser(_ConfigParser).parse_args(
-                argv[:at] + _config_flags(args.config) + argv[at:])
-        return _COMMANDS[args.command](args)
-    except (UsageError, DependenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PrecisionError as exc:
-        print(f"precision ceiling: {exc}", file=sys.stderr)
-        return 3
-    except InvariantViolation as exc:
-        print(f"invariant FAILED: {exc}", file=sys.stderr)
-        return 1
-    except (XicubeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = _parse(argv)
+    except UsageError as exc:
+        print("usage: xicube <command> [--flag value | --flag=value]...; "
+              f"--help lists them\nerror: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
+    with warnings.catch_warnings():
+        # filters (such as -W) still apply; a shown warning is one line
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                          file=sys.stderr)
+        try:
+            if args.config:
+                flags = _config_flags(args.config)
+                try:
+                    args = _parse(argv[:1] + flags + argv[1:])
+                except UsageError as exc:
+                    raise UsageError(f"config file {args.config}: {exc}") from None
+            return _COMMANDS[args.command][0](args)
+        except (UsageError, DependenceError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except PrecisionError as exc:
+            print(f"precision ceiling: {exc}", file=sys.stderr)
+            return 3
+        except InvariantViolation as exc:
+            print(f"invariant FAILED: {exc}", file=sys.stderr)
+            return 1
+        except (XicubeError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import xicube
-from xicube.cli import _parser, main
+from xicube.cli import _COMMANDS, _parse, main
 from xicube.errors import Undecidable
 from xicube.lab import ExperimentConfig
 
@@ -179,6 +179,7 @@ def _raise_undecidable(*args, **kwargs):
     ("alg:x^3-2 in [1,2]", 2, "DependenceError"),
     (ROOT2, 1, "Undecidable"),
 ])
+@pytest.mark.filterwarnings("ignore:decimal xi spec")  # keeps stderr to the one error line
 def test_failed_run_writes_reproducer(tmp_path, monkeypatch, capsys, xi, rc, error):
     import xicube.lab as lab
 
@@ -345,19 +346,25 @@ def test_commands_do_not_import_mpmath(tmp_path):
         ["find-relation", "--degree", "6", "--support", "3,0;0,2"],
         ["verify-identities", "--samples", "5"],
         ["run", "--xi", ROOT2, "--bound", "2000"],
+        ["run", "--xi", PI60, "--bound", "2000"],
     ]
+    # the parser, gettext and the source-line display of warnings stay unloaded
+    unwanted = ["argparse", "gettext", "locale", "linecache", "tokenize"]
     code = ("import sys\nfrom xicube.cli import main\n"
             f"for argv in {argvs!r}:\n    assert main(argv) == 0, argv\n"
+            f"print([m for m in {unwanted!r} if m in sys.modules])\n"
             "print('mpmath' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(xicube.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
                          capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.splitlines()[-2] == "[]"
     assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_import_loads_no_heavy_modules(tmp_path):
-    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "mpmath", "sympy"]
+    heavy = ["dataclasses", "inspect", "ast", "dis", "tokenize", "mpmath", "sympy",
+             "argparse", "gettext", "locale", "linecache"]
     code = f"import sys, xicube.cli\nprint([m for m in {heavy!r} if m in sys.modules])\n"
     src = os.path.dirname(os.path.dirname(xicube.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -375,7 +382,58 @@ def test_run_defaults_are_the_config_defaults(capsys):
     for value in (cfg.precision_bits, cfg.max_bits, cfg.epsilon, cfg.lambda_window,
                   cfg.reproducer_path):
         assert f"(default {value})" in shown
-    args = _parser().parse_args(["run"])
+    args = _parse(["run"])
     assert (args.precision, args.max_bits, args.epsilon, args.suites, args.window,
             args.reproducer) == (cfg.precision_bits, cfg.max_bits, cfg.epsilon,
                                  cfg.suites, cfg.lambda_window, cfg.reproducer_path)
+
+
+def test_flag_forms_and_prefixes_parse_alike():
+    full = vars(_parse(["minpoints", "--xi", ROOT2, "--precision", "8", "--max-bits", "768"]))
+    assert full["precision"] == 8 and full["max_bits"] == 768
+    assert vars(_parse(["minpoints", f"--xi={ROOT2}", "--precision=8", "--max-bits=768"])) == full
+    assert vars(_parse(["minpoints", "--xi", ROOT2, "--prec", "8", "--max=768"])) == full
+    for _, _, flags in _COMMANDS.values():  # so a full name is never ambiguous
+        assert not [(a, b) for a in flags for b in flags if a != b and b.startswith(a)]
+
+
+def test_prefix_is_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "xicube.cfg"
+    cfg.write_text(f"xi = {ROOT2}\nbound = 200\nprec = 3\n")
+    assert main(["minpoints", "--config", str(cfg)]) == 2
+    from_config = capsys.readouterr().err
+    assert main(["minpoints", "--xi", ROOT2, "--bound", "200", "--prec", "3"]) == 2
+    assert capsys.readouterr().err == from_config
+    assert "precision" in from_config
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["verify-identities", "--s", "5"], "ambiguous option '--s'"),
+    (["run", "--xi", ROOT2, "--bogus", "1"], "'--bogus'"),
+    (["run", "--xi", ROOT2, "--bogus=1"], "'--bogus=1'"),
+    (["ring-dims", "--lmax"], "argument --lmax"),
+    (["ring-dims", "--lmax", "--s-lmax", "2"], "argument --lmax"),
+    (["ring-dims", "3"], "'3'"),
+])
+def test_bad_flags_exit_2_naming_the_token(capsys, argv, needle):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]] + [[name, "--help"] for name in _COMMANDS])
+def test_help_lists_every_flag_with_its_default(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for name in _COMMANDS if argv[0].startswith("-") else argv[:1]:
+        section = out.split(f"xicube {name}: ")[1].split("\n\n")[0]
+        lines = {line.split()[0]: line for line in section.splitlines()[1:]}
+        flags = _COMMANDS[name][2]
+        assert sorted(lines) == sorted(f"--{flag}" for flag in flags)
+        for flag, (_, default, _) in flags.items():
+            if default is not None:
+                shown = ",".join(default) if isinstance(default, tuple) else default
+                assert lines[f"--{flag}"].endswith(f"(default {shown})")
