@@ -1,8 +1,8 @@
 """Exact-arithmetic lab for simultaneous rational approximation to (1, xi, xi^3)."""
 
 from .errors import (DecompositionFailure, DependenceError, DimensionMismatch,
-                     InvalidEll, InvariantViolation, NotInSpan, PrecisionError,
-                     Undecidable, UsageError, XicubeError, ZeroElement)
+                     InvalidEll, InvariantViolation, NotInSpan, OutputError,
+                     PrecisionError, Undecidable, UsageError, XicubeError, ZeroElement)
 from .forms import (conjugate_point, coupling_form, cubic_form,
                     pair_discriminant, pair_values, trilinear_form)
 from .intervals import Interval

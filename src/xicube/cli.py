@@ -12,7 +12,9 @@ name; ``-h``/``--help`` prints the table.  Ranges are checked where values
 are used, and a value out of range raises `UsageError`.  ``--config FILE``
 holds ``key = value`` lines (comments start with '#'), each read as the flag
 ``--key=value`` placed before the explicit flags, so explicit flags win.  A
-library warning is printed as one ``warning: <message>`` line on stderr.
+library warning is printed as one ``warning: <message>`` line on stderr; one
+that a filter such as ``-W error`` raises exits 2 as ``error: <message>``.
+An output file that cannot be written exits 1 as ``error: cannot write ...``.
 """
 
 from __future__ import annotations
@@ -331,7 +333,7 @@ def main(argv=None) -> int:
                 except UsageError as exc:
                     raise UsageError(f"config file {args.config}: {exc}") from None
             return _COMMANDS[args.command][0](args)
-        except (UsageError, DependenceError) as exc:
+        except (UsageError, DependenceError, Warning) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except PrecisionError as exc:

@@ -33,6 +33,10 @@ class Undecidable(XicubeError):
     """An interval comparison stayed ambiguous at the precision ceiling."""
 
 
+class OutputError(XicubeError):
+    """A --csv, --json or reproducer file could not be written."""
+
+
 class UsageError(XicubeError, ValueError):
     """A malformed xi spec, config file or flag value; the CLI exits 2 on it."""
 

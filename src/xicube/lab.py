@@ -17,7 +17,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .constants import threshold_constants
-from .errors import InvariantViolation, Undecidable, UsageError, XicubeError
+from .errors import InvariantViolation, OutputError, Undecidable, UsageError, XicubeError
 from .intervals import Interval
 from .minimal import (MinimalPoint, PairRecord, build_pair_records,
                       independence_set, minimal_sequence, pair_checks)
@@ -156,19 +156,21 @@ class _LongInts:
 def write_atomically(path: str, write, newline=None):
     """Call write(fh) on a temporary file beside path, then rename it onto path.
 
-    A reader never sees a part-written file, and a write that fails
-    removes its temporary file and leaves path as it was.
+    A reader never sees a part-written file; a write that fails removes its
+    temporary file, leaves path as it was, and raises an OSError as OutputError.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with _LongInts(), open(tmp, "w", newline=newline) as fh:
             write(fh)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.remove(tmp)
         except OSError:
             pass
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
 
 
@@ -181,22 +183,26 @@ def dump_json(path: str, payload):
     write_atomically(path, write)
 
 
-def _positive_err(ctx: RealContext, point) -> Interval:
-    def probe(bits):
-        e = approx_error(point, ctx, bits)
-        return e if e.lo > 0 else None
+def positive_errors(ctx: RealContext, seq: list[MinimalPoint]) -> list[Interval]:
+    """Error enclosures, 0 < lo, of all points but the last: certified once for both monitors."""
+    def certified(point):
+        def probe(bits):
+            e = approx_error(point, ctx, bits)
+            return e if e.lo > 0 else None
 
-    return ctx.decide(probe, what=f"positive error enclosure at {point}")
+        return ctx.decide(probe, what=f"positive error enclosure at {point}")
+
+    return [certified(p.point) for p in seq[:-1]]
 
 
-def lambda_hat_trace(ctx: RealContext, seq: list[MinimalPoint]) -> list[dict]:
+def lambda_hat_trace(seq: list[MinimalPoint], errs: list[Interval]) -> list[dict]:
     """Empirical exponent enclosures log(1/L_i)/log X_{i+1} for i < len(seq)."""
     out = []
     for i in range(1, len(seq)):
         x_next = seq[i].norm
         if x_next < 2:
             continue
-        enclosure, mid = lambda_hat(_positive_err(ctx, seq[i - 1].point), x_next)
+        enclosure, mid = lambda_hat(errs[i - 1], x_next)
         out.append({"i": i, "lo": str(enclosure.lo), "hi": str(enclosure.hi),
                     "mid": mid})
     return out
@@ -216,7 +222,7 @@ def lambda_hat_window_min(trace: list[dict], window: int) -> dict:
 
 
 def height_checks(seq: list[MinimalPoint], records: list[PairRecord],
-                  ctx: RealContext) -> dict:
+                  errs: list[Interval]) -> dict:
     """Primitivity of consecutive cross products plus the bounded-ratio monitor.
 
     The ratio sup|x_i ^ x_j| / (X_j * L_i) has no effective constants in the
@@ -228,7 +234,7 @@ def height_checks(seq: list[MinimalPoint], records: list[PairRecord],
     )
     lo = hi = None
     for rec in records:
-        err = _positive_err(ctx, rec.x_i)
+        err = errs[rec.i - 1]
         num = sup_norm(cross(rec.x_i, rec.x_j))
         den_lo = rec.norm_j * err.lo
         den_hi = rec.norm_j * err.hi
@@ -297,8 +303,9 @@ def _experiment(cfg: ExperimentConfig) -> ExperimentReport:
     else:
         suites["divisibility"] = "SKIPPED"
 
+    errs = positive_errors(ctx, seq)
     if "heights" in cfg.suites:
-        heights = height_checks(seq, records, ctx)
+        heights = height_checks(seq, records, errs)
         if not (heights["cross_primitive_all"] and heights["cross_ratio_all"]):
             raise InvariantViolation("cross-product height check failed",
                                      _dump_reproducer(cfg, heights=heights))
@@ -329,7 +336,7 @@ def _experiment(cfg: ExperimentConfig) -> ExperimentReport:
         prop8 = [{"i": rec.i, "j": rec.j, "verdict": "skipped"} for rec in records]
         suites["prop8"] = "SKIPPED"
 
-    lam = lambda_hat_trace(ctx, seq)
+    lam = lambda_hat_trace(seq, errs)
     rho_seq = [{"i": a.index, "value": log_ratio(b.norm, a.norm)}
                for a, b in zip(seq, seq[1:]) if a.norm >= 2]
     q_ratio = [{"i": rec.i, "value": log_ratio(rec.q, rec.norm_ip1)}

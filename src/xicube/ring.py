@@ -30,9 +30,12 @@ coordinates of weight below k.  With T implicit, (3F)^m (27 G0)^n is
 
     (-1)^c C(n, c) [u^b] (4u - 1)^m (1 - 3u)^(n-c)
 
-is needed for b < (k - 3c)/2 only.  The truncated substitution engine and
-the product recursion for the coordinates are the references in
-tests/oracle.py.
+is needed for b < (k - 3c)/2 only.  One weight-ordered elimination of those
+rows (`dim_profile`) gives the dimensions for every k up to a bound, and the
+echelon form whose nullspace is the subspace at that bound; the F, M, N
+tables of `xicube.search` run it on far enough to prove their columns
+independent.  The truncated substitution engine and the product recursion
+for the coordinates are the references in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -356,49 +359,27 @@ def j_valuation(e: RingElem) -> int:
 
 # -- subspaces cut out by a J-valuation bound --------------------------------
 
-def _weight_rows(columns: list[dict]) -> list[tuple[int, list[int]]]:
-    """The rows (b, c) of integer (T, A, B) columns with their weights 2b + 3c.
-
-    Rows come in ascending weight, ties in key order, so the rows of weight
-    below any k form a prefix.
-    """
-    keys = sorted({bc for col in columns for bc in col},
-                  key=lambda bc: (2 * bc[0] + 3 * bc[1], bc))
-    return [(2 * b + 3 * c, [col.get((b, c), 0) for col in columns]) for b, c in keys]
-
-
-def _low_echelon(columns: list[dict], k: int) -> IntEchelon:
-    """Echelon form of the rows of weight below k: the prefix at k of `dim_profile`.
-
-    Its nullspace holds the combinations of the columns with J-valuation >= k.
-    The nullspace basis does not depend on the order the rows are inserted
-    in, since every echelon form of a row space has the same pivot columns
-    and the basis is normalised per free column.
-    """
-    ech = IntEchelon(len(columns))
-    for w, row in _weight_rows(columns):
-        if w >= k or ech.full_rank():
-            break
-        ech.insert(row)
-    return ech
-
-
-def dim_profile(columns: list[dict], kmax: int) -> list[int]:
+def dim_profile(columns: list[dict], kmax: int) -> tuple[list[int], IntEchelon]:
     """Nullity of the rows of weight below k, for every k = 0..kmax, in one pass.
 
     The rows go into a single echelon form in weight order; before the first
     row of weight w goes in, the rows of weight below every k <= w are in,
-    so the nullity `ncols - rank` then is the dimension for those k.
+    so the nullity `ncols - rank` then is the dimension for those k.  The
+    echelon form comes back too, spanning the rows of weight below kmax: its
+    nullspace holds the combinations of the columns with J-valuation >= kmax.
+    That basis does not depend on the order the rows are inserted in, since
+    every echelon form of a row space has the same pivot columns and the
+    basis is normalised per free column.
     """
     ech = IntEchelon(len(columns))
     dims: list[int] = []
-    for w, row in _weight_rows(columns):
+    for w, b, c in sorted({(2 * b + 3 * c, b, c) for col in columns for b, c in col}):
         while len(dims) <= min(w, kmax):
             dims.append(ech.ncols - ech.rank)
         if len(dims) > kmax or ech.full_rank():
             break
-        ech.insert(row)
-    return dims + [ech.ncols - ech.rank] * (kmax + 1 - len(dims))
+        ech.insert([col.get((b, c), 0) for col in columns])
+    return dims + [ech.ncols - ech.rank] * (kmax + 1 - len(dims)), ech
 
 
 def _subspace_vectors(ell: int, support, k: int) -> list[list[int]]:
@@ -406,7 +387,7 @@ def _subspace_vectors(ell: int, support, k: int) -> list[list[int]]:
 
     The coordinates leave the power of T implicit, so ell is not needed.
     """
-    return _low_echelon(tab_columns(support, k), k).nullspace()
+    return dim_profile(tab_columns(support, k), k)[1].nullspace()
 
 
 def j_subspace(ell: int, k: int) -> list[RingElem]:
@@ -428,7 +409,7 @@ def j_subspace_dims(ell: int) -> list[int]:
     """The dimensions of `j_subspace(ell, k)` for k = 0..ell+2, from one elimination."""
     if ell < 0:
         raise ValueError("ell must be >= 0")
-    return dim_profile(tab_columns(basis_of(ell), ell + 3), ell + 2)
+    return dim_profile(tab_columns(basis_of(ell), ell + 3), ell + 2)[0]
 
 
 def evaluate(e: RingElem, x: Vec3, y: Vec3):

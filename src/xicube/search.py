@@ -5,7 +5,10 @@ arbitrary monomial support, the distinguished one-dimensional family on the
 degree-(12l+2) triangle supports (valuation 6l+2) together with its parity
 certificate, and the dimension theory of the subring generated by F, M, N.
 Their J-valuation conditions are exact nullspaces of the (T, A, B)
-coordinates of weight below k, the route `xicube.ring` describes.
+coordinates of weight below k, the route `xicube.ring` describes.  The
+subring's products F^e M^m N^n are built on those coordinates, and their
+elimination proves them independent; only the H*P decomposition builds
+products on the (m, n) keys (`_fmn_product`).
 
 The inequality test of the exponent study is also here since it consumes
 the same pair data the searches predict divisibility for.
@@ -19,7 +22,7 @@ from math import comb, lcm
 
 from .errors import (DecompositionFailure, DimensionMismatch, InvalidEll,
                      InvariantViolation, UsageError)
-from .linalg import IntEchelon, solve_unique, vec_content
+from .linalg import solve_unique, vec_content
 from .minimal import PairRecord
 from .rigor import MID_PREC, decide_sign, evaluate, log_abs, mid_str, rational
 from .ring import (RingElem, _subspace_vectors, basis_of, dim_profile, mul_keyed,
@@ -59,7 +62,8 @@ def maximal_j_element(support: SupportSet) -> SearchResult:
     `unique` is False (no canonical single element exists then).
     """
     d, pairs = support.d, support.pairs
-    profile = dim_profile(tab_columns(pairs, d + 2), d + 1)
+    columns = tab_columns(pairs, d + 2)
+    profile = dim_profile(columns, d + 1)[0]
     if profile[d + 1] > 0:
         raise InvariantViolation("nonzero element with valuation beyond its degree",
                                  {"d": d, "support": pairs})
@@ -69,7 +73,7 @@ def maximal_j_element(support: SupportSet) -> SearchResult:
         mid = (lo + hi) // 2
         dims[mid] = profile[mid]
         lo, hi = (mid, hi) if dims[mid] > 0 else (lo, mid)
-    vectors = _subspace_vectors(d, pairs, lo)
+    vectors = dim_profile(columns, lo)[1].nullspace()
     basis = [RingElem(d, dict(zip(pairs, vec))) for vec in vectors]
     return SearchResult(lo, basis, dims)
 
@@ -118,7 +122,7 @@ _fmn_cache: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
 
 
 def _fmn_product(e: int, m: int, n: int) -> dict[tuple[int, int], int]:
-    """F^e M^m N^n on the (m, n) keys, one generator times a cached shorter product."""
+    """F^e M^m N^n on the (m, n) keys for `hp_decompose`, one factor times a cached product."""
     key = (e, m, n)
     hit = _fmn_cache.get(key)
     if hit is None:
@@ -137,17 +141,9 @@ def _fmn_product(e: int, m: int, n: int) -> dict[tuple[int, int], int]:
 def _s_columns(ell: int, top: int) -> list[dict[tuple[int, int], int]]:
     """Integer (T, A, B) columns (3F)^(l-2m-3n) (9M)^m (27N)^n, rows of weight <= top.
 
-    The products are checked linearly independent first.  Each product is
-    cut at weight top, where its rows need only those of its factors; a
-    column's own power of 3 changes no rank.
+    Each product is cut at weight top, where its rows need only those of its
+    factors; a column's own power of 3 changes no rank.
     """
-    basis = basis_of(ell)
-    cols = [_fmn_product(ell - 2 * m - 3 * n, m, n) for (m, n) in basis]
-    indep = IntEchelon(len(cols))
-    for mk in sorted({mk for col in cols for mk in col}):
-        indep.insert([col.get(mk, 0) for col in cols])
-    if not indep.full_rank():
-        raise InvariantViolation("subspace columns are linearly dependent", {})
     powers = []
     for i, name in enumerate("FMN", 1):
         form = {bc: int(v * 3**i) for bc, v in tab_coordinates(named_element(name)).items()}
@@ -156,22 +152,31 @@ def _s_columns(ell: int, top: int) -> list[dict[tuple[int, int], int]]:
             powers[-1].append(mul_keyed(powers[-1][-1], form, top))
     f, m3, n3 = powers
     return [mul_keyed(mul_keyed(f[ell - 2 * m - 3 * n], m3[m], top), n3[n], top)
-            for m, n in basis]
+            for m, n in basis_of(ell)]
 
 
 def _s_profile(two_ell: int, kmax: int) -> list[int]:
+    """The table row to kmax, run on to l+2, where full rank proves the products independent.
+
+    The (T, A, B) coordinates are an injective image of the degree-2l
+    elements, and the dimension formula puts full rank at l+2.
+    """
     if two_ell < 0 or two_ell % 2:
         raise ValueError("degree must be even and >= 0")
     ell = two_ell // 2
-    return dim_profile(_s_columns(ell, max(kmax, ell + 2)), kmax)
+    top = max(kmax, ell + 2)
+    dims = dim_profile(_s_columns(ell, top), top)[0]
+    if dims[ell + 2]:
+        raise InvariantViolation("subspace columns are linearly dependent", {})
+    return dims[:kmax + 1]
 
 
 def s_subspace_dim(two_ell: int, k: int) -> int:
     """dim of the degree-2l part of Q[F,M,N] meeting J^(k).
 
-    Columns are the products F^(l-2m-3n) M^m N^n, checked linearly
-    independent; the computation is the same honest elimination as for the
-    full ring, on their (T, A, B) coordinates.
+    Columns are the products F^(l-2m-3n) M^m N^n; the computation is the
+    same honest elimination as for the full ring, on their (T, A, B)
+    coordinates, and that elimination also certifies them independent.
     """
     k = max(k, 0)
     return _s_profile(two_ell, k)[k]

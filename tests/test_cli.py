@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -209,6 +210,42 @@ def test_unexpected_value_error_exits_1_with_reproducer(tmp_path, monkeypatch, c
     assert "an internal fault" in capsys.readouterr().err
     payload = json.loads((tmp_path / "xicube_reproducer.json").read_text())
     assert payload["error"] == "ValueError" and payload["norm_bound"] == 200
+
+
+@pytest.mark.parametrize("command", ["run", "minpoints"])
+@pytest.mark.parametrize("flag", ["--csv", "--json"])
+def test_unwritable_output_exits_1_on_one_line(tmp_path, monkeypatch, capsys, command, flag):
+    monkeypatch.chdir(tmp_path)
+    target = tmp_path / "missing" / "out"
+    assert main([command, "--xi", ROOT2, "--bound", "200", flag, str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    written = sorted(path.name for path in tmp_path.iterdir())
+    if command == "run":  # an output error is not a usage error: it leaves a reproducer
+        assert written == ["xicube_reproducer.json"]
+        payload = json.loads((tmp_path / "xicube_reproducer.json").read_text())
+        assert payload["error"] == "OutputError" and payload["message"] == err[7:-1]
+    else:
+        assert written == []
+
+
+@pytest.mark.filterwarnings("ignore:decimal xi spec")
+def test_unwritable_reproducer_exits_1_on_one_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "r.json"
+    assert main(["run", "--xi", "dec:2.5", "--bound", "2700", "--reproducer", str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "minpoints"])
+def test_warning_raised_as_error_exits_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--xi", "dec:3.14159265358979", "--bound", "300"]) == 2
+    assert capsys.readouterr().err == ("error: decimal xi spec: linear independence of "
+                                       "1, xi, xi^3 is assumed, not proved\n")
+    assert list(tmp_path.iterdir()) == []  # no reproducer
 
 
 def test_passing_run_writes_no_reproducer(tmp_path, monkeypatch):

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from xicube import search
+from xicube.errors import InvariantViolation
 from xicube.linalg import IntEchelon
-from xicube.ring import (RingElem, _low_echelon, basis_of, dim_profile,
-                         j_subspace, j_subspace_dims, named_element, tau)
-from xicube.search import _fmn_product, s_subspace_dim, s_subspace_dims
+from xicube.ring import (RingElem, _subspace_vectors, basis_of, dim_profile,
+                         j_subspace, j_subspace_dims, named_element, tab_columns, tau)
+from xicube.search import (SupportSet, _fmn_product, maximal_j_element, s_subspace_dim,
+                           s_subspace_dims)
 
 
 def _formula(ell: int) -> list[int]:
@@ -77,9 +80,52 @@ def _lexicographic_nullspace(columns, k):
 @given(integer_columns())
 def test_weight_order_keeps_the_lexicographic_nullspace(columns):
     kmax = 2 * 4 + 3 * 3 + 1
-    profile = dim_profile(columns, kmax)
+    profile, _ = dim_profile(columns, kmax)
     assert len(profile) == kmax + 1
     for k in range(kmax + 1):
-        vectors = _low_echelon(columns, k).nullspace()
+        prefix, echelon = dim_profile(columns, k)
+        vectors = echelon.nullspace()
         assert vectors == _lexicographic_nullspace(columns, k), k
-        assert profile[k] == len(vectors), k
+        assert profile[k] == len(vectors) and prefix == profile[:k + 1], k
+
+
+@st.composite
+def supports_and_bounds(draw):
+    d = draw(st.integers(0, 14))
+    support = draw(st.lists(st.sampled_from(basis_of(d)), min_size=1, unique=True))
+    return d, support, draw(st.integers(0, d + 1))
+
+
+@given(supports_and_bounds())
+def test_prefix_of_wider_columns_keeps_the_nullspace(case):
+    # maximal_j_element reads its basis off the columns built for its profile
+    d, support, k = case
+    assert dim_profile(tab_columns(support, d + 2), k)[1].nullspace() == \
+        _subspace_vectors(d, support, k)
+
+
+def test_maximal_j_element_builds_its_columns_once(monkeypatch):
+    calls = []
+
+    def counting(support, k):
+        calls.append(k)
+        return tab_columns(support, k)
+
+    monkeypatch.setattr(search, "tab_columns", counting)
+    result = maximal_j_element(SupportSet(9, tuple(named_element("D6").coeffs)))
+    assert (result.k_max, len(result.basis), calls) == (6, 1, [11])
+
+
+@pytest.mark.parametrize("ell", [2, 5])
+def test_dependent_s_columns_raise(ell, monkeypatch):
+    s_columns = search._s_columns
+
+    def doubled(ell, top):
+        columns = s_columns(ell, top)
+        return [columns[0]] + columns[:-1]  # the first product twice
+
+    assert s_subspace_dims(2 * ell) == _formula(ell)
+    monkeypatch.setattr(search, "_s_columns", doubled)
+    for check in (lambda: s_subspace_dims(2 * ell), lambda: s_subspace_dim(2 * ell, 0)):
+        with pytest.raises(InvariantViolation, match="linearly dependent"):
+            check()

@@ -7,7 +7,7 @@ import pytest
 from xicube import ExperimentConfig, Interval, SupportSet, run_experiment
 from xicube.errors import InvariantViolation
 from xicube.lab import (dump_json, height_checks, lambda_hat_trace, lambda_hat_window_min,
-                        write_atomically)
+                        positive_errors, write_atomically)
 from xicube.minimal import (MinimalPoint, PairRecord, build_pair_records,
                             independence_set, minimal_sequence)
 from xicube.realctx import AlgebraicXi, DecimalXi
@@ -78,22 +78,40 @@ def test_estimate_on_synthetic_half_power():
 
 def test_dirichlet_floor(ctx_root2):
     seq = minimal_sequence(ctx_root2, 100_000)
-    est = lambda_hat_window_min(lambda_hat_trace(ctx_root2, seq), 8)
+    est = lambda_hat_window_min(lambda_hat_trace(seq, positive_errors(ctx_root2, seq)), 8)
     assert Fraction(est["lo"]) >= Fraction(1, 3) - Fraction(5, 100)
 
 
 def test_lambda_trace_fields(ctx_root2):
     seq = minimal_sequence(ctx_root2, 5000)
-    trace = lambda_hat_trace(ctx_root2, seq)
+    trace = lambda_hat_trace(seq, positive_errors(ctx_root2, seq))
     assert [e["i"] for e in trace] == list(range(1, len(seq)))
     for e in trace:
         assert Fraction(e["lo"]) <= Fraction(e["hi"])
 
 
+def test_monitors_certify_each_error_once(monkeypatch):
+    from xicube import lab
+
+    certified = []
+    approx_error = lab.approx_error
+
+    def counting(point, ctx, bits=None):
+        certified.append(point)
+        return approx_error(point, ctx, bits)
+
+    monkeypatch.setattr(lab, "approx_error", counting)
+    report = run_experiment(ExperimentConfig(xi=ROOT2, norm_bound=16_000))
+    # one call per point but the last, read by lambda_hat and the height
+    # ratio alike; a second certification per pair would add len(records)
+    assert len(report.records) == 7
+    assert certified == [p.point for p in report.sequence[:-1]]
+
+
 def test_height_checks(ctx_root2):
     seq = minimal_sequence(ctx_root2, 20_000)
     records = build_pair_records(seq, independence_set(seq))
-    out = height_checks(seq, records, ctx_root2)
+    out = height_checks(seq, records, positive_errors(ctx_root2, seq))
     assert out["cross_primitive_all"] and out["cross_ratio_all"]
     assert float(out["ratio_min"]) > 0
 
@@ -222,7 +240,7 @@ def test_height_failure_dumps_reproducer(tmp_path, monkeypatch):
 
     failing = {"cross_primitive_all": True, "cross_ratio_all": False,
                "ratio_min": "", "ratio_max": ""}
-    monkeypatch.setattr(lab, "height_checks", lambda seq, records, ctx: failing)
+    monkeypatch.setattr(lab, "height_checks", lambda seq, records, errs: failing)
     repro = tmp_path / "repro.json"
     cfg = ExperimentConfig(xi=ROOT2, norm_bound=2000, reproducer_path=str(repro))
     with pytest.raises(InvariantViolation):
