@@ -334,17 +334,19 @@ def main(argv=None) -> int:
                     raise UsageError(f"config file {args.config}: {exc}") from None
             return _COMMANDS[args.command][0](args)
         except (UsageError, DependenceError, Warning) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _report(2, "error", exc)
         except PrecisionError as exc:
-            print(f"precision ceiling: {exc}", file=sys.stderr)
-            return 3
+            return _report(3, "precision ceiling", exc)
         except InvariantViolation as exc:
-            print(f"invariant FAILED: {exc}", file=sys.stderr)
-            return 1
+            return _report(1, "invariant FAILED", exc)
         except (XicubeError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _report(1, "error", exc)
+
+
+def _report(rc: int, label: str, exc: Exception) -> int:
+    """Print the error's line, then each of its notes on a line of its own; return rc."""
+    print(f"{label}: {exc}", *getattr(exc, "__notes__", ()), sep="\n", file=sys.stderr)
+    return rc
 
 
 if __name__ == "__main__":

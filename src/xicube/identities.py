@@ -67,7 +67,7 @@ def _rand_vec(rng: random.Random):
 def sampled_checks(samples: int, seed: int) -> list[tuple[str, bool]]:
     rng = random.Random(seed)
     ok_sym = ok_pol = ok_lin = ok_psi = ok_g = ok_cross = ok_eval = True
-    F = named_element("F")
+    F = expand(named_element("F"))  # once, for every sample
     for _ in range(samples):
         x, y, z = _rand_vec(rng), _rand_vec(rng), _rand_vec(rng)
         a, b = rng.randint(-50, 50), rng.randint(-50, 50)

@@ -249,8 +249,13 @@ def height_checks(seq: list[MinimalPoint], records: list[PairRecord],
     }
 
 
-def _dump_reproducer(cfg: ExperimentConfig, **failure) -> dict:
-    """Write the run's settings and what failed to cfg.reproducer_path."""
+def _dump_reproducer(cfg: ExperimentConfig, exc: Exception, **failure) -> dict:
+    """Write the run's settings and what failed to cfg.reproducer_path.
+
+    A reproducer that cannot be written does not replace the failure it
+    records: exc keeps its class and message and gains a note (the CLI
+    prints each note on a line of its own).
+    """
     payload = {
         "xi": cfg.xi,
         "norm_bound": cfg.norm_bound,
@@ -258,7 +263,10 @@ def _dump_reproducer(cfg: ExperimentConfig, **failure) -> dict:
         "max_bits": cfg.max_bits,
         **failure,
     }
-    dump_json(cfg.reproducer_path, payload)
+    try:
+        dump_json(cfg.reproducer_path, payload)
+    except OutputError as unwritten:
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), f"no reproducer: {unwritten}"]
     return payload
 
 
@@ -275,7 +283,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     except (UsageError, InvariantViolation):
         raise
     except (XicubeError, ValueError) as exc:
-        _dump_reproducer(cfg, error=type(exc).__name__, message=str(exc))
+        _dump_reproducer(cfg, exc, error=type(exc).__name__, message=str(exc))
         raise
 
 
@@ -291,14 +299,13 @@ def _experiment(cfg: ExperimentConfig) -> ExperimentReport:
         for rec, chk in zip(records, checks):
             failed = sorted(name for name, ok in chk.items() if not ok)
             if failed:
-                payload = _dump_reproducer(cfg, pair={
+                exc = InvariantViolation(
+                    f"exact invariant failed on pair ({rec.i},{rec.j}): {failed}")
+                exc.reproducer = _dump_reproducer(cfg, exc, pair={
                     "i": rec.i, "j": rec.j,
                     "x_i": list(rec.x_i), "x_ip1": list(rec.x_ip1), "x_j": list(rec.x_j),
                 }, failed_checks=failed)
-                raise InvariantViolation(
-                    f"exact invariant failed on pair ({rec.i},{rec.j}): {failed}",
-                    payload,
-                )
+                raise exc
         suites["divisibility"] = "PASS"
     else:
         suites["divisibility"] = "SKIPPED"
@@ -307,8 +314,9 @@ def _experiment(cfg: ExperimentConfig) -> ExperimentReport:
     if "heights" in cfg.suites:
         heights = height_checks(seq, records, errs)
         if not (heights["cross_primitive_all"] and heights["cross_ratio_all"]):
-            raise InvariantViolation("cross-product height check failed",
-                                     _dump_reproducer(cfg, heights=heights))
+            exc = InvariantViolation("cross-product height check failed")
+            exc.reproducer = _dump_reproducer(cfg, exc, heights=heights)
+            raise exc
         suites["heights"] = "PASS"
     else:
         heights = {}

@@ -5,11 +5,14 @@ package.  Elimination and back-substitution both run on integers: rows are
 reduced by cross-multiplication (by the pivot pair over its gcd) with content
 reduction, and each pivot is solved for after scaling the partial vector just
 enough for the division to be exact (fraction-free, in the manner of
-Bareiss).  The one linear solve, `solve_unique`, is the nullspace of the
-augmented system, so rationals appear only where its input denominators are
-cleared and its solution is returned.  All outputs are deterministic: rows
-are processed in the order given, free columns ascend, and each basis vector
-is primitive with its first nonzero entry positive.
+Bareiss).  A stored row is zero before its pivot, so a reduction whose
+multiplier of the incoming row is 1 rewrites only the entries from the pivot
+on.  The one linear solve, `solve_unique`, is the nullspace of the augmented
+system: it eliminates rows only until every unknown has a pivot, then checks
+each remaining row exactly against the one nullspace vector, so rationals
+appear only in its input and its solution.  All outputs are deterministic:
+rows are processed in the order given, free columns ascend, and each basis
+vector is primitive with its first nonzero entry positive.
 
 `_lll`, integral LLL in Cohen's d/lambda form, is the one lattice reduction
 of the minimal-point search and of the independence certificate of `realctx`.
@@ -43,11 +46,15 @@ class IntEchelon:
         r = list(row)
         assert len(r) == self.ncols
         for pc, prow in self.rows:
-            if r[pc]:
-                a, b = prow[pc], r[pc]
+            b = r[pc]
+            if b:
+                a = prow[pc]
                 g = gcd(a, b)
                 a, b = a // g, b // g
-                r = [x * a - y * b for x, y in zip(r, prow)]
+                if a == 1:  # prow is 0 before pc, so r keeps its head
+                    r[pc:] = [x - y * b for x, y in zip(r[pc:], prow[pc:])]
+                else:
+                    r = [x * a - y * b for x, y in zip(r, prow)]
         pivot = next((c for c, v in enumerate(r) if v), None)
         if pivot is None:
             return False
@@ -98,26 +105,35 @@ class IntEchelon:
 
 
 def solve_unique(rows, rhs) -> list[Fraction] | None:
-    """Solve A*x = rhs exactly when the solution is unique.
+    """Solve A*x = rhs exactly when the solution is unique; entries int or Fraction.
 
     Returns None when the system is inconsistent; raises ValueError when the
     solution space has positive dimension.  The augmented rows [A | rhs],
-    cleared of denominators, go through IntEchelon: a pivot in the last
-    column means inconsistency, and otherwise the one nullspace vector v
-    gives x = -v[:n] / v[n].
+    each cleared of its denominators, go through IntEchelon until its n
+    pivots are all unknown columns: a pivot in the last column first means
+    inconsistency, and otherwise the one nullspace vector v gives
+    x = -v[:n] / v[n].  Each row left over must then vanish on v exactly.
     """
-    system = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    system = [[*row, b] for row, b in zip(rows, rhs)]
     n = len(system[0]) - 1 if system else 0
     ech = IntEchelon(n + 1)
-    for row in system:
-        den = lcm(*(v.denominator for v in row))
-        ech.insert([v.numerator * (den // v.denominator) for v in row])
-    if any(pc == n for pc, _ in ech.rows):
-        return None
+    used = 0
+    while ech.rank < n and used < len(system):
+        if ech.insert(_cleared(system[used])) and ech.rows[-1][0] == n:
+            return None
+        used += 1
     if ech.rank < n:
         raise ValueError("solution is not unique")
     (v,) = ech.nullspace()
+    if any(sum(map(mul, _cleared(row), v)) for row in system[used:]):
+        return None
     return [Fraction(-x, v[n]) for x in v[:n]]
+
+
+def _cleared(row) -> list[int]:
+    """An int or Fraction row times the lcm of its denominators."""
+    den = lcm(*(v.denominator for v in row))
+    return [v.numerator * (den // v.denominator) for v in row]
 
 
 def _lll(b: list[list[int]], h: list[list[int]] | None = None):

@@ -412,11 +412,18 @@ def j_subspace_dims(ell: int) -> list[int]:
     return dim_profile(tab_columns(basis_of(ell), ell + 3), ell + 2)[0]
 
 
-def evaluate(e: RingElem, x: Vec3, y: Vec3):
-    """Substitute the four pair values of (x, y) into the expanded element."""
+def evaluate(e: RingElem | ExpandedPoly, x: Vec3, y: Vec3):
+    """Substitute the four pair values of (x, y) into an element or its expansion.
+
+    The terms are summed as integers over the lcm of the coefficients'
+    denominators; the value is an int when it is integral, else a Fraction.
+    """
     s, t, u, v = pair_values(x, y)
-    acc = Fraction(0)
-    for (eq, a, b, c, d), coeff in expand(e).items():
+    poly = expand(e) if isinstance(e, RingElem) else e
+    den = lcm(*(coeff.denominator for coeff in poly.values()))
+    acc = 0
+    for (eq, a, b, c, d), coeff in poly.items():
         assert eq == 0
-        acc += coeff * prod((s**a, t**b, u**c, v**d))
-    return int(acc) if acc.denominator == 1 else acc
+        acc += coeff.numerator * (den // coeff.denominator) * prod((s**a, t**b, u**c, v**d))
+    q, rem = divmod(acc, den)
+    return Fraction(acc, den) if rem else q

@@ -86,7 +86,7 @@ def special_support(ell: int) -> SupportSet:
     pairs = [
         (m, n)
         for (m, n) in basis_of(d)
-        if Fraction(m, 6 * ell + 1) + Fraction(n, 3 * ell) >= 1
+        if 3 * ell * m + (6 * ell + 1) * n >= 3 * ell * (6 * ell + 1)  # m/(6l+1) + n/(3l) >= 1
     ]
     return SupportSet(d, tuple(pairs))
 

@@ -6,7 +6,9 @@ takes J-valuations and J-subspaces from the q-coefficients of the image.
 The package's (T, A, B) route must agree with it.
 
 Linear-algebra oracle: back-substitution and Gauss-Jordan in Fractions,
-the exact rational routes that `xicube.linalg` replaced by integer ones.
+the exact rational routes that `xicube.linalg` replaced by integer ones,
+and the echelon insertion that updates the whole row on every reduction,
+which `IntEchelon.insert` replaced by a tail update where it can.
 
 Log-layer oracle: `xicube.rigor` on private mpmath interval contexts, one
 per precision (`mpf_log` for the logs, `libmp.to_str` for the decimals),
@@ -263,6 +265,30 @@ def bisect_cell(coeffs, sign_lo, lo: Fraction, hi: Fraction, width_bound: Fracti
         else:
             hi = mid
     return lo, hi
+
+
+def full_row_echelon(rows) -> list[tuple[int, list[int]]]:
+    """The (pivot, row) list of `IntEchelon` when every reduction rewrites the whole row."""
+    stored: list[tuple[int, list[int]]] = []
+    for row in rows:
+        r = list(row)
+        for pc, prow in stored:
+            if r[pc]:
+                g = gcd(prow[pc], r[pc])
+                a, b = prow[pc] // g, r[pc] // g
+                r = [x * a - y * b for x, y in zip(r, prow)]
+        pivot = next((c for c, v in enumerate(r) if v), None)
+        if pivot is None:
+            continue
+        g = 0
+        for v in r:
+            g = gcd(g, v)
+        r = [v // g for v in r]
+        if r[pivot] < 0:
+            r = [-v for v in r]
+        stored.append((pivot, r))
+        stored.sort(key=lambda item: item[0])
+    return stored
 
 
 def fraction_nullspace(ech: IntEchelon) -> list[list[int]]:

@@ -230,11 +230,16 @@ def test_unwritable_output_exits_1_on_one_line(tmp_path, monkeypatch, capsys, co
 
 
 @pytest.mark.filterwarnings("ignore:decimal xi spec")
-def test_unwritable_reproducer_exits_1_on_one_line(tmp_path, capsys):
+def test_unwritable_reproducer_keeps_the_run_error(tmp_path, capsys):
+    argv = ["run", "--xi", "dec:2.5", "--bound", "2700", "--reproducer"]
+    assert main(argv + [str(tmp_path / "r.json")]) == 3
+    own = capsys.readouterr().err
+    assert own.startswith("precision ceiling: ") and own.count("\n") == 1
     target = tmp_path / "missing" / "r.json"
-    assert main(["run", "--xi", "dec:2.5", "--bound", "2700", "--reproducer", str(target)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert main(argv + [str(target)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[0] + "\n" == own
+    assert lines[1].startswith(f"no reproducer: cannot write {target}: ")
 
 
 @pytest.mark.parametrize("command", ["run", "minpoints"])

@@ -235,6 +235,19 @@ def test_failure_dumps_reproducer(tmp_path, monkeypatch):
     assert payload["xi"] == ROOT2 and "pair" in payload
 
 
+def test_unwritten_reproducer_leaves_the_failure_its_own(tmp_path, monkeypatch):
+    from xicube import lab
+
+    monkeypatch.setattr(lab, "pair_checks", lambda rec: {"q2_divides_a": False})
+    target = tmp_path / "missing" / "repro.json"
+    cfg = ExperimentConfig(xi=ROOT2, norm_bound=2000, reproducer_path=str(target))
+    with pytest.raises(InvariantViolation, match="exact invariant failed") as info:
+        lab.run_experiment(cfg)
+    assert info.value.reproducer["failed_checks"] == ["q2_divides_a"]
+    (note,) = info.value.__notes__
+    assert note.startswith(f"no reproducer: cannot write {target}: ")
+
+
 def test_height_failure_dumps_reproducer(tmp_path, monkeypatch):
     from xicube import lab
 

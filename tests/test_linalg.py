@@ -49,6 +49,13 @@ def _echelon(ncols, rows) -> IntEchelon:
 
 
 @given(matrices())
+@example((3, [[1, 2, 3], [0, 3, 5], [3, 8, 1]]))  # reductions with ratio 1 and not
+def test_tail_update_stores_the_full_row_echelon(matrix):
+    ncols, rows = matrix
+    assert _echelon(ncols, rows).rows == oracle.full_row_echelon(rows)
+
+
+@given(matrices())
 @example((3, [[0, 0, 0], [2, 4, 6], [2, 4, 6]]))
 @example((4, [[-BIG, 1, 0, BIG - 1], [3, 0, -BIG, 5]]))
 def test_nullspace_matches_fraction_back_substitution(matrix):
@@ -105,6 +112,13 @@ def test_solve_unique_matches_gauss_jordan(system):
     ([[0, 0]], [1], None),
     ([[1, 1], [2, 2]], [1, 2], ValueError),
     ([[0, 0]], [0], ValueError),
+    # inconsistent only in a row after the n independent ones
+    ([[1, 0], [0, 1], [1, 1]], [1, 1, 3], None),
+    # tall and consistent, its last two rows checked against the solution
+    ([[Fraction(1, 2), 1], [1, Fraction(-1, 3)], [Fraction(3, 2), Fraction(2, 3)],
+      [0, Fraction(1, 5)]], [-2, 3, 1, Fraction(-3, 5)], [2, -3]),
+    # a pivot in the rhs column at rank 1: inconsistent, though also rank deficient
+    ([[1, 0, 0], [1, 0, 0], [0, 1, 0]], [1, 2, 0], None),
 ])
 def test_solve_unique_cases(rows, rhs, want):
     for solve in (solve_unique, oracle.solve_unique):

@@ -7,7 +7,7 @@ from oracle import count_lattice_points
 from xicube import (RingElem, ZeroElement, basis_of, evaluate, expand,
                     j_subspace, j_valuation, named_element, parse_elem, rho,
                     tau)
-from xicube.forms import cubic_form, pair_discriminant
+from xicube.forms import cubic_form, pair_discriminant, pair_values
 from xicube.ring import mul_expanded
 
 
@@ -157,6 +157,31 @@ def test_evaluate_examples():
         s, v = cubic_form(x), cubic_form(y)
         assert evaluate(D2, x, y) == pair_discriminant(x, y) ** 3 + 27 * (s * s * v) ** 2
         assert evaluate(T, x, x) == 3 * cubic_form(x)
+
+
+def _substituted(e, x, y) -> Fraction:
+    """e at the pair values of (x, y) in Fractions, on T, F = T^2 - 4SU and G0 = S^2 V."""
+    s, t, u, v = pair_values(x, y)
+    f, g0 = Fraction(t * t - 4 * s * u), Fraction(s * s * v)
+    return sum((c * t ** (e.degree - 2 * m - 3 * n) * f**m * g0**n
+                for (m, n), c in e.coeffs.items()), Fraction(0))
+
+
+def test_evaluate_with_non_integral_coefficients():
+    rng = random.Random(5)
+    elems = [named_element("A"), named_element("B"), RingElem(4, {})]
+    for _ in range(30):
+        ell = rng.randint(0, 9)
+        elems.append(RingElem(ell, {key: Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                                    for key in basis_of(ell) if rng.random() < 0.7}))
+    for e in elems:
+        for _ in range(6):
+            x = tuple(rng.randint(-20, 20) for _ in range(3))
+            y = tuple(rng.randint(-20, 20) for _ in range(3))
+            want = _substituted(e, x, y)
+            got = evaluate(e, x, y)
+            assert got == want and evaluate(expand(e), x, y) == got
+            assert type(got) is (int if want.denominator == 1 else Fraction)
 
 
 def test_serialization_roundtrip():
