@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import sys
 from collections import namedtuple
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from .intervals import Interval
 from .minimal import (MinimalPoint, PairRecord, build_pair_records,
                       independence_set, minimal_sequence, pair_checks)
 from .realctx import (DEFAULT_MAX_BITS, DEFAULT_PRECISION_BITS, RealContext,
-                      approx_error)
+                      _LongInts, approx_error)
 from .rigor import decimal, lambda_hat, log_ratio
 from .search import prop8_inequality
 from .vectors import content, cross, sup_norm, vscale
@@ -134,23 +133,9 @@ class ExperimentReport(namedtuple("ExperimentReport", (
         write_atomically(path, lambda fh: csv.writer(fh).writerows([header, *rows]), newline="")
 
     def write_json(self, path: str):
-        dump_json(path, self.summary_dict())
-
-
-class _LongInts:
-    """Lifts the int-to-str digit limit (Python 3.11, 3.10.7) while output is written.
-
-    Deep pairs hold integers of more than its default 4300 digits.
-    """
-
-    def __enter__(self):
-        self.limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if self.limit:
-            sys.set_int_max_str_digits(0)
-
-    def __exit__(self, *exc):
-        if self.limit:
-            sys.set_int_max_str_digits(self.limit)
+        with _LongInts():  # a long spec's error enclosures have long terms
+            payload = self.summary_dict()
+        dump_json(path, payload)
 
 
 def write_atomically(path: str, write, newline=None):

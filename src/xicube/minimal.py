@@ -119,34 +119,30 @@ def _fixed_less(a: tuple[int, int], b: tuple[int, int]) -> bool | None:
     return None
 
 
-def _err_less_than_half(ctx: RealContext, x: Vec3, ex: tuple[int, int]) -> bool:
-    """L(x) < 1/2, given ex = scaled_error(x, ctx)."""
-    half = 1 << (ctx.precision_bits - 1)
-    verdict = _fixed_less(ex, (half, half))
-    if verdict is None:
-        verdict = ctx.decide(lambda b: _fixed_less(scaled_error(x, ctx, b),
-                                                   (1 << (b - 1),) * 2),
-                             what=f"L{x} < 1/2")
-    return verdict
+def _record_error(ctx: RealContext, prev: Vec3 | None, bits: int) -> tuple[int, int]:
+    """scaled_error(prev, ctx, bits), or 1/2 at that scale before the first record."""
+    return scaled_error(prev, ctx, bits) if prev else (1 << (bits - 1),) * 2
 
 
-def _err_less(ctx: RealContext, x: Vec3, y: Vec3, ex: tuple[int, int],
+def _err_less(ctx: RealContext, x: Vec3, y: Vec3 | None, ex: tuple[int, int],
               ey: tuple[int, int]) -> bool:
-    """L(x) < L(y), given ex, ey = scaled_error(x, ctx), scaled_error(y, ctx)."""
+    """L(x) < L(y) (1/2 for y None), given their enclosures ex, ey at the base precision."""
     verdict = _fixed_less(ex, ey)
     if verdict is None:
         verdict = ctx.decide(lambda b: _fixed_less(scaled_error(x, ctx, b),
-                                                   scaled_error(y, ctx, b)),
-                             what=f"L{x} < L{y}")
+                                                   _record_error(ctx, y, b)),
+                             what=f"L{x} < L{y}" if y else f"L{x} < 1/2")
     return verdict
 
 
 def _x0_limit(ctx: RealContext, norm_bound: int) -> int:
-    # |x2| >= x0*|xi^3| - 1/2, so x0 beyond (norm_bound + 1/2)/|xi^3| cannot fit
-    cube = abs(ctx.power(3))
-    if cube.lo <= 1:
+    # |x2| >= x0*|xi^3| - 1/2, so x0 beyond (norm_bound + 1/2)/|xi^3| cannot fit;
+    # c <= 2^bits * |xi^3| as the enclosure is rounded outward
+    lo, hi = ctx.scaled(3)
+    c = max(lo, -hi)
+    if c <= 1 << ctx.precision_bits:
         return norm_bound
-    return min(norm_bound, int(((Interval(norm_bound) + HALF).hi / cube.lo).__floor__()))
+    return min(norm_bound, ((2 * norm_bound + 1) << ctx.precision_bits) // (2 * c))
 
 
 def minimal_sequence(ctx: RealContext, norm_bound: int) -> list[MinimalPoint]:
@@ -226,16 +222,14 @@ def _next_record(ctx: RealContext, prev: Vec3 | None, limit: int, norm_bound: in
         return points
 
     points = ctx.decide(search, what=what)
-    prev_err = scaled_error(prev, ctx) if prev else None
+    prev_err = _record_error(ctx, prev, ctx.precision_bits)
     decided = 0
     found = None
     for x in points:
         if sup_norm(x) > norm_bound:
             continue
         decided += 1
-        err = scaled_error(x, ctx)
-        if (_err_less(ctx, x, prev, err, prev_err) if prev
-                else _err_less_than_half(ctx, x, err)):
+        if _err_less(ctx, x, prev, scaled_error(x, ctx), prev_err):
             found = x
             break
     # logging costs milliseconds to import, more than a small run's search; a
@@ -263,7 +257,7 @@ def _resolved_box(ctx: RealContext, prev: Vec3 | None, limit: int,
     passes: then Y*b1*b3 <= 4*Y*e_hi^2, about 4*Y*e_lo^2, and Minkowski's Y
     gives Y*e_lo^2 <= 2^(2*bits) + 2*e_lo^2 <= 1.5 * 2^(2*bits).
     """
-    e_lo, e_hi = scaled_error(prev, ctx, bits) if prev else (1 << (bits - 1),) * 2
+    e_lo, e_hi = _record_error(ctx, prev, bits)
     size = limit if e_lo == 0 else min(limit, (1 << (2 * bits)) // (e_lo * e_lo) + 2)
     (lo1, hi1), (lo3, hi3) = ctx.scaled(1, bits), ctx.scaled(3, bits)
     if size * (e_hi + size * (hi1 - lo1)) * (e_hi + size * (hi3 - lo3)) > 6 << (2 * bits):

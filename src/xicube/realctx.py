@@ -4,9 +4,10 @@ A :class:`RealContext` wraps a specification of xi (a decimal literal or an
 integer polynomial with an isolating interval) and keeps one integer form of
 its cell's powers: per precision `bits`, xi, xi^2, xi^3 lie in [a, b] / D,
 [s_lo, s_hi] / D^2 and [c_lo, c_hi] / D^3.  The rest are views of it:
-:meth:`RealContext.scaled` rounds outward to numerators over 2^bits, on which
-every decision of the scan runs; :meth:`RealContext.power`, :func:`approx_error`
-and :func:`delta_of` give exact `Interval`s.  An integer verdict is final; a
+:meth:`RealContext.scaled` rounds outward to numerators over 2^bits, cached
+per (k, bits), on which every decision of the search runs; :func:`approx_error`
+and :func:`delta_of` give exact `Interval`s, as :meth:`RealContext.power` does
+for the tests' reference paths.  An integer verdict is final; a
 question left open is put again at doubled precision through
 :meth:`RealContext.decide`, until it is certain or a configurable ceiling
 aborts the run instead of guessing.  An ``alg:`` cell is one of the 2^depth
@@ -27,6 +28,9 @@ Spec grammar accepted by :func:`parse_xi_spec`:
   add up.  Products, parentheses and names are rejected, and the text is
   never evaluated.
 
+Literals, coefficients and endpoints may be longer than Python's limit on
+int-string conversion: specs are parsed and described with it lifted.
+
 Independence of 1, xi, xi^3 for an ``alg:`` spec is decided exactly in
 integers.  A Sturm sequence counts the roots in the interval of the
 squarefree part g of the polynomial, the isolating polynomial.  LLL on the
@@ -38,6 +42,7 @@ the factor m of g makes a long first reduced row a proof that there is none.
 from __future__ import annotations
 
 import re
+import sys
 import warnings
 from collections import namedtuple
 from fractions import Fraction
@@ -58,6 +63,23 @@ GUARD_BITS = 32
 MAX_DEGREE = 64
 
 
+class _LongInts:
+    """Lifts the int-to-str digit limit (Python 3.11, 3.10.7) inside its block.
+
+    Deep pairs hold integers of more than its default 4300 digits, and so
+    may a spec's literal, coefficients and endpoints.
+    """
+
+    def __enter__(self):
+        self.limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if self.limit:
+            sys.set_int_max_str_digits(0)
+
+    def __exit__(self, *exc):
+        if self.limit:
+            sys.set_int_max_str_digits(self.limit)
+
+
 class DecimalXi(namedtuple("DecimalXi", "digits")):
     """A decimal literal, kept as its digit string."""
 
@@ -73,7 +95,8 @@ class AlgebraicXi(namedtuple("AlgebraicXi", "coeffs lo hi")):
     __slots__ = ()
 
     def describe(self) -> str:
-        return f"alg:{_poly_str(self.coeffs)} in [{self.lo},{self.hi}]"
+        with _LongInts():
+            return f"alg:{_poly_str(self.coeffs)} in [{self.lo},{self.hi}]"
 
 
 XiSpec = DecimalXi | AlgebraicXi
@@ -120,10 +143,11 @@ def parse_xi_spec(text: str) -> XiSpec:
         m = re.fullmatch(r"alg:(.+?)\s+in\s+\[([^,\]]+),([^,\]]+)\]", text)
         if not m:
             raise UsageError(f"bad algebraic spec {text!r}; expected 'alg:<poly> in [a,b]'")
-        coeffs = _parse_int_poly(m.group(1))
-        lo, hi = _parse_fraction(m.group(2)), _parse_fraction(m.group(3))
-        if not lo < hi:
-            raise UsageError(f"empty isolating interval [{lo},{hi}]")
+        with _LongInts():  # coefficients and endpoints of any length
+            coeffs = _parse_int_poly(m.group(1))
+            lo, hi = _parse_fraction(m.group(2)), _parse_fraction(m.group(3))
+            if not lo < hi:
+                raise UsageError(f"empty isolating interval [{lo},{hi}]")
         return AlgebraicXi(coeffs, lo, hi)
     raise UsageError(f"xi spec must start with 'dec:' or 'alg:', got {text!r}")
 
@@ -352,8 +376,9 @@ def _check_endpoints(spec: AlgebraicXi):
 
 
 def _root_count_error(spec: AlgebraicXi, nroots: int) -> UsageError:
-    return UsageError(f"interval [{spec.lo},{spec.hi}] contains {nroots} real roots "
-                      "of the polynomial, need exactly 1")
+    with _LongInts():
+        return UsageError(f"interval [{spec.lo},{spec.hi}] contains {nroots} real roots "
+                          "of the polynomial, need exactly 1")
 
 
 def _isolating_polynomial(spec: AlgebraicXi) -> tuple[int, ...]:
@@ -445,15 +470,14 @@ class RealContext:
         self.dependence_reason: str | None = None
         self.independence_assumed = False
         self._pow_cache: dict[int, tuple] = {}  # per bits: the integer powers of _powers
-        self._iv_cache: dict[tuple[int, int], Interval] = {}  # Interval views, per (k, bits)
-        # keyed k by default and (k, bits) otherwise: the hot path builds no tuple
-        self._scaled_cache: dict[int | tuple[int, int], tuple[int, int]] = {}
+        self._scaled_cache: dict[tuple[int, int], tuple[int, int]] = {}  # per (k, bits)
 
         if isinstance(spec, DecimalXi):
             whole, _, frac = spec.digits.partition(".")
             # truncation semantics: the literal is a prefix of the true expansion,
             # so its "-" (not the sign of its value: -0.0) says on which side
-            low = int(whole + frac) - spec.digits.startswith("-")
+            with _LongInts():
+                low = int(whole + frac) - spec.digits.startswith("-")
             self._literal = _cell_powers(low, low + 1, 10 ** len(frac))
             self._isolating_poly = None
             self.independence_assumed = True
@@ -533,27 +557,22 @@ class RealContext:
     def power(self, k: int, bits: int | None = None) -> Interval:
         """Enclosure of xi^k (k in 1..3) with width <= 2^-bits * max(1, |xi|^3).
 
-        The exact view of the integer powers, built on first use.
+        The exact view of the integer powers.
         """
-        key = (k, self.precision_bits if bits is None else bits)
-        iv = self._iv_cache.get(key)
-        if iv is None:
-            den, lo, hi = self._power_ints(k, bits)
-            iv = self._iv_cache[key] = Interval(Fraction(lo, den), Fraction(hi, den))
-        return iv
+        den, lo, hi = self._power_ints(k, bits)
+        return Interval(Fraction(lo, den), Fraction(hi, den))
 
     def scaled(self, k: int, bits: int | None = None) -> tuple[int, int]:
         """Integers (lo, hi) with lo <= 2^bits * xi^k <= hi (default precision_bits).
 
         Rounded outward (floor, ceil) from the integer powers at bits;
-        cached per k at the default precision and per (k, bits) otherwise.
+        cached per (k, bits).
         """
-        key = k if bits is None else (k, bits)
-        out = self._scaled_cache.get(key)
+        bits = self.precision_bits if bits is None else bits
+        out = self._scaled_cache.get((k, bits))
         if out is None:
             den, lo, hi = self._power_ints(k, bits)
-            shift = self.precision_bits if bits is None else bits
-            out = self._scaled_cache[key] = ((lo << shift) // den, -((-hi << shift) // den))
+            out = self._scaled_cache[k, bits] = ((lo << bits) // den, -((-hi << bits) // den))
         return out
 
     # -- decisions ---------------------------------------------------------
@@ -577,21 +596,15 @@ class RealContext:
     def nearest_to_multiple(self, m: int, k: int) -> int:
         """Nearest integer to m * xi^k, certified by strict enclosure containment.
 
-        The scaled integer enclosure at the base precision decides when it
-        lies strictly between two half-integers; otherwise the same test is
-        put at escalating precision through :meth:`decide`.
+        The scaled integer enclosure decides when it lies strictly between
+        two half-integers, at escalating precision through :meth:`decide`.
         """
-        n = self._nearest_fixed(m, k)
-        if n is None:
-            n = self.decide(lambda bits: self._nearest_fixed(m, k, bits),
-                            what=f"rounding of {m}*xi^{k}")
-        return n
+        return self.decide(lambda bits: self._nearest_fixed(m, k, bits),
+                           what=f"rounding of {m}*xi^{k}")
 
-    def _nearest_fixed(self, m: int, k: int, bits: int | None = None) -> int | None:
+    def _nearest_fixed(self, m: int, k: int, bits: int) -> int | None:
         """Nearest integer to m * xi^k if the scaled enclosure at bits certifies it."""
-        lo, hi = self.scaled(k, bits)
-        bits = self.precision_bits if bits is None else bits
-        lo, hi = _times(m, lo, hi)
+        lo, hi = _times(m, *self.scaled(k, bits))
         half = 1 << (bits - 1)
         n = (lo + half) >> bits
         if (n << bits) - half < lo and hi < (n << bits) + half:

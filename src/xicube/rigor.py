@@ -177,26 +177,20 @@ def _atanh(p: int, q: int, w: int) -> tuple[int, int]:
     """(s, n) with 0 <= atanh(p/q) * 2**w - s < 3 (n + 1), for 0 <= p/q <= 1/3.
 
     s sums the n nonzero floored terms t_j // (2j + 1), t_j ~ (p/q)**(2j+1) 2**w.
-    Every step floors, so t_j never exceeds its exact value, and falls short
-    by less than 1.75: the factor (p/q)**2 is exact for small p, q, and
-    otherwise the fixed-point square t_0**2 >> w, short by under (2 p/q + 1)
-    units.  So a summand is short by under 2.75 and the tail after the last
-    nonzero term is below 2.
+    Every step floors, so t_j never exceeds its exact value.  The factor
+    z2 = t_0**2 >> w falls short of (p/q)**2 2**w by under (2 p/q + 1)
+    units, so t_(j+1) = t_j z2 >> w falls short of its exact value by under
+    e_j (p/q)**2 + (p/q)(2 p/q + 1) + 1 <= e_j / 9 + 14/9, e_j the shortfall
+    of t_j; from e_0 < 1 every shortfall stays below 1.75.  So a summand is
+    short by under 2.75 and the tail after the last nonzero term is below 2.
     """
     t = (p << w) // q
+    z2 = t * t >> w
     s = n = 0
-    if 2 * q.bit_length() <= w:
-        p2, q2 = p * p, q * q
-        while t:
-            s += t // (2 * n + 1)
-            t = t * p2 // q2
-            n += 1
-    else:
-        z2 = t * t >> w
-        while t:
-            s += t // (2 * n + 1)
-            t = t * z2 >> w
-            n += 1
+    while t:
+        s += t // (2 * n + 1)
+        t = t * z2 >> w
+        n += 1
     return s, n
 
 

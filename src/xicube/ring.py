@@ -214,22 +214,14 @@ def named_element(name: str) -> RingElem:
 
 # -- expansion to Q[S,T,U,V] -------------------------------------------------
 
-_expand_cache: dict[tuple[int, int, int], tuple] = {}
-
-
 def _expand_monomial(ell: int, m: int, n: int):
     """Expansion of T^(ell-2m-3n) * F^m * G0^n with F -> T^2 - 4SU, G0 -> S^2 V."""
-    key = (ell, m, n)
-    hit = _expand_cache.get(key)
-    if hit is None:
-        e = ell - 2 * m - 3 * n
-        terms = []
-        for j in range(m + 1):
-            c = comb(m, j) * (-4) ** j
-            terms.append(((0, j + 2 * n, e + 2 * (m - j), j, n), c))
-        hit = tuple(terms)
-        _expand_cache[key] = hit
-    return hit
+    e = ell - 2 * m - 3 * n
+    terms = []
+    for j in range(m + 1):
+        c = comb(m, j) * (-4) ** j
+        terms.append(((0, j + 2 * n, e + 2 * (m - j), j, n), c))
+    return terms
 
 
 def expand(e: RingElem) -> ExpandedPoly:

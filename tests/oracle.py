@@ -25,8 +25,9 @@ shares logic with the scan under test: no nearest-integer shortcut anywhere.
 
 The linear-scan oracle is the record sweep that the lattice search of
 `xicube.minimal` replaced: one nearest-integer candidate per x0, each put to
-the same integer record test.  It is linear in the bound, so it serves up
-to about 1e6.
+an integer record test of its own, with its own x0 limit and certified
+error, so that a fault in the search's decision code cannot show on both
+sides.  It is linear in the bound, so it serves up to about 1e6.
 
 Enclosure oracle: the cell-by-cell `Fraction` loop that the integer powers
 of `RealContext` replaced.  Each depth's root cell becomes an `Interval`,
@@ -58,8 +59,7 @@ from mpmath.ctx_iv import MPIntervalContext
 from xicube.errors import DependenceError, InvariantViolation, Undecidable, ZeroElement
 from xicube.intervals import HALF, Interval
 from xicube.linalg import IntEchelon
-from xicube.minimal import (MinimalPoint, _certified_err, _err_less, _err_less_than_half,
-                            _x0_limit, candidate_for)
+from xicube.minimal import MinimalPoint, candidate_for
 from xicube.realctx import (AlgebraicXi, DecimalXi, _check_endpoints, _dependence_reason,
                             _eval_sign, _root_count_error, approx_error, delta_of, scaled_error)
 from xicube.vectors import Vec3, content, sup_norm
@@ -113,6 +113,51 @@ def brute_force_minimal_points(ctx, bound):
             records.append(best)
         idx += len(shell)
     return records
+
+
+def _fixed_less(a: tuple[int, int], b: tuple[int, int]) -> bool | None:
+    """Interval.strictly_less on integer enclosures (lo, hi)."""
+    if a[1] < b[0]:
+        return True
+    if a[0] > b[1]:
+        return False
+    if a[0] == a[1] == b[0] == b[1]:
+        return False
+    return None
+
+
+def _err_less_than_half(ctx, x: Vec3, ex: tuple[int, int]) -> bool:
+    """L(x) < 1/2, given ex = scaled_error(x, ctx)."""
+    half = 1 << (ctx.precision_bits - 1)
+    verdict = _fixed_less(ex, (half, half))
+    if verdict is None:
+        verdict = ctx.decide(lambda b: _fixed_less(scaled_error(x, ctx, b),
+                                                   (1 << (b - 1),) * 2),
+                             what=f"L{x} < 1/2")
+    return verdict
+
+
+def _err_less(ctx, x: Vec3, y: Vec3, ex: tuple[int, int], ey: tuple[int, int]) -> bool:
+    """L(x) < L(y), given ex, ey = scaled_error(x, ctx), scaled_error(y, ctx)."""
+    verdict = _fixed_less(ex, ey)
+    if verdict is None:
+        verdict = ctx.decide(lambda b: _fixed_less(scaled_error(x, ctx, b),
+                                                   scaled_error(y, ctx, b)),
+                             what=f"L{x} < L{y}")
+    return verdict
+
+
+def _x0_limit(ctx, norm_bound: int) -> int:
+    # |x2| >= x0*|xi^3| - 1/2, so x0 beyond (norm_bound + 1/2)/|xi^3| cannot fit
+    cube = abs(ctx.power(3))
+    if cube.lo <= 1:
+        return norm_bound
+    return min(norm_bound, int(((Interval(norm_bound) + HALF).hi / cube.lo).__floor__()))
+
+
+def _certified_err(ctx, pt: Vec3, bits: int) -> Interval | None:
+    iv = approx_error(pt, ctx, bits)
+    return iv if iv.hi < HALF else None
 
 
 def linear_scan_minimal_points(ctx, norm_bound: int) -> list[MinimalPoint]:

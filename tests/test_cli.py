@@ -4,13 +4,16 @@ import os
 import subprocess
 import sys
 import warnings
+from math import isqrt
 
 import pytest
 
 import xicube
+from xicube import RealContext, minimal_sequence
 from xicube.cli import _COMMANDS, _parse, main
 from xicube.errors import Undecidable
 from xicube.lab import ExperimentConfig
+from xicube.realctx import _LongInts
 
 ROOT2 = "alg:x^4-2 in [1,2]"
 
@@ -358,8 +361,10 @@ def test_epsilon_is_echoed_as_written(tmp_path):
 PI60 = "dec:3.141592653589793238462643383279502884197169399375105820974944"
 
 
-# SHA-256 of pairs.csv and summary.json, copied from PAPER_DIGESTS in
-# bench/workloads.py, where the benchmark's paper_xi workload checks them
+# SHA-256 of pairs.csv and summary.json: the paper runs' copied from
+# PAPER_DIGESTS in bench/workloads.py, where the benchmark's paper_xi workload
+# checks them; root2 at 10**100 certifies its errors at up to 384 bits and
+# their positive lower ends at up to 768, which the runs above never reach
 @pytest.mark.parametrize("spec,bound,digests", [
     (ROOT2, 16_000,
      ("3560d7b44846245a5a2667f85dad92e633705bbd64c72446640573b76d39074c",
@@ -370,7 +375,10 @@ PI60 = "dec:3.141592653589793238462643383279502884197169399375105820974944"
     (PI60, 25_000,
      ("7c3d4496ab6c56d2ec0011108e673d11271bef4ae31ee472a2ce2baff7f97552",
       "7aed4b3d3ef64b6616a1245806da6de9a06bb13528c4be3c3b5d3144b1a240d8")),
-], ids=["root2", "quartic", "pi60"])
+    (ROOT2, 10**100,
+     ("db584a81b0928398db82a05537edd2818816caebc818c856af9b5ea4fccd36d5",
+      "5be625efca82ecd205924b4e80a4e562b67b85be55a4a24234ec7229d0672044")),
+], ids=["root2", "quartic", "pi60", "root2-1e100"])
 @pytest.mark.filterwarnings("ignore:decimal xi spec")
 def test_paper_run_bytes_are_pinned(tmp_path, monkeypatch, spec, bound, digests):
     monkeypatch.chdir(tmp_path)
@@ -379,6 +387,19 @@ def test_paper_run_bytes_are_pinned(tmp_path, monkeypatch, spec, bound, digests)
     got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                 for name in ("pairs.csv", "summary.json"))
     assert got == digests
+
+
+@pytest.mark.filterwarnings("ignore:decimal xi spec")
+def test_literal_past_the_str_limit_runs(tmp_path, monkeypatch):
+    # 5000 digits of 2^(1/4): more than the 4300 Python 3.11 turns into an int
+    with _LongInts():
+        digits = str(isqrt(isqrt(2 * 10 ** (4 * 4999))))
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--xi", f"dec:{digits[0]}.{digits[1:]}", "--bound", "100000",
+                 "--csv", "pairs.csv", "--json", "summary.json"]) == 0
+    got = [p["point"] for p in json.loads((tmp_path / "summary.json").read_text())["sequence"]]
+    want = [list(p.point) for p in minimal_sequence(RealContext(ROOT2), 100_000)]
+    assert got == want
 
 
 def test_commands_do_not_import_mpmath(tmp_path):

@@ -20,7 +20,7 @@ from oracle import (bisect_cell, brute_force_minimal_points, exact_nearest,
 
 from xicube import PrecisionError, RealContext, minimal_sequence
 from xicube.intervals import HALF, Interval
-from xicube.minimal import _err_less, _err_less_than_half, _fixed_less
+from xicube.minimal import _err_less, _fixed_less
 from xicube.realctx import AlgebraicXi, DecimalXi, approx_error, scaled_error
 
 MAX_BITS = 768  # a low ceiling keeps the undecidable ties cheap
@@ -102,7 +102,7 @@ def near_triple(draw, ctx):
 @example(spec=DecimalXi("0.5"), bits=192, m=1, k=1)  # straddles 1/2 for good
 def test_integer_rounding_matches_exact_probe(spec, bits, m, k):
     ctx = RealContext(spec, bits, MAX_BITS)
-    fixed = ctx._nearest_fixed(m, k)
+    fixed = ctx._nearest_fixed(m, k, ctx.precision_bits)
     if fixed is not None:
         assert exact_nearest(ctx, m, k, ctx.precision_bits) == fixed
     assert _outcome(lambda: ctx.nearest_to_multiple(m, k)) == _outcome(
@@ -132,7 +132,7 @@ def test_integer_error_comparisons_match_exact_probe(spec, bits, data):
         assert exact_half(bits) == fixed
     assert _outcome(lambda: _err_less(ctx, x, y, ex, ey)) == _outcome(
         lambda: ctx.decide(exact_less))
-    assert _outcome(lambda: _err_less_than_half(ctx, x, ex)) == _outcome(
+    assert _outcome(lambda: _err_less(ctx, x, None, ex, (half, half))) == _outcome(
         lambda: ctx.decide(exact_half))
 
 

@@ -60,7 +60,10 @@ def hostile_quartics_and_quintics(draw):
 
 @given(hostile_quartics_and_quintics())
 def test_described_spec_parses_back(spec):
-    assert parse_xi_spec(spec.describe()) == spec
+    # and with a constant term past the 4300-digit int-string limit
+    big = spec._replace(coeffs=(10**4400 + 7,) + spec.coeffs[1:])
+    for s in (spec, big):
+        assert parse_xi_spec(s.describe()) == s
 
 
 def test_parse_evaluates_nothing(monkeypatch):
