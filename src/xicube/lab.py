@@ -173,7 +173,7 @@ def positive_errors(ctx: RealContext, seq: list[MinimalPoint]) -> list[Interval]
     def certified(point):
         def probe(bits):
             e = approx_error(point, ctx, bits)
-            return e if e.lo > 0 else None
+            return e if e.integers[0] > 0 else None
 
         return ctx.decide(probe, what=f"positive error enclosure at {point}")
 

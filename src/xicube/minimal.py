@@ -67,7 +67,7 @@ from math import gcd, isqrt
 from .errors import (DependenceError, InvariantViolation, NotInSpan, PrecisionError,
                      UsageError)
 from .forms import pair_values
-from .intervals import HALF, Interval
+from .intervals import Interval
 from .linalg import _lll
 from .realctx import DecimalXi, RealContext, approx_error, delta_of, scaled_error
 from .vectors import (Vec3, content, cross, det3, euclid_norm_sq, sup_norm, vadd,
@@ -188,7 +188,8 @@ def minimal_sequence(ctx: RealContext, norm_bound: int) -> list[MinimalPoint]:
 
 def _certified_err(ctx: RealContext, pt: Vec3, bits: int) -> Interval | None:
     iv = approx_error(pt, ctx, bits)
-    return iv if iv.hi < HALF else None
+    _, num_hi, den = iv.integers
+    return iv if 2 * num_hi < den else None  # hi < 1/2
 
 
 def _next_record(ctx: RealContext, prev: Vec3 | None, limit: int, norm_bound: int,

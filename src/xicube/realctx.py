@@ -6,12 +6,14 @@ its cell's powers: per precision `bits`, xi, xi^2, xi^3 lie in [a, b] / D,
 [s_lo, s_hi] / D^2 and [c_lo, c_hi] / D^3.  The rest are views of it:
 :meth:`RealContext.scaled` rounds outward to numerators over 2^bits, cached
 per (k, bits), on which every decision of the search runs; :func:`approx_error`
-and :func:`delta_of` give exact `Interval`s, as :meth:`RealContext.power` does
-for the tests' reference paths.  An integer verdict is final; a
+and :func:`delta_of` give exact `Interval`s, integers over D^3 reduced only
+when read, as :meth:`RealContext.power` does over D^k for the tests'
+reference paths.  An integer verdict is final; a
 question left open is put again at doubled precision through
 :meth:`RealContext.decide`, until it is certain or a configurable ceiling
 aborts the run instead of guessing.  An ``alg:`` cell is one of the 2^depth
-equal cells of [lo, hi], found once per level by an integer Newton iteration
+equal cells of [lo, hi], clipped first to the Cauchy bound of the isolating
+polynomial, found once per level by an integer Newton iteration
 certified by exact sign evaluations; a ``dec:`` cell is [a, a + 1] / 10^d.
 
 Spec grammar accepted by :func:`parse_xi_spec`:
@@ -484,8 +486,13 @@ class RealContext:
         else:
             self._literal = None
             # xi is the only root of _isolating_poly in [lo, hi], a simple one
-            self._isolating_poly = _isolating_polynomial(spec)
-            lo, hi = self._lo, self._hi = Fraction(spec.lo), Fraction(spec.hi)
+            g = self._isolating_poly = _isolating_polynomial(spec)
+            # every root of g lies in (-bound, bound) (Cauchy's bound), so
+            # [lo, hi] clipped to it still isolates xi; the grid and the
+            # independence analysis are sized to the clipped interval
+            bound = Fraction(1 - (-max(abs(c) for c in g[:-1]) // g[-1]))
+            lo = self._lo = max(Fraction(spec.lo), -bound)
+            hi = self._hi = min(Fraction(spec.hi), bound)
             p = lo.numerator * hi.denominator  # [lo, hi] = [p, p + w] / q
             self._grid = (p, hi.numerator * lo.denominator - p, lo.denominator * hi.denominator)
             self._sign_lo = _eval_sign(self._isolating_poly, self._lo)
@@ -560,7 +567,7 @@ class RealContext:
         The exact view of the integer powers.
         """
         den, lo, hi = self._power_ints(k, bits)
-        return Interval(Fraction(lo, den), Fraction(hi, den))
+        return Interval.over(lo, hi, den)
 
     def scaled(self, k: int, bits: int | None = None) -> tuple[int, int]:
         """Integers (lo, hi) with lo <= 2^bits * xi^k <= hi (default precision_bits).
@@ -618,8 +625,8 @@ def delta_of(x: Vec3, ctx: RealContext, bits: int | None = None) -> Interval:
     """Enclosure of 2*x0*xi^3 - 3*x1*xi^2 + x2 (second-order contact with the curve)."""
     (den, _, _), (_, s_lo, s_hi), (den3, c_lo, c_hi) = ctx._powers(bits)
     (c_lo, c_hi), (s_lo, s_hi) = _times(2 * x[0], c_lo, c_hi), _times(3 * x[1], s_lo, s_hi)
-    return Interval(Fraction(c_lo - s_hi * den + x[2] * den3, den3),
-                    Fraction(c_hi - s_lo * den + x[2] * den3, den3))
+    return Interval.over(c_lo - s_hi * den + x[2] * den3, c_hi - s_lo * den + x[2] * den3,
+                         den3)
 
 
 def approx_error(x: Vec3, ctx: RealContext, bits: int | None = None) -> Interval:
@@ -627,8 +634,7 @@ def approx_error(x: Vec3, ctx: RealContext, bits: int | None = None) -> Interval
     (den, lo, hi), (den2, _, _), (den3, c_lo, c_hi) = ctx._powers(bits)
     e1_lo, e1_hi = _abs_gap(x[1] * den, x[0], lo, hi)
     e2_lo, e2_hi = _abs_gap(x[2] * den3, x[0], c_lo, c_hi)
-    return Interval(Fraction(max(e1_lo * den2, e2_lo), den3),
-                    Fraction(max(e1_hi * den2, e2_hi), den3))
+    return Interval.over(max(e1_lo * den2, e2_lo), max(e1_hi * den2, e2_hi), den3)
 
 
 def scaled_error(x: Vec3, ctx: RealContext, bits: int | None = None) -> tuple[int, int]:

@@ -274,10 +274,15 @@ def fraction_scaled(ctx, k: int, bits: int) -> tuple[int, int]:
             -((-iv.hi.numerator << bits) // iv.hi.denominator))
 
 
+def max_with(a: Interval, b: Interval) -> Interval:
+    """Enclosure of max(u, v) for u in a, v in b."""
+    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
+
+
 def fraction_approx_error(x: Vec3, ctx, bits: int) -> Interval:
     """L(x) = max(|x1 - x0*xi|, |x2 - x0*xi^3|) in Interval arithmetic."""
     xi, _, cube = fraction_powers(ctx, bits)
-    return abs(Interval(x[1]) - xi * x[0]).max_with(abs(Interval(x[2]) - cube * x[0]))
+    return max_with(abs(Interval(x[1]) - xi * x[0]), abs(Interval(x[2]) - cube * x[0]))
 
 
 def fraction_delta_of(x: Vec3, ctx, bits: int) -> Interval:

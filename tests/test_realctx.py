@@ -14,8 +14,8 @@ from oracle import (_analyze_by_factoring, fraction_approx_error, fraction_delta
                     fraction_powers, fraction_scaled)
 
 import xicube
-from xicube import (PrecisionError, RealContext, approx_error, delta_of, parse_xi_spec,
-                    realctx, sup_norm)
+from xicube import (PrecisionError, RealContext, approx_error, delta_of, minimal_sequence,
+                    parse_xi_spec, realctx, sup_norm)
 from xicube.errors import UsageError
 from xicube.linalg import _lll
 from xicube.realctx import (DEFAULT_MAX_BITS, MAX_DEGREE, AlgebraicXi, DecimalXi, _eval_sign,
@@ -93,22 +93,25 @@ def test_dependence_detected(spec, why):
     assert why in ctx.dependence_reason
 
 
+# root2, quartic and the hostile shapes: |xi| near 1, a negative root,
+# 2^64 coefficients, x^2 - n and a depressed cubic; then sqrt2 + sqrt3 and
+# (x^2 - 2)(x^2 - 3)
+CERTIFIED_SPECS = [
+    "alg:x^4-2 in [1,2]", "alg:x^4-x-1 in [1.2,1.3]",
+    "alg:27611*x^4-3*x-27571 in [68595/68618,14912/14917]",
+    "alg:x^4-6*x^2+x+9 in [-50873/24109,-130986/62075]",
+    "alg:-14465187152556298013*x^6+16479465693567928261*x^5"
+    "-13701134117992671164*x^4+15995611396881135256*x^3+17320784888099683705*x^2"
+    "-12243072578608432099*x+18256623104515805912 in [-111951/119842,-8186/8763]",
+    "alg:x^2-12 in [121635/35113,140452/40545]",
+    "alg:x^3+7*x-1 in [5372/37713,5717/40135]",
+    "alg:x^4-10*x^2+1 in [3,4]", "alg:x^4-5*x^2+6 in [1.2,1.5]",
+]
+
+
 def test_certified_specs_do_not_import_sympy():
-    # root2, quartic and the hostile shapes: |xi| near 1, a negative root,
-    # 2^64 coefficients, x^2 - n and a depressed cubic; then sqrt2 + sqrt3,
-    # (x^2 - 2)(x^2 - 3) and a reducible polynomial of degree 41
-    specs = [
-        "alg:x^4-2 in [1,2]", "alg:x^4-x-1 in [1.2,1.3]",
-        "alg:27611*x^4-3*x-27571 in [68595/68618,14912/14917]",
-        "alg:x^4-6*x^2+x+9 in [-50873/24109,-130986/62075]",
-        "alg:-14465187152556298013*x^6+16479465693567928261*x^5"
-        "-13701134117992671164*x^4+15995611396881135256*x^3+17320784888099683705*x^2"
-        "-12243072578608432099*x+18256623104515805912 in [-111951/119842,-8186/8763]",
-        "alg:x^2-12 in [121635/35113,140452/40545]",
-        "alg:x^3+7*x-1 in [5372/37713,5717/40135]",
-        "alg:x^4-10*x^2+1 in [3,4]", "alg:x^4-5*x^2+6 in [1.2,1.5]",
-        cube_root_product_spec(38),
-    ]
+    # the certified specs and a reducible polynomial of degree 41
+    specs = [*CERTIFIED_SPECS, cube_root_product_spec(38)]
     code = ("import sys\nfrom xicube import RealContext\n"
             f"for spec in {specs!r}:\n    RealContext(spec)\n"
             "print('sympy' in sys.modules)\n")
@@ -117,6 +120,34 @@ def test_certified_specs_do_not_import_sympy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_huge_isolating_endpoint_is_clipped_to_the_cauchy_bound():
+    # every root of x^4 - 2 lies in (-3, 3), so [1, 10^1000] is searched as
+    # [1, 3]; a grid and a first precision sized to 10^1000 take minutes
+    code = ("from xicube import RealContext, minimal_sequence\n"
+            f"ctx = RealContext('alg:x^4-2 in [1,{10**1000}]')\n"
+            "print(((ctx._lo, ctx._hi), [p.point for p in minimal_sequence(ctx, 10**5)]))\n")
+    src = os.path.dirname(os.path.dirname(xicube.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    points = [p.point for p in minimal_sequence(RealContext(ROOT2), 10**5)]
+    assert out.stdout.strip() == repr(((Fraction(1), Fraction(3)), points))
+
+
+def test_clipped_negative_interval_keeps_the_root():
+    ctx = RealContext(f"alg:x^4-2 in [-{10**50},-1]")
+    assert (ctx._lo, ctx._hi) == (-3, -1)
+    want = minimal_sequence(RealContext("alg:x^4-2 in [-2,-1]"), 10**4)
+    assert [p.point for p in minimal_sequence(ctx, 10**4)] == [p.point for p in want]
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS)
+def test_specs_inside_their_cauchy_bound_keep_their_interval(spec):
+    # the grid, and so every enclosure and output byte, is the unclipped one
+    ctx = RealContext(spec)
+    assert (ctx._lo, ctx._hi) == (ctx.spec.lo, ctx.spec.hi)
 
 
 def test_reducible_spec_of_degree_41_settles_on_few_reductions(monkeypatch):
