@@ -30,12 +30,16 @@ coordinates of weight below k.  With T implicit, (3F)^m (27 G0)^n is
 
     (-1)^c C(n, c) [u^b] (4u - 1)^m (1 - 3u)^(n-c)
 
-is needed for b < (k - 3c)/2 only.  One weight-ordered elimination of those
-rows (`dim_profile`) gives the dimensions for every k up to a bound, and the
-echelon form whose nullspace is the subspace at that bound; the F, M, N
-tables of `xicube.search` run it on far enough to prove their columns
-independent.  The truncated substitution engine and the product recursion
-for the coordinates are the references in tests/oracle.py.
+is needed for b < (k - 3c)/2 only.  On a subset support one weight-ordered
+elimination of those rows (`dim_profile`) gives the dimensions for every k
+up to a bound, and the echelon form whose nullspace is the subspace at that
+bound.  On the whole of `basis_of(l)`, cut at weight l, the columns form a
+square matrix that is triangular with a nonzero diagonal when the rows are
+ordered by (c, b); `_triangular_dims` checks that on the built columns and
+counts the dimension table instead of eliminating it, and the F, M, N
+tables of `xicube.search` go through the same check in weight order.  The
+truncated substitution engine and the product recursion for the
+coordinates are the references in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -397,11 +401,31 @@ def j_subspace(ell: int, k: int) -> list[RingElem]:
     return [RingElem(ell, dict(zip(support, vec))) for vec in vectors]
 
 
+def _triangular_dims(keys, columns, order, kmax: int) -> list[int]:
+    """Dimensions for k = 0..kmax of a square table certified triangular.
+
+    Column i must be nonzero at keys[i], and its other rows (the columns
+    hold no zeros) must be keys strictly before keys[i] in `order`; else
+    InvariantViolation.  Then the square matrix is invertible, so its rows
+    of weight below k are independent and the nullity they leave is the
+    number of keys of weight at least k.
+    """
+    rank = {key: order(key) for key in keys}
+    for (key, r), col in zip(rank.items(), columns, strict=True):
+        if not col.get(key) or any(rank.get(row, r) >= r for row in col if row != key):
+            raise InvariantViolation("not triangular with a nonzero diagonal", {"column": key})
+    return [sum(2 * m + 3 * n >= k for m, n in keys) for k in range(kmax + 1)]
+
+
 def j_subspace_dims(ell: int) -> list[int]:
-    """The dimensions of `j_subspace(ell, k)` for k = 0..ell+2, from one elimination."""
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    return dim_profile(tab_columns(basis_of(ell), ell + 3), ell + 2)[0]
+    """The dimensions of `j_subspace(ell, k)` for k = 0..ell+2, counted on a certified table.
+
+    Column (m, n) has rows (b, c) with c < n, or c = n and b <= m, and the
+    entry (-1)^n 4^m 3^(w-m-3n) at (m, n); its rows of weight <= ell are
+    the keys of `basis_of(ell)`, which rejects a negative ell.
+    """
+    keys = basis_of(ell)
+    return _triangular_dims(keys, tab_columns(keys, ell + 1), lambda bc: bc[::-1], ell + 2)
 
 
 def evaluate(e: RingElem | ExpandedPoly, x: Vec3, y: Vec3):

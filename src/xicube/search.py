@@ -6,9 +6,10 @@ degree-(12l+2) triangle supports (valuation 6l+2) together with its parity
 certificate, and the dimension theory of the subring generated by F, M, N.
 Their J-valuation conditions are exact nullspaces of the (T, A, B)
 coordinates of weight below k, the route `xicube.ring` describes.  The
-subring's products F^e M^m N^n are built on those coordinates, and their
-elimination proves them independent; only the H*P decomposition builds
-products on the (m, n) keys (`_fmn_product`).
+subring's products F^e M^m N^n are built on those coordinates, where they
+are triangular in weight order; the check of that pattern proves them
+independent and gives their dimension table as a count of keys.  Only the
+H*P decomposition builds products on the (m, n) keys (`_fmn_product`).
 
 The inequality test of the exponent study is also here since it consumes
 the same pair data the searches predict divisibility for.
@@ -25,8 +26,8 @@ from .errors import (DecompositionFailure, DimensionMismatch, InvalidEll,
 from .linalg import solve_unique, vec_content
 from .minimal import PairRecord
 from .rigor import MID_PREC, decide_sign, evaluate, log_abs, mid_str, rational
-from .ring import (RingElem, _subspace_vectors, basis_of, dim_profile, mul_keyed,
-                   named_element, tab_columns, tab_coordinates)
+from .ring import (RingElem, _subspace_vectors, _triangular_dims, basis_of, dim_profile,
+                   mul_keyed, named_element, tab_columns, tab_coordinates)
 
 
 class SupportSet(namedtuple("SupportSet", "d pairs")):
@@ -155,36 +156,29 @@ def _s_columns(ell: int, top: int) -> list[dict[tuple[int, int], int]]:
             for m, n in basis_of(ell)]
 
 
-def _s_profile(two_ell: int, kmax: int) -> list[int]:
-    """The table row to kmax, run on to l+2, where full rank proves the products independent.
+def s_subspace_dims(two_ell: int) -> list[int]:
+    """`s_subspace_dim(two_ell, k)` for k = 0..l+2, counted on a certified table.
 
-    The (T, A, B) coordinates are an injective image of the degree-2l
-    elements, and the dimension formula puts full rank at l+2.
+    The lowest-weight term of (3F)^(l-2m-3n) (9M)^m (27N)^n is the single
+    monomial A^m B^n, so the columns cut at weight l are triangular in
+    weight order, which also proves the products independent.
     """
     if two_ell < 0 or two_ell % 2:
         raise ValueError("degree must be even and >= 0")
     ell = two_ell // 2
-    top = max(kmax, ell + 2)
-    dims = dim_profile(_s_columns(ell, top), top)[0]
-    if dims[ell + 2]:
-        raise InvariantViolation("subspace columns are linearly dependent", {})
-    return dims[:kmax + 1]
+    return _triangular_dims(basis_of(ell), _s_columns(ell, ell),
+                            lambda bc: -2 * bc[0] - 3 * bc[1], ell + 2)
 
 
 def s_subspace_dim(two_ell: int, k: int) -> int:
     """dim of the degree-2l part of Q[F,M,N] meeting J^(k).
 
-    Columns are the products F^(l-2m-3n) M^m N^n; the computation is the
-    same honest elimination as for the full ring, on their (T, A, B)
-    coordinates, and that elimination also certifies them independent.
+    Columns are the products F^(l-2m-3n) M^m N^n on their (T, A, B)
+    coordinates; the cell is read off the certified row of
+    `s_subspace_dims`, and is 0 past k = l+2.
     """
-    k = max(k, 0)
-    return _s_profile(two_ell, k)[k]
-
-
-def s_subspace_dims(two_ell: int) -> list[int]:
-    """`s_subspace_dim(two_ell, k)` for k = 0..l+2, from one elimination."""
-    return _s_profile(two_ell, two_ell // 2 + 2)
+    row = s_subspace_dims(two_ell)
+    return row[max(k, 0)] if k < len(row) else 0
 
 
 # -- decomposition of the H-multiplied family element -------------------------

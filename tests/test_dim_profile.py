@@ -1,4 +1,4 @@
-"""The weight-ordered elimination that gives every dimension of a table row at once."""
+"""The weight-ordered elimination on subset supports, and the triangular count of the tables."""
 
 import time
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from xicube import search
 from xicube.errors import InvariantViolation
 from xicube.linalg import IntEchelon
-from xicube.ring import (RingElem, _subspace_vectors, basis_of, dim_profile,
+from xicube.ring import (RingElem, _subspace_vectors, _triangular_dims, basis_of, dim_profile,
                          j_subspace, j_subspace_dims, named_element, tab_columns, tau)
 from xicube.search import (SupportSet, _fmn_product, maximal_j_element, s_subspace_dim,
                            s_subspace_dims)
@@ -127,5 +127,61 @@ def test_dependent_s_columns_raise(ell, monkeypatch):
     assert s_subspace_dims(2 * ell) == _formula(ell)
     monkeypatch.setattr(search, "_s_columns", doubled)
     for check in (lambda: s_subspace_dims(2 * ell), lambda: s_subspace_dim(2 * ell, 0)):
-        with pytest.raises(InvariantViolation, match="linearly dependent"):
+        with pytest.raises(InvariantViolation, match="not triangular with a nonzero diagonal"):
             check()
+
+
+# the two square tables, as j_subspace_dims and s_subspace_dims build and order them
+TABLES = {
+    "R": (lambda ell: tab_columns(basis_of(ell), ell + 1), lambda bc: bc[::-1]),
+    "S": (lambda ell: search._s_columns(ell, ell), lambda bc: -2 * bc[0] - 3 * bc[1]),
+}
+
+
+@pytest.mark.parametrize("table, ell", [("R", ell) for ell in range(31)]
+                         + [("S", ell) for ell in range(16)])
+def test_triangular_count_equals_the_elimination(table, ell):
+    build, order = TABLES[table]
+    columns = build(ell)
+    assert _triangular_dims(basis_of(ell), columns, order, ell + 2) == \
+        dim_profile(columns, ell + 2)[0] == _formula(ell)
+
+
+def _zeroed_diagonal(keys, columns, order):
+    columns[3] = {**columns[3], keys[3]: 0}
+
+
+def _entry_after_the_diagonal(keys, columns, order):
+    first = min(range(len(keys)), key=lambda i: order(keys[i]))
+    columns[first] = {**columns[first], max(keys, key=order): 1}
+
+
+def _repeated_column(keys, columns, order):
+    columns[4] = columns[3]
+
+
+def _row_outside_the_keys(keys, columns, order):
+    columns[-1] = {**columns[-1], (0, len(keys)): 1}
+
+
+@pytest.mark.parametrize("table", TABLES)
+@pytest.mark.parametrize("mutate", [_zeroed_diagonal, _entry_after_the_diagonal,
+                                    _repeated_column, _row_outside_the_keys])
+def test_mutated_tables_raise(table, mutate):
+    build, order = TABLES[table]
+    ell = 9
+    keys, columns = basis_of(ell), build(ell)
+    assert _triangular_dims(keys, columns, order, ell + 2) == _formula(ell)
+    mutate(keys, columns, order)
+    with pytest.raises(InvariantViolation, match="not triangular with a nonzero diagonal"):
+        _triangular_dims(keys, columns, order, ell + 2)
+
+
+def test_an_entry_of_equal_weight_raises_on_the_s_table():
+    # weight order ties (3, 0) and (0, 2); only the diagonal may sit at weight 6
+    build, order = TABLES["S"]
+    keys, columns = basis_of(9), build(9)
+    i = keys.index((3, 0))
+    columns[i] = {**columns[i], (0, 2): 1}
+    with pytest.raises(InvariantViolation, match="not triangular with a nonzero diagonal"):
+        _triangular_dims(keys, columns, order, 11)

@@ -147,6 +147,10 @@ def test_s_subspace_dims():
     assert s_subspace_dim(12, 0) == tau(6) == 7
     assert s_subspace_dim(12, 7) == 0
     assert s_subspace_dim(8, 2) == tau(4) - tau(1) == 3
+    # past the row's last cell k = l+2, and before its first
+    assert s_subspace_dim(12, 9) == s_subspace_dim(12, 10**6) == 0
+    assert s_subspace_dim(12, -1) == s_subspace_dim(12, -10**6) == 7
+    assert s_subspace_dim(0, 3) == 0 and s_subspace_dim(0, -2) == 1
     with pytest.raises(ValueError):
         s_subspace_dim(7, 0)
 
