@@ -47,8 +47,7 @@ where the number of lattice points it should hold, about
 4*Y*b1*b3/S^2 with half-widths b_k = e_hi + Y*w_k, is at most 24; and an
 enumeration that meets more than BOX_CAP lattice points, as a box around
 a nearly rational literal can, is given up.  Either way the precision
-doubles, and the ceiling raises PrecisionError; a literal's box, which
-more bits do not shrink, raises it at once.
+doubles, and the ceiling raises PrecisionError.
 
 Each record test compares integer enclosures of 2^bits * L at the base
 precision, with the current record's enclosure computed once per record.
@@ -56,6 +55,15 @@ An integer verdict is final, because the true values lie inside those
 enclosures; a comparison they leave open is put again on the same integer
 enclosures at escalating precision (RealContext.decide).  Nothing is ever
 settled by a midpoint guess.
+
+A decimal literal's cell [a, a + 1] / D is exact, and every rung's
+enclosures are rounded outward from it, so more bits cannot settle what
+the cell itself leaves open.  When the base precision leaves a search box
+or a record comparison open on a literal, the same test is put once to
+the cell's integers; if it is still open there, the PrecisionError that
+the ceiling would raise is raised at once (_literal_box_open,
+_literal_less_open).  So is a literal's capped box, which more bits do not
+shrink either.
 """
 
 from __future__ import annotations
@@ -124,14 +132,39 @@ def _record_error(ctx: RealContext, prev: Vec3 | None, bits: int) -> tuple[int, 
     return scaled_error(prev, ctx, bits) if prev else (1 << (bits - 1),) * 2
 
 
+def _exact_error(ctx: RealContext, p: Vec3 | None) -> tuple[int, int]:
+    """Enclosure (lo, hi) of 2*D^3 * L(p) on a literal's cell [a, a + 1] / D; D^3 for p None.
+
+    A literal's cell is exact: every rung's enclosure of L(p) holds this one.
+    """
+    if p is None:
+        den3 = ctx._literal[2][0]
+        return den3, den3
+    lo, hi, _ = approx_error(p, ctx).integers
+    return 2 * lo, 2 * hi
+
+
+def _literal_less_open(ctx: RealContext, x: Vec3, y: Vec3 | None) -> bool:
+    """True when ctx is a literal whose exact cell leaves L(x) < L(y) open.
+
+    Then every rung leaves it open: each rung's enclosures hold the exact
+    ones, so they overlap too, and a rung's two equal points would make the
+    exact enclosures those same points, which _fixed_less decides.
+    """
+    return (ctx._literal is not None
+            and _fixed_less(_exact_error(ctx, x), _exact_error(ctx, y)) is None)
+
+
 def _err_less(ctx: RealContext, x: Vec3, y: Vec3 | None, ex: tuple[int, int],
               ey: tuple[int, int]) -> bool:
     """L(x) < L(y) (1/2 for y None), given their enclosures ex, ey at the base precision."""
     verdict = _fixed_less(ex, ey)
     if verdict is None:
+        what = f"L{x} < L{y}" if y else f"L{x} < 1/2"
+        if _literal_less_open(ctx, x, y):
+            raise ctx.ceiling_error(what)
         verdict = ctx.decide(lambda b: _fixed_less(scaled_error(x, ctx, b),
-                                                   _record_error(ctx, y, b)),
-                             what=f"L{x} < L{y}" if y else f"L{x} < 1/2")
+                                                   _record_error(ctx, y, b)), what=what)
     return verdict
 
 
@@ -212,6 +245,8 @@ def _next_record(ctx: RealContext, prev: Vec3 | None, limit: int, norm_bound: in
     def search(bits):
         box = _resolved_box(ctx, prev, limit, bits)
         if box is None:
+            if bits == ctx.precision_bits and _literal_box_open(ctx, prev, limit):
+                raise ctx.ceiling_error(what)
             return None
         boxes.append((box[0], bits))
         points = _box_points(ctx, bits, box[1], box[0], done, basis)
@@ -249,21 +284,57 @@ def _resolved_box(ctx: RealContext, prev: Vec3 | None, limit: int,
     """(Y, e_hi) when the search box is worth enumerating at bits, else None.
 
     e_hi is the upper end of the enclosure of 2^bits * L(prev) (2^bits / 2 for
-    the first record).  Y is Minkowski's bound 2^(2*bits) / e_lo^2 + 2 for
-    its lower end e_lo, capped at limit, and limit itself when e_lo is 0.
-    The box's half-widths are b_k = e_hi + Y*w_k, w_k the widths of the
-    enclosures of 2^bits * xi^k, k = 1, 3; it is worth enumerating when
-    the number of lattice points it should hold, about 4*Y*b1*b3 / 2^(2*bits),
-    is at most 24.  A box resolved to Y*w_k <= e_hi with e_hi close to e_lo
-    passes: then Y*b1*b3 <= 4*Y*e_hi^2, about 4*Y*e_lo^2, and Minkowski's Y
-    gives Y*e_lo^2 <= 2^(2*bits) + 2*e_lo^2 <= 1.5 * 2^(2*bits).
+    the first record), and Y is _box_size's at scale 2^bits.
     """
     e_lo, e_hi = _record_error(ctx, prev, bits)
-    size = limit if e_lo == 0 else min(limit, (1 << (2 * bits)) // (e_lo * e_lo) + 2)
     (lo1, hi1), (lo3, hi3) = ctx.scaled(1, bits), ctx.scaled(3, bits)
-    if size * (e_hi + size * (hi1 - lo1)) * (e_hi + size * (hi3 - lo3)) > 6 << (2 * bits):
+    size = _box_size(limit, e_lo, e_hi, hi1 - lo1, hi3 - lo3, 1 << (2 * bits))
+    return None if size is None else (size, e_hi)
+
+
+def _box_size(limit: int, e_lo: int, e_hi: int, w1: int, w3: int,
+              scale_sq: int) -> int | None:
+    """The box's Y when it is worth enumerating, else None; all at one scale S.
+
+    [e_lo, e_hi] encloses S * L(prev), and w_k is the width of the enclosure
+    of S * xi^k, k = 1, 3; scale_sq is S^2.  Y is Minkowski's bound
+    S^2 / e_lo^2 + 2, capped at limit, and limit itself when e_lo is 0.
+    The box's half-widths are b_k = e_hi + Y*w_k; it is worth enumerating
+    when the number of lattice points it should hold, about
+    4*Y*b1*b3 / S^2, is at most 24.  A box resolved to Y*w_k <= e_hi with
+    e_hi close to e_lo passes: then Y*b1*b3 <= 4*Y*e_hi^2, about
+    4*Y*e_lo^2, and Minkowski's Y gives Y*e_lo^2 <= S^2 + 2*e_lo^2 <= 1.5 * S^2.
+
+    Y grows as e_lo / S shrinks, and the count grows with Y, e_hi / S and
+    w_k / S; so a box open on enclosures is open on any wider ones.
+    """
+    size = limit if e_lo == 0 else min(limit, scale_sq // (e_lo * e_lo) + 2)
+    if size * (e_hi + size * w1) * (e_hi + size * w3) > 6 * scale_sq:
         return None
-    return size, e_hi
+    return size
+
+
+def _literal_box_open(ctx: RealContext, prev: Vec3 | None, limit: int) -> bool:
+    """True when ctx is a literal whose exact cell leaves the search box open.
+
+    The test of _resolved_box, put once to the literal's cell: xi in
+    [a, b] / D and xi^3 in [c_lo, c_hi] / D^3, at scale S = 2*D^3, with e
+    from _exact_error and the widths 2*(b - a)*D^2 and 2*(c_hi - c_lo).
+
+    If it is open, so is every rung.  A rung's enclosures of 2^bits * xi^k
+    are rounded outward from the cell, and its enclosure of 2^bits * L(prev)
+    is built from them by interval arithmetic, which keeps an enclosure
+    inside any coarser one.  Divided by their scales, the rung's e_lo is no
+    larger than the cell's, and its e_hi and widths are no smaller, so by
+    _box_size's monotonicity the rung's box is open too, up to max_bits,
+    where RealContext.decide would raise its ceiling error.
+    """
+    if ctx._literal is None:
+        return False
+    (den, a, b), _, (den3, c_lo, c_hi) = ctx._literal
+    e_lo, e_hi = _exact_error(ctx, prev)
+    return _box_size(limit, e_lo, e_hi, 2 * (b - a) * den * den, 2 * (c_hi - c_lo),
+                     4 * den3 * den3) is None
 
 
 def _box_points(ctx: RealContext, bits: int, e_hi: int, size: int, done: int,

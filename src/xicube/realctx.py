@@ -221,6 +221,14 @@ def _horner(poly, t: int) -> tuple[int, int]:
     return value, slope
 
 
+def _value(poly, t: int) -> int:
+    """Value of an ascending integer polynomial at an integer."""
+    value = 0
+    for c in reversed(poly):
+        value = value * t + c
+    return value
+
+
 def _scaled_poly(coeffs, start: int, step: int, den: int) -> list[int]:
     """Ascending coefficients in t of den^n * f((start + step*t) / den)."""
     out = [coeffs[-1]]
@@ -241,15 +249,19 @@ def _root_cell(coeffs, sign_lo: int, start: int, width: int, den: int, k: int) -
 
     The cell [start + j*w, start + (j+1)*w] / den, w = width / 2^k, whose left
     end has sign sign_lo and whose right end has not.  An integer Newton
-    iteration on the grid 2^GUARD_BITS times finer guesses j; exact sign
-    evaluations at the guess and its neighbours certify it, and bisection of
-    the integer bracket [0, 2^k] finishes the search whenever they do not.
+    iteration on the grid 2^GUARD_BITS times finer guesses j, and stops once
+    its step is under a quarter of a cell: one more step would move the guess
+    by far less than that.  Exact sign evaluations at the guess and its
+    neighbours, values only, certify j, and bisection of the integer bracket
+    [0, 2^k] finishes the search whenever they do not.  So the cell is the
+    one the signs define, however close the guess came.
     """
     depth = k + GUARD_BITS
     # g(t) = (den*2^depth)^n f((start + t*width/2^depth) / den), positive multiple of f
     g = _scaled_poly(coeffs, start << depth, width, den << depth)
 
     top = 1 << depth
+    quarter = 1 << (GUARD_BITS - 2)  # a quarter of a cell on the fine grid
     t = top >> 1
     for _ in range(4 * depth.bit_length() + 16):
         value, slope = _horner(g, t)
@@ -257,7 +269,7 @@ def _root_cell(coeffs, sign_lo: int, start: int, width: int, den: int, k: int) -
             break
         step = value // slope
         t -= step
-        if not 0 <= t <= top or -1 <= step <= 1:
+        if not 0 <= t <= top or -quarter < step < quarter:
             break
     j = (t - 1) >> GUARD_BITS  # guess: the root r (in cells) has j < r <= j + 1
 
@@ -267,7 +279,7 @@ def _root_cell(coeffs, sign_lo: int, start: int, width: int, den: int, k: int) -
         m = probes.pop() if probes else (a + b) >> 1
         if not a < m < b:
             continue
-        value, _ = _horner(g, m << GUARD_BITS)
+        value = _value(g, m << GUARD_BITS)
         if (value > 0) - (value < 0) == sign_lo:
             a = m
         else:
@@ -275,13 +287,56 @@ def _root_cell(coeffs, sign_lo: int, start: int, width: int, den: int, k: int) -
     return a
 
 
-def _cell_powers(a: int, b: int, den: int):
-    """((den^k, lo, hi) for k = 1..3): the powers of [a, b] / den are [lo, hi] / den^k,
-    with the min and max of all endpoint products, as Interval multiplication takes them."""
-    square = (a * a, a * b, b * b)
-    s_lo, s_hi = min(square), max(square)
-    cube = (s_lo * a, s_lo * b, s_hi * a, s_hi * b)
-    return (den, a, b), (den * den, s_lo, s_hi), (den**3, min(cube), max(cube))
+def _cell_powers(a: int, b: int, dens: tuple[int, int, int]):
+    """((den^k, lo, hi) for k = 1..3): the powers of [a, b] / den are [lo, hi] / den^k.
+
+    dens is (den, den^2, den^3).  The bounds are the min and max of all
+    endpoint products, as Interval multiplication takes them; this build
+    makes the two full-size products a^2 and a^3, and _end_powers the rest.
+    """
+    a2 = a * a
+    return _end_powers(a, b - a, a2, a2 * a, dens)
+
+
+def _end_powers(a: int, w: int, a2: int, a3: int, dens: tuple[int, int, int]):
+    """_cell_powers of [a, a + w] / den, given a2 = a^2 and a3 = a^3.
+
+    Off 0 the min and max of the endpoint products are the powers of the
+    ends, and (a + w)^2, (a + w)^3 follow from a^2, a^3 by products with
+    the width w alone, small next to a on a deep cell.  A cell with
+    a < 0 < a + w has |a|, |a + w| < w, so its products are small too.
+    """
+    b = a + w
+    if a < 0 < b:
+        square = (a2, a * b, b * b)
+        s_lo, s_hi = min(square), max(square)
+        cube = (s_lo * a, s_lo * b, s_hi * a, s_hi * b)
+        c_lo, c_hi = min(cube), max(cube)
+    else:
+        b2 = a2 + (2 * a + w) * w
+        s_lo, s_hi = (a2, b2) if a >= 0 else (b2, a2)
+        c_lo, c_hi = a3, a3 + (3 * a2 + (3 * a + w) * w) * w
+    return (dens[0], a, b), (dens[1], s_lo, s_hi), (dens[2], c_lo, c_hi)
+
+
+def _halved(powers, r: int):
+    """_cell_powers of the lower (r = 0) or upper (r = 1) half of the cell of `powers`.
+
+    The half is [a', a' + w] / 2den with a' = 2a + r*w, so a'^2 and a'^3
+    follow from a^2 and a^3 by products with w and shifts: no full-size
+    product.
+    """
+    (den, a, b), (den2, s_lo, s_hi), (den3, c_lo, _) = powers
+    w = b - a
+    if a < 0 < b:  # |a| < w
+        a2, a3 = a * a, a**3
+    else:  # the powers of the ends: a^2 is the square's low end for a >= 0, else its high end
+        a2, a3 = (s_lo if a >= 0 else s_hi), c_lo
+    if r:
+        a, a2, a3 = 2 * a + w, 4 * a2 + (4 * a + w) * w, 8 * a3 + (12 * a2 + (6 * a + w) * w) * w
+    else:
+        a, a2, a3 = 2 * a, 4 * a2, 8 * a3
+    return _end_powers(a, w, a2, a3, (den << 1, den2 << 2, den3 << 3))
 
 
 def _times(m: int, lo: int, hi: int) -> tuple[int, int]:
@@ -480,7 +535,8 @@ class RealContext:
             # so its "-" (not the sign of its value: -0.0) says on which side
             with _LongInts():
                 low = int(whole + frac) - spec.digits.startswith("-")
-            self._literal = _cell_powers(low, low + 1, 10 ** len(frac))
+            den = 10 ** len(frac)
+            self._literal = _cell_powers(low, low + 1, (den, den * den, den**3))
             self._isolating_poly = None
             self.independence_assumed = True
         else:
@@ -535,6 +591,9 @@ class RealContext:
 
         An alg: cell has the fewest halvings of [lo, hi] that leave its three
         powers 2^-bits * max(1, |xi|^3) wide at most, so it depends on bits alone.
+        The first cell tried is built with two full-size products, a^2 and
+        a^3; each deeper one is its half (_halved), from products with the
+        grid width and shifts.
         """
         bits = self.precision_bits if bits is None else bits
         out = self._pow_cache.get(bits, self._literal)
@@ -545,14 +604,15 @@ class RealContext:
             # as 3*xi^2 / max(1, |xi|^3) < 4, the test passes about 2 halvings
             # further at most: one search there, and the coarser cells are shifts
             self._cell(depth + 2)
+            a = (p << depth) + self._cell(depth) * w
+            out = _cell_powers(a, a + w, (q << depth, q * q << 2 * depth, q**3 << 3 * depth))
             while True:
-                a = (p << depth) + self._cell(depth) * w
-                out = _cell_powers(a, a + w, q << depth)
                 (den, _, _), (den2, s_lo, s_hi), (den3, c_lo, c_hi) = out
                 widest = max(w * den2, (s_hi - s_lo) * den, c_hi - c_lo)
                 if widest << bits <= max(den3, -c_lo, c_hi):  # 2^-bits * max(1, |xi^3|)
                     break
                 depth += 1
+                out = _halved(out, self._cell(depth) & 1)
             self._pow_cache[bits] = out
         return out
 
@@ -586,7 +646,11 @@ class RealContext:
     def decide(self, probe, what: str = "comparison"):
         """Run probe(bits) at escalating precision until it returns non-None.
 
-        Raises PrecisionError when probe(max_bits) is still undecided.
+        The precision doubles from precision_bits up to max_bits; raises
+        ceiling_error(what) when probe(max_bits) is still undecided.  On a
+        decimal literal a question open on the exact cell is open on every
+        rung, as each rung's enclosures hold it; such a question can take
+        that error at once (see minimal._literal_box_open).
         """
         bits = self.precision_bits
         while True:
@@ -594,11 +658,14 @@ class RealContext:
             if out is not None:
                 return out
             if bits >= self.max_bits:
-                note = ("; the literal's last digit is the limit"
-                        if self._isolating_poly is None else "")
-                raise PrecisionError(f"{what} undecidable for {self.describe()} at {bits} "
-                                     f"bits (ceiling {self.max_bits}{note})")
+                raise self.ceiling_error(what)
             bits = min(2 * bits, self.max_bits)
+
+    def ceiling_error(self, what: str) -> PrecisionError:
+        """The error of a question that max_bits leaves open."""
+        note = "; the literal's last digit is the limit" if self._literal is not None else ""
+        return PrecisionError(f"{what} undecidable for {self.describe()} at {self.max_bits} "
+                              f"bits (ceiling {self.max_bits}{note})")
 
     def nearest_to_multiple(self, m: int, k: int) -> int:
         """Nearest integer to m * xi^k, certified by strict enclosure containment.

@@ -36,6 +36,10 @@ its square and cube are `Interval` products, and the width test compares
 enclosures by `Interval` arithmetic.  Only the cell index comes from the
 context (`_cell`), which the bisection oracle below checks on its own.
 
+Cell-power oracle: the powers of an integer cell [a, b] / den as the min
+and max of all endpoint products, the form `RealContext` used before it
+built them from a^2, a^3 and products with the cell's width.
+
 Algebraic-analysis oracle: sympy's root count and factorisation over Q of
 an `alg:` spec, the route that the integer relation certificate of
 `xicube.realctx` replaced.  Its isolating polynomial is xi's minimal
@@ -265,6 +269,15 @@ def fraction_powers(ctx, bits: int) -> tuple[Interval, Interval, Interval]:
         if max(base.width, square.width, cube.width) <= target * max(Fraction(1), abs(cube).hi):
             return base, square, cube
         depth += 1
+
+
+def cell_powers(a: int, b: int, den: int):
+    """((den^k, lo, hi) for k = 1..3): the powers of [a, b] / den are [lo, hi] / den^k,
+    with the min and max of all endpoint products, as Interval multiplication takes them."""
+    square = (a * a, a * b, b * b)
+    s_lo, s_hi = min(square), max(square)
+    cube = (s_lo * a, s_lo * b, s_hi * a, s_hi * b)
+    return (den, a, b), (den * den, s_lo, s_hi), (den**3, min(cube), max(cube))
 
 
 def fraction_scaled(ctx, k: int, bits: int) -> tuple[int, int]:

@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 from conftest import QUARTIC, ROOT2, pi_prefix_spec
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import brute_force_minimal_points, linear_scan_minimal_points
 
@@ -16,8 +16,18 @@ from xicube import (DependenceError, Interval, MinimalPoint, NotInSpan,
 from xicube import minimal
 from xicube.errors import InvariantViolation
 from xicube.linalg import _lll
-from xicube.minimal import _box_points, _certified_err, _short_vectors, pair_record
+from xicube.minimal import (_box_points, _box_size, _certified_err, _fixed_less, _record_error,
+                            _resolved_box, _short_vectors, pair_record)
+from xicube.realctx import DEFAULT_MAX_BITS, scaled_error
 from xicube.vectors import content, det3, dot
+
+# The short decimals of the hostile benchmark inputs, seeds 1 to 20
+# (bench/workloads.py hostile_tasks), at its bounds: 27 * 10^digits.
+SHORT_DECIMALS = list(dict.fromkeys(
+    (f"dec:{d}", 27 * 10 ** len(d.partition(".")[2])) for d in """
+    1.61 -2.205 1.27 -1.151 2.84 -1.158 1.92 -1.413 1.56 -2.088 1.42 -2.490 2.17 -1.437
+    1.97 -1.550 2.06 -2.832 1.37 -2.772 1.63 -2.293 2.28 -2.224 1.61 -1.467 1.34 -1.894
+    2.29 -2.585 1.46 -2.548 1.78 -1.231 1.96 -2.719 1.72 -1.287 2.13 -2.547""".split()))
 
 
 def _fake_seq(points):
@@ -86,13 +96,103 @@ def _count_lattice_points(monkeypatch) -> list[int]:
                                         ("dec:2.5", 10**9)])
 def test_short_literal_aborts_on_little_work(spec, bound, monkeypatch):
     # a short literal must give up at the ceiling after a handful of lattice
-    # points; dec:2.5 leaves every box too wide to enumerate at all
+    # points; dec:2.5 leaves every box too wide to enumerate at all.  The
+    # question it gives up on is open on the literal's exact cell, so no
+    # enclosure above the base precision is asked for
     counts = _count_lattice_points(monkeypatch)
-    with pytest.raises(PrecisionError):
+    above_base = []
+    real_scaled = RealContext.scaled
+
+    def scaled(ctx, k, bits=None):
+        if bits is not None and bits > ctx.precision_bits:
+            above_base.append((k, bits))
+        return real_scaled(ctx, k, bits)
+
+    monkeypatch.setattr(RealContext, "scaled", scaled)
+    with pytest.raises(PrecisionError, match="at 65536 bits"):
         minimal_sequence(RealContext(spec), bound)
     assert sum(counts) < 1000
+    assert above_base == []
     if spec == "dec:2.5":
         assert counts == []
+
+
+def _rungs(ctx):
+    """The precisions at which RealContext.decide puts a question, in order."""
+    bits = ctx.precision_bits
+    while True:
+        yield bits
+        if bits >= ctx.max_bits:
+            return
+        bits = min(2 * bits, ctx.max_bits)
+
+
+def _outcome(spec, bound, max_bits):
+    """The points of minimal_sequence, or the text of its PrecisionError."""
+    try:
+        return [p.point for p in minimal_sequence(RealContext(spec, max_bits=max_bits), bound)]
+    except PrecisionError as exc:
+        return str(exc)
+
+
+def _check_literal_rule(spec, bound, max_bits=DEFAULT_MAX_BITS):
+    """Run spec to bound; each question it finds open on the literal's exact
+    cell must be open at every rung of decide's ladder, and the run must end
+    as it does when every question climbs that ladder.  Returns the kinds of
+    the early exits ('box' or 'less')."""
+    fired = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, kind in (("_literal_box_open", "box"), ("_literal_less_open", "less")):
+            def recorded(ctx, *args, real=getattr(minimal, name), kind=kind):
+                out = real(ctx, *args)
+                if out:
+                    fired.append((ctx, kind, args))
+                return out
+
+            mp.setattr(minimal, name, recorded)
+        fast = _outcome(spec, bound, max_bits)
+    for ctx, kind, args in fired:
+        for bits in _rungs(ctx):
+            if kind == "box":
+                assert _resolved_box(ctx, *args, bits) is None, bits
+            else:
+                x, y = args
+                assert _fixed_less(scaled_error(x, ctx, bits),
+                                   _record_error(ctx, y, bits)) is None, bits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimal, "_literal_box_open", lambda *args: False)
+        mp.setattr(minimal, "_literal_less_open", lambda *args: False)
+        assert fast == _outcome(spec, bound, max_bits)
+    return [kind for _, kind, _ in fired]
+
+
+@pytest.mark.parametrize("spec,bound", SHORT_DECIMALS)
+def test_short_decimal_exits_early_only_where_every_rung_is_open(spec, bound):
+    # every one of them ends on a question its exact cell leaves open: a
+    # search box, or a record comparison
+    assert len(_check_literal_rule(spec, bound)) == 1
+
+
+@st.composite
+def short_literals(draw):
+    """A literal of 2 or 3 decimals in (-3, 3) with its bound 27 * 10^digits."""
+    digits = draw(st.integers(2, 3))
+    units = draw(st.integers(1, 3 * 10**digits - 1))
+    sign = draw(st.sampled_from(["", "-"]))
+    return f"dec:{sign}{units // 10**digits}.{units % 10**digits:0{digits}d}", 27 * 10**digits
+
+
+@settings(max_examples=60, deadline=None)
+@given(literal=short_literals())
+def test_literal_rule_matches_the_ladder(literal):
+    # a ceiling of 1536 bits keeps the ladder cheap
+    _check_literal_rule(*literal, max_bits=1536)
+
+
+def test_box_of_at_most_24_expected_points_is_enumerated():
+    # at scale 1: Y*b1*b3 = 1 * (1 + 1) * (1 + 2) = 6, i.e. 24 expected points
+    assert _box_size(1, 0, 1, 1, 2, 1) == 1
+    assert _box_size(1, 0, 1, 1, 3, 1) is None
 
 
 @pytest.mark.parametrize("spec", ["dec:3.0000000000000000000000001",
