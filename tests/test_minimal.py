@@ -166,7 +166,7 @@ def _check_literal_rule(spec, bound, max_bits=DEFAULT_MAX_BITS):
     return [kind for _, kind, _ in fired]
 
 
-@pytest.mark.parametrize("spec,bound", SHORT_DECIMALS)
+@pytest.mark.parametrize("spec,bound", SHORT_DECIMALS + [("dec:2.5", 2700)])
 def test_short_decimal_exits_early_only_where_every_rung_is_open(spec, bound):
     # every one of them ends on a question its exact cell leaves open: a
     # search box, or a record comparison
