@@ -17,8 +17,8 @@ and the largest power of q dividing the image of an element is its
 J-valuation, the quantity that turns symbolic membership into integer
 divisibility on minimal-point pairs.  `expand` and `rho` substitute
 exactly; with them the identity suite, and this module before its first
-valuation, certify rho(A) = q^2 A and rho(B) = q^3 B for A = (T^2 + 3F)/4
-and B = (T^3 - 9TF - 108 G0)/4.
+valuation or table, certify rho(A) = q^2 A and rho(B) = q^3 B for
+A = (T^2 + 3F)/4 and B = (T^3 - 9TF - 108 G0)/4.
 
 Hence the closed form.  Through F = (4A - T^2)/3 and G0 = (T^3 - 3TA - B)/27
 an element lies on the monomials T^(l-2b-3c) A^b B^c, which rho maps to
@@ -33,13 +33,17 @@ coordinates of weight below k.  With T implicit, (3F)^m (27 G0)^n is
 is needed for b < (k - 3c)/2 only.  On a subset support one weight-ordered
 elimination of those rows (`dim_profile`) gives the dimensions for every k
 up to a bound, and the echelon form whose nullspace is the subspace at that
-bound.  On the whole of `basis_of(l)`, cut at weight l, the columns form a
-square matrix that is triangular with a nonzero diagonal when the rows are
-ordered by (c, b); `_triangular_dims` checks that on the built columns and
-counts the dimension table instead of eliminating it, and the F, M, N
-tables of `xicube.search` go through the same check in weight order.  The
-truncated substitution engine and the product recursion for the
-coordinates are the references in tests/oracle.py.
+bound.  On the whole of `basis_of(l)` no column is built.  Column (m, n),
+3^(w-m-3n) (4A - 1)^m (1 - 3A - B)^n, has its rows (b, c) at c <= n and
+b + c <= m + n, so at keys of `basis_of(l)`, and the last of them in the
+order (c, b) is (m, n), with the entry (-1)^n 4^m 3^(w-m-3n).  So the
+coordinate map of degree l is triangular with a nonzero diagonal, a
+bijection onto the keys, and the elements with no coordinate of weight
+below k are the preimage of the keys of weight >= k: the dimension counts
+those keys (`j_subspace_dims`).  `_certify_closed_form` checks the premises
+once per process.  The triangular check on built columns, the truncated
+substitution engine and the product recursion for the coordinates are the
+references in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -289,15 +293,34 @@ def rho(p: ExpandedPoly) -> ExpandedPoly:
 _certified = False
 
 
-def _certify_weights() -> None:
-    """Check rho(A) = q^2 A and rho(B) = q^3 B, the closed form's premise, once."""
+def _certify_closed_form() -> None:
+    """Check once the premises of the closed form and of the counted tables; else raise.
+
+    rho(A) = q^2 A, rho(B) = q^3 B, 3F = 4A - T^2 and 27 G0 = T^3 - 3TA - B;
+    `tab_coordinates` gives 4A - 1 and 1 - 3A - B for 3F and 27 G0, and
+    lowest-weight terms 1, A and B, single monomials, for 3F, 9M and 27N.
+    """
     global _certified
-    if not _certified:
-        for name, w in (("A", 2), ("B", 3)):
-            p = expand(named_element(name))
-            if rho(p) != {(eq + w, *mono): v for (eq, *mono), v in p.items()}:
-                raise InvariantViolation(f"rho({name}) is not q^{w} * {name}", {})
-        _certified = True
+    if _certified:
+        return
+    for name, w in (("A", 2), ("B", 3)):
+        p = expand(named_element(name))
+        if rho(p) != {(eq + w, *mono): v for (eq, *mono), v in p.items()}:
+            raise InvariantViolation(f"rho({name}) is not q^{w} * {name}", {})
+    t, f, g0, a, b, m, n = map(named_element, ("T", "F", "S2V", "A", "B", "M", "N"))
+    if 3 * f != 4 * a - t**2 or 27 * g0 != t**3 - 3 * t * a - b:
+        raise InvariantViolation("3F is not 4A - T^2 or 27 G0 is not T^3 - 3TA - B", {})
+    _certified = True  # so that tab_coordinates does not re-enter this check
+    try:
+        f3, g27, m9, n27 = map(tab_coordinates, (3 * f, 27 * g0, 9 * m, 27 * n))
+    finally:
+        _certified = False
+    if f3 != {(0, 0): -1, (1, 0): 4} or g27 != {(0, 0): 1, (1, 0): -3, (0, 1): -1}:
+        raise InvariantViolation("the closed form is not 3F = 4A - 1, 27 G0 = 1 - 3A - B", {})
+    for name, coords, key in (("3F", f3, (0, 0)), ("9M", m9, (1, 0)), ("27N", n27, (0, 1))):
+        if {bc for bc in coords if 2 * bc[0] + 3 * bc[1] <= 2 * key[0] + 3 * key[1]} != {key}:
+            raise InvariantViolation(f"the lowest-weight part of {name} is not one monomial", {})
+    _certified = True
 
 
 def tab_columns(support, k: int) -> list[dict[tuple[int, int], int]]:
@@ -306,7 +329,7 @@ def tab_columns(support, k: int) -> list[dict[tuple[int, int], int]]:
     Column (m, n) is 3^(w-m-3n) (3F)^m (27 G0)^n keyed (b, c), w the largest
     m + 3n of the support; one scale keeps the exact nullspace.
     """
-    _certify_weights()
+    _certify_closed_form()
     w = max(m + 3 * n for m, n in support)
     top = (k + 1) // 2
     polys = {}  # (m, j) -> u^0..u^(top-1) of (4u-1)^m (1-3u)^j
@@ -401,31 +424,21 @@ def j_subspace(ell: int, k: int) -> list[RingElem]:
     return [RingElem(ell, dict(zip(support, vec))) for vec in vectors]
 
 
-def _triangular_dims(keys, columns, order, kmax: int) -> list[int]:
-    """Dimensions for k = 0..kmax of a square table certified triangular.
-
-    Column i must be nonzero at keys[i], and its other rows (the columns
-    hold no zeros) must be keys strictly before keys[i] in `order`; else
-    InvariantViolation.  Then the square matrix is invertible, so its rows
-    of weight below k are independent and the nullity they leave is the
-    number of keys of weight at least k.
-    """
-    rank = {key: order(key) for key in keys}
-    for (key, r), col in zip(rank.items(), columns, strict=True):
-        if not col.get(key) or any(rank.get(row, r) >= r for row in col if row != key):
-            raise InvariantViolation("not triangular with a nonzero diagonal", {"column": key})
-    return [sum(2 * m + 3 * n >= k for m, n in keys) for k in range(kmax + 1)]
-
-
 def j_subspace_dims(ell: int) -> list[int]:
-    """The dimensions of `j_subspace(ell, k)` for k = 0..ell+2, counted on a certified table.
+    """The dimensions of `j_subspace(ell, k)` for k = 0..ell+2: keys of weight >= k.
 
-    Column (m, n) has rows (b, c) with c < n, or c = n and b <= m, and the
-    entry (-1)^n 4^m 3^(w-m-3n) at (m, n); its rows of weight <= ell are
-    the keys of `basis_of(ell)`, which rejects a negative ell.
+    The module docstring proves the count.  The keys of `basis_of(ell)`,
+    which rejects a negative ell, are counted by weight in one pass, and the
+    row sums those counts from k up.
     """
     keys = basis_of(ell)
-    return _triangular_dims(keys, tab_columns(keys, ell + 1), lambda bc: bc[::-1], ell + 2)
+    _certify_closed_form()
+    row = [0] * (ell + 3)
+    for m, n in keys:
+        row[2 * m + 3 * n] += 1
+    for k in range(ell, -1, -1):
+        row[k] += row[k + 1]
+    return row
 
 
 def evaluate(e: RingElem | ExpandedPoly, x: Vec3, y: Vec3):

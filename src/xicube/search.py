@@ -5,11 +5,20 @@ arbitrary monomial support, the distinguished one-dimensional family on the
 degree-(12l+2) triangle supports (valuation 6l+2) together with its parity
 certificate, and the dimension theory of the subring generated by F, M, N.
 Their J-valuation conditions are exact nullspaces of the (T, A, B)
-coordinates of weight below k, the route `xicube.ring` describes.  The
-subring's products F^e M^m N^n are built on those coordinates, where they
-are triangular in weight order; the check of that pattern proves them
-independent and gives their dimension table as a count of keys.  Only the
-H*P decomposition builds products on the (m, n) keys (`_fmn_product`).
+coordinates of weight below k, the route `xicube.ring` describes.
+
+The subring's dimension table is counted, with no product built.  Its
+degree-2l part is spanned by the products F^(l-2m-3n) M^m N^n, (m, n) in
+`basis_of(l)`.  With T implicit, the lowest-weight terms of 3F, 9M and 27N
+are nonzero multiples of 1, A and B, which `xicube.ring` certifies.  Weight
+grades Q[A, B], a domain, so that of the product at (m, n) is a nonzero
+multiple of A^m B^n, of weight 2m + 3n.  Products of weight >= k lie in
+J^(k).  A combination with nonzero coefficients on products of weight
+below k, the least of them w, has at weight w a nonzero sum of distinct
+monomials A^m B^n, so it is not in J^(k).  Hence the products are
+independent and the dimension counts the keys of weight >= k, as
+`j_subspace_dims` does.  The H*P decomposition builds its products on the
+(m, n) keys, from one table of powers of M and N per call.
 
 The inequality test of the exponent study is also here since it consumes
 the same pair data the searches predict divisibility for.
@@ -26,8 +35,8 @@ from .errors import (DecompositionFailure, DimensionMismatch, InvalidEll,
 from .linalg import solve_unique, vec_content
 from .minimal import PairRecord
 from .rigor import MID_PREC, decide_sign, evaluate, log_abs, mid_str, rational
-from .ring import (RingElem, _subspace_vectors, _triangular_dims, basis_of, dim_profile,
-                   mul_keyed, named_element, tab_columns, tab_coordinates)
+from .ring import (RingElem, _subspace_vectors, basis_of, dim_profile, j_subspace_dims,
+                   mul_keyed, named_element, tab_columns)
 
 
 class SupportSet(namedtuple("SupportSet", "d pairs")):
@@ -116,66 +125,21 @@ def special_family(ell: int) -> RingElem:
 
 # -- the subring generated by F, M, N ----------------------------------------
 
-# F, M and N have integer coefficients, so their products stay in integers
-_FMN = {name: {key: int(c) for key, c in named_element(name).coeffs.items()}
-        for name in "FMN"}
-_fmn_cache: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
-
-
-def _fmn_product(e: int, m: int, n: int) -> dict[tuple[int, int], int]:
-    """F^e M^m N^n on the (m, n) keys for `hp_decompose`, one factor times a cached product."""
-    key = (e, m, n)
-    hit = _fmn_cache.get(key)
-    if hit is None:
-        if e:
-            hit = mul_keyed(_fmn_product(e - 1, m, n), _FMN["F"])
-        elif m:
-            hit = mul_keyed(_fmn_product(0, m - 1, n), _FMN["M"])
-        elif n:
-            hit = mul_keyed(_fmn_product(0, 0, n - 1), _FMN["N"])
-        else:
-            hit = {(0, 0): 1}
-        _fmn_cache[key] = hit
-    return hit
-
-
-def _s_columns(ell: int, top: int) -> list[dict[tuple[int, int], int]]:
-    """Integer (T, A, B) columns (3F)^(l-2m-3n) (9M)^m (27N)^n, rows of weight <= top.
-
-    Each product is cut at weight top, where its rows need only those of its
-    factors; a column's own power of 3 changes no rank.
-    """
-    powers = []
-    for i, name in enumerate("FMN", 1):
-        form = {bc: int(v * 3**i) for bc, v in tab_coordinates(named_element(name)).items()}
-        powers.append([{(0, 0): 1}])
-        for _ in range(ell // i):
-            powers[-1].append(mul_keyed(powers[-1][-1], form, top))
-    f, m3, n3 = powers
-    return [mul_keyed(mul_keyed(f[ell - 2 * m - 3 * n], m3[m], top), n3[n], top)
-            for m, n in basis_of(ell)]
-
-
 def s_subspace_dims(two_ell: int) -> list[int]:
-    """`s_subspace_dim(two_ell, k)` for k = 0..l+2, counted on a certified table.
+    """`s_subspace_dim(two_ell, k)` for k = 0..l+2: keys of `basis_of(l)` of weight >= k.
 
-    The lowest-weight term of (3F)^(l-2m-3n) (9M)^m (27N)^n is the single
-    monomial A^m B^n, so the columns cut at weight l are triangular in
-    weight order, which also proves the products independent.
+    The module docstring proves that this is the count of `j_subspace_dims(l)`.
     """
     if two_ell < 0 or two_ell % 2:
         raise ValueError("degree must be even and >= 0")
-    ell = two_ell // 2
-    return _triangular_dims(basis_of(ell), _s_columns(ell, ell),
-                            lambda bc: -2 * bc[0] - 3 * bc[1], ell + 2)
+    return j_subspace_dims(two_ell // 2)
 
 
 def s_subspace_dim(two_ell: int, k: int) -> int:
     """dim of the degree-2l part of Q[F,M,N] meeting J^(k).
 
-    Columns are the products F^(l-2m-3n) M^m N^n on their (T, A, B)
-    coordinates; the cell is read off the certified row of
-    `s_subspace_dims`, and is 0 past k = l+2.
+    The span is that of the products F^(l-2m-3n) M^m N^n; the cell is read
+    off the counted row of `s_subspace_dims`, and is 0 past k = l+2.
     """
     row = s_subspace_dims(two_ell)
     return row[max(k, 0)] if k < len(row) else 0
@@ -212,6 +176,25 @@ class HpDecomposition(namedtuple("HpDecomposition", "ell rst a b scale checks"))
         return all(self.checks.values())
 
 
+def _hp_products(ell: int) -> list[dict[tuple[int, int], int]]:
+    """(F N, F^2 M, M^2) * M^(3k) N^(2l-2k) for k = 0..l on the (m, n) keys, in integers.
+
+    The powers M^(3k) and N^(2k) come from one table, built per call.
+    """
+    f, m, n = ({key: int(c) for key, c in named_element(name).coeffs.items()} for name in "FMN")
+    m2 = mul_keyed(m, m)
+    heads = [mul_keyed(f, n), mul_keyed(mul_keyed(f, f), m), m2]
+    m3, n2 = mul_keyed(m2, m), mul_keyed(n, n)
+    table = [({(0, 0): 1}, {(0, 0): 1})]
+    for _ in range(ell):
+        table.append((mul_keyed(table[-1][0], m3), mul_keyed(table[-1][1], n2)))
+    products = []
+    for k in range(ell + 1):
+        tail = mul_keyed(table[k][0], table[ell - k][1])
+        products += [mul_keyed(head, tail) for head in heads]
+    return products
+
+
 def hp_decompose(pl: RingElem, ell: int) -> HpDecomposition:
     """Decompose H*P on the products (F N, F^2 M, M^2) * M^(3k) N^(2l-2k).
 
@@ -226,12 +209,7 @@ def hp_decompose(pl: RingElem, ell: int) -> HpDecomposition:
     h = RingElem(6, {(0, 2): 1})
     hp = h * pl
 
-    cols: list[dict[tuple[int, int], int]] = []
-    for k in range(ell + 1):
-        m, n = 3 * k, 2 * ell - 2 * k  # the tail M^m N^n
-        cols += [_fmn_product(1, m, n + 1), _fmn_product(2, m + 1, n),
-                 _fmn_product(0, m + 2, n)]
-
+    cols = _hp_products(ell)
     keys = sorted({mk for col in cols for mk in col} | set(hp.coeffs))
     rows = [[col.get(mk, 0) for col in cols] for mk in keys]
     rhs = [hp.coeffs.get(mk, Fraction(0)) for mk in keys]

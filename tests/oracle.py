@@ -51,6 +51,15 @@ Coordinate oracle: the product recursion that the closed form of
 (b, c) keys of T^a A^b B^c from a cached neighbour times 3F = 4A - T^2 or
 27 G0 = T^3 - 3TA - B, with every row of every weight; the F, M, N
 products go through the same conversion term by term.
+
+Dimension-table oracle: the check that the counted tables of
+`xicube.ring.j_subspace_dims` and `xicube.search.s_subspace_dims` replaced.
+It builds the square R and S tables, the closed-form columns of
+`basis_of(l)` and the products (3F)^e (9M)^m (27N)^n cut at weight l,
+checks on every entry that they are triangular with a nonzero diagonal, and
+counts the keys of weight >= k.  The products of the H*P decomposition come
+from the recursion that its power table replaced, one factor times a cached
+neighbour.
 """
 
 from fractions import Fraction
@@ -67,7 +76,8 @@ from xicube.minimal import MinimalPoint, candidate_for
 from xicube.realctx import (AlgebraicXi, DecimalXi, _check_endpoints, _dependence_reason,
                             _eval_sign, _root_count_error, approx_error, delta_of, scaled_error)
 from xicube.vectors import Vec3, content, sup_norm
-from xicube.ring import _expand_monomial, basis_of, expand, mul_keyed, named_element
+from xicube.ring import (_expand_monomial, basis_of, expand, mul_keyed, named_element,
+                         tab_columns, tab_coordinates)
 
 MARGIN = 1e-6  # far beyond float error for bounds <= a few thousand
 
@@ -645,6 +655,77 @@ def s_columns(ell: int) -> list[dict]:
     products = [F ** (ell - 2 * m - 3 * n) * M**m * N**n for (m, n) in basis_of(ell)]
     return [scaled_coordinates({key: int(c) for key, c in p.coeffs.items()})[0]
             for p in products]
+
+
+# -- dimension tables by a triangular check on built columns ------------------
+
+def triangular_dims(keys, columns, order, kmax: int) -> list[int]:
+    """Dimensions for k = 0..kmax of a square table checked triangular.
+
+    Column i must be nonzero at keys[i], and its other rows (the columns
+    hold no zeros) must be keys strictly before keys[i] in `order`; else
+    InvariantViolation.  Then the square matrix is invertible, so its rows
+    of weight below k are independent and the nullity they leave is the
+    number of keys of weight at least k.
+    """
+    rank = {key: order(key) for key in keys}
+    for (key, r), col in zip(rank.items(), columns, strict=True):
+        if not col.get(key) or any(rank.get(row, r) >= r for row in col if row != key):
+            raise InvariantViolation("not triangular with a nonzero diagonal", {"column": key})
+    return [sum(2 * m + 3 * n >= k for m, n in keys) for k in range(kmax + 1)]
+
+
+def s_table_columns(ell: int, top: int) -> list[dict]:
+    """Integer (T, A, B) columns (3F)^(l-2m-3n) (9M)^m (27N)^n, rows of weight <= top.
+
+    Each product is cut at weight top, where its rows need only those of its
+    factors; a column's own power of 3 changes no rank.
+    """
+    powers = []
+    for i, name in enumerate("FMN", 1):
+        form = {bc: int(v * 3**i) for bc, v in tab_coordinates(named_element(name)).items()}
+        powers.append([{(0, 0): 1}])
+        for _ in range(ell // i):
+            powers[-1].append(mul_keyed(powers[-1][-1], form, top))
+    f, m3, n3 = powers
+    return [mul_keyed(mul_keyed(f[ell - 2 * m - 3 * n], m3[m], top), n3[n], top)
+            for m, n in basis_of(ell)]
+
+
+# the two square tables: the columns cut at weight l, and the order of their rows
+# that makes them triangular, (c, b) for R and descending weight for S
+TABLES = {
+    "R": (lambda ell: tab_columns(basis_of(ell), ell + 1), lambda bc: bc[::-1]),
+    "S": (lambda ell: s_table_columns(ell, ell), lambda bc: -2 * bc[0] - 3 * bc[1]),
+}
+
+
+def triangular_row(table: str, ell: int) -> list[int]:
+    """Row k = 0..l+2 of the R or S table by the triangular check on its built columns."""
+    build, order = TABLES[table]
+    return triangular_dims(basis_of(ell), build(ell), order, ell + 2)
+
+
+_FMN = {name: {key: int(c) for key, c in named_element(name).coeffs.items()}
+        for name in "FMN"}
+_fmn_cache: dict = {}
+
+
+def fmn_product(e: int, m: int, n: int) -> dict:
+    """F^e M^m N^n on the (m, n) keys in integers, one factor times a cached product."""
+    key = (e, m, n)
+    hit = _fmn_cache.get(key)
+    if hit is None:
+        if e:
+            hit = mul_keyed(fmn_product(e - 1, m, n), _FMN["F"])
+        elif m:
+            hit = mul_keyed(fmn_product(0, m - 1, n), _FMN["M"])
+        elif n:
+            hit = mul_keyed(fmn_product(0, 0, n - 1), _FMN["N"])
+        else:
+            hit = {(0, 0): 1}
+        _fmn_cache[key] = hit
+    return hit
 
 
 # -- log layer (mpmath intervals) ----------------------------------------

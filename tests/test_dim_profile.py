@@ -1,4 +1,4 @@
-"""The weight-ordered elimination on subset supports, and the triangular count of the tables."""
+"""The weight-ordered elimination on subset supports, and the counted dimension tables."""
 
 import time
 
@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xicube import search
+from xicube import ring, search
 from xicube.errors import InvariantViolation
 from xicube.linalg import IntEchelon
-from xicube.ring import (RingElem, _subspace_vectors, _triangular_dims, basis_of, dim_profile,
-                         j_subspace, j_subspace_dims, named_element, tab_columns, tau)
-from xicube.search import (SupportSet, _fmn_product, maximal_j_element, s_subspace_dim,
+from xicube.ring import (RingElem, _subspace_vectors, basis_of, dim_profile, j_subspace,
+                         j_subspace_dims, named_element, tab_columns, tau)
+from xicube.search import (SupportSet, _hp_products, maximal_j_element, s_subspace_dim,
                            s_subspace_dims)
 
 
@@ -56,7 +56,21 @@ def test_dims_reject_bad_degrees():
 @given(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2))
 def test_integer_fmn_product_matches_ring_powers(e, m, n):
     F, M, N = (named_element(name) for name in "FMN")
-    assert RingElem(2 * e + 4 * m + 6 * n, _fmn_product(e, m, n)) == F**e * M**m * N**n
+    assert RingElem(2 * e + 4 * m + 6 * n, oracle.fmn_product(e, m, n)) == F**e * M**m * N**n
+
+
+@pytest.mark.parametrize("ell", range(1, 5))
+def test_power_table_products_match_ring_powers(ell):
+    F, M, N = (named_element(name) for name in "FMN")
+    want = []
+    for k in range(ell + 1):
+        m, n = 3 * k, 2 * ell - 2 * k
+        want += [(1, m, n + 1), (2, m + 1, n), (0, m + 2, n)]
+    got = _hp_products(ell)
+    assert len(got) == len(want) == 3 * ell + 3
+    for (e, m, n), product in zip(want, got):
+        assert product == oracle.fmn_product(e, m, n), (e, m, n)
+        assert RingElem(12 * ell + 8, product) == F**e * M**m * N**n, (e, m, n)
 
 
 _KEYS = [(b, c) for b in range(5) for c in range(4)]
@@ -117,34 +131,30 @@ def test_maximal_j_element_builds_its_columns_once(monkeypatch):
 
 
 @pytest.mark.parametrize("ell", [2, 5])
-def test_dependent_s_columns_raise(ell, monkeypatch):
-    s_columns = search._s_columns
-
-    def doubled(ell, top):
-        columns = s_columns(ell, top)
-        return [columns[0]] + columns[:-1]  # the first product twice
-
-    assert s_subspace_dims(2 * ell) == _formula(ell)
-    monkeypatch.setattr(search, "_s_columns", doubled)
-    for check in (lambda: s_subspace_dims(2 * ell), lambda: s_subspace_dim(2 * ell, 0)):
-        with pytest.raises(InvariantViolation, match="not triangular with a nonzero diagonal"):
-            check()
+def test_dependent_s_columns_raise(ell):
+    keys, columns = basis_of(ell), oracle.s_table_columns(ell, ell)
+    order = oracle.TABLES["S"][1]
+    assert s_subspace_dims(2 * ell) == oracle.triangular_dims(keys, columns, order, ell + 2) \
+        == _formula(ell)
+    doubled = [columns[0]] + columns[:-1]  # the first product twice
+    with pytest.raises(InvariantViolation, match="not triangular with a nonzero diagonal"):
+        oracle.triangular_dims(keys, doubled, order, ell + 2)
 
 
-# the two square tables, as j_subspace_dims and s_subspace_dims build and order them
-TABLES = {
-    "R": (lambda ell: tab_columns(basis_of(ell), ell + 1), lambda bc: bc[::-1]),
-    "S": (lambda ell: search._s_columns(ell, ell), lambda bc: -2 * bc[0] - 3 * bc[1]),
-}
+TABLE_ROWS = {"R": j_subspace_dims, "S": lambda ell: s_subspace_dims(2 * ell)}
 
 
 @pytest.mark.parametrize("table, ell", [("R", ell) for ell in range(31)]
                          + [("S", ell) for ell in range(16)])
 def test_triangular_count_equals_the_elimination(table, ell):
-    build, order = TABLES[table]
-    columns = build(ell)
-    assert _triangular_dims(basis_of(ell), columns, order, ell + 2) == \
-        dim_profile(columns, ell + 2)[0] == _formula(ell)
+    build = oracle.TABLES[table][0]
+    assert TABLE_ROWS[table](ell) == dim_profile(build(ell), ell + 2)[0] == _formula(ell)
+
+
+@pytest.mark.parametrize("table, ell", [("R", ell) for ell in range(46)]
+                         + [("S", ell) for ell in range(21)])
+def test_counted_rows_equal_the_triangular_check(table, ell):
+    assert TABLE_ROWS[table](ell) == oracle.triangular_row(table, ell)
 
 
 def _zeroed_diagonal(keys, columns, order):
@@ -164,24 +174,63 @@ def _row_outside_the_keys(keys, columns, order):
     columns[-1] = {**columns[-1], (0, len(keys)): 1}
 
 
-@pytest.mark.parametrize("table", TABLES)
+@pytest.mark.parametrize("table", oracle.TABLES)
 @pytest.mark.parametrize("mutate", [_zeroed_diagonal, _entry_after_the_diagonal,
                                     _repeated_column, _row_outside_the_keys])
 def test_mutated_tables_raise(table, mutate):
-    build, order = TABLES[table]
+    build, order = oracle.TABLES[table]
     ell = 9
     keys, columns = basis_of(ell), build(ell)
-    assert _triangular_dims(keys, columns, order, ell + 2) == _formula(ell)
+    assert oracle.triangular_dims(keys, columns, order, ell + 2) == _formula(ell)
     mutate(keys, columns, order)
     with pytest.raises(InvariantViolation, match="not triangular with a nonzero diagonal"):
-        _triangular_dims(keys, columns, order, ell + 2)
+        oracle.triangular_dims(keys, columns, order, ell + 2)
 
 
 def test_an_entry_of_equal_weight_raises_on_the_s_table():
     # weight order ties (3, 0) and (0, 2); only the diagonal may sit at weight 6
-    build, order = TABLES["S"]
+    build, order = oracle.TABLES["S"]
     keys, columns = basis_of(9), build(9)
     i = keys.index((3, 0))
     columns[i] = {**columns[i], (0, 2): 1}
     with pytest.raises(InvariantViolation, match="not triangular with a nonzero diagonal"):
-        _triangular_dims(keys, columns, order, 11)
+        oracle.triangular_dims(keys, columns, order, 11)
+
+
+def _perturbed_a(monkeypatch):
+    # 2A still has rho(2A) = q^2 2A, so only 3F = 4A - T^2 can catch it
+    degree, coeffs = ring._NAMED["A"]
+    monkeypatch.setitem(ring._NAMED, "A", (degree, {key: 2 * c for key, c in coeffs.items()}))
+
+
+def _b_term_in_the_closed_form_3f(monkeypatch):
+    columns = ring.tab_columns
+
+    def with_b(support, k):
+        # the closed form's 3F is the column of F alone
+        return [{**col, (0, 1): 1} if key == (1, 0) else col
+                for key, col in zip(support, columns(support, k))]
+
+    monkeypatch.setattr(ring, "tab_columns", with_b)
+
+
+def _second_low_monomial_in_9m(monkeypatch):
+    # a T^4 term puts a monomial below 9M's A
+    degree, coeffs = ring._NAMED["M"]
+    monkeypatch.setitem(ring._NAMED, "M", (degree, {**coeffs, (0, 0): 1}))
+
+
+@pytest.mark.parametrize("table", TABLE_ROWS)
+@pytest.mark.parametrize("breaking, message", [
+    (_perturbed_a, "3F is not 4A - T\\^2"),
+    (_b_term_in_the_closed_form_3f, "the closed form is not 3F = 4A - 1"),
+    (_second_low_monomial_in_9m, "the lowest-weight part of 9M is not one monomial"),
+])
+def test_a_broken_premise_raises(table, breaking, message, monkeypatch):
+    monkeypatch.setattr(ring, "_certified", False)
+    breaking(monkeypatch)
+    with pytest.raises(InvariantViolation, match=message):
+        TABLE_ROWS[table](4)
+    assert ring._certified is False
+    with pytest.raises(InvariantViolation, match=message):
+        s_subspace_dim(8, 2)
