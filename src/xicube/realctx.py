@@ -15,6 +15,8 @@ aborts the run instead of guessing.  An ``alg:`` cell is one of the 2^depth
 equal cells of [lo, hi], clipped first to the Cauchy bound of the isolating
 polynomial, found once per level by an integer Newton iteration
 certified by exact sign evaluations; a ``dec:`` cell is [a, a + 1] / 10^d.
+Every value or sign of a polynomial at p / q, here and in the exact
+analysis below, is Horner's rule at p on its homogenization c_i * q^(n-i).
 
 Spec grammar accepted by :func:`parse_xi_spec`:
 
@@ -200,16 +202,14 @@ def _parse_int_poly(expr: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _eval_sign(coeffs, v: Fraction) -> int:
-    """Exact sign of an integer polynomial at a rational point."""
-    p, q = v.numerator, v.denominator
-    n = len(coeffs) - 1
-    acc = 0
-    pk = 1
-    for i, c in enumerate(coeffs):
-        acc += c * pk * q ** (n - i)
-        pk *= p
-    return (acc > 0) - (acc < 0)
+def _homogenized(coeffs, q: int) -> list[int]:
+    """Ascending coefficients c_i * q^(n-i) of f = sum c_i x^i: at p they give q^n f(p / q)."""
+    out = list(coeffs)
+    q_pow = 1
+    for i in range(len(out) - 2, -1, -1):
+        q_pow *= q
+        out[i] *= q_pow
+    return out
 
 
 def _horner(poly, t: int) -> tuple[int, int]:
@@ -229,19 +229,10 @@ def _value(poly, t: int) -> int:
     return value
 
 
-def _scaled_poly(coeffs, start: int, step: int, den: int) -> list[int]:
-    """Ascending coefficients in t of den^n * f((start + step*t) / den)."""
-    out = [coeffs[-1]]
-    den_pow = 1
-    for c in reversed(coeffs[:-1]):
-        den_pow *= den
-        nxt = [0] * (len(out) + 1)
-        for i, a in enumerate(out):
-            nxt[i] += a * start
-            nxt[i + 1] += a * step
-        nxt[0] += c * den_pow
-        out = nxt
-    return out
+def _eval_sign(coeffs, v: Fraction) -> int:
+    """Exact sign of an integer polynomial at a rational point."""
+    value = _value(_homogenized(coeffs, v.denominator), v.numerator)
+    return (value > 0) - (value < 0)
 
 
 def _root_cell(coeffs, sign_lo: int, start: int, width: int, den: int, k: int) -> int:
@@ -255,19 +246,23 @@ def _root_cell(coeffs, sign_lo: int, start: int, width: int, den: int, k: int) -
     neighbours, values only, certify j, and bisection of the integer bracket
     [0, 2^k] finishes the search whenever they do not.  So the cell is the
     one the signs define, however close the guess came.
+
+    Every evaluation is Horner's rule on h, f homogenized once to Q = den * 2^depth:
+    grid point t is x / Q with x = start * 2^depth + t * width, and its value
+    g(t) = Q^n f(x / Q) = h(x), a positive multiple of f, has g'(t) = width * h'(x).
     """
     depth = k + GUARD_BITS
-    # g(t) = (den*2^depth)^n f((start + t*width/2^depth) / den), positive multiple of f
-    g = _scaled_poly(coeffs, start << depth, width, den << depth)
+    h = _homogenized(coeffs, den << depth)
+    origin = start << depth
 
     top = 1 << depth
     quarter = 1 << (GUARD_BITS - 2)  # a quarter of a cell on the fine grid
     t = top >> 1
     for _ in range(4 * depth.bit_length() + 16):
-        value, slope = _horner(g, t)
+        value, slope = _horner(h, origin + t * width)
         if slope == 0:
             break
-        step = value // slope
+        step = value // (slope * width)
         t -= step
         if not 0 <= t <= top or -quarter < step < quarter:
             break
@@ -279,7 +274,7 @@ def _root_cell(coeffs, sign_lo: int, start: int, width: int, den: int, k: int) -
         m = probes.pop() if probes else (a + b) >> 1
         if not a < m < b:
             continue
-        value = _value(g, m << GUARD_BITS)
+        value = _value(h, origin + (m << GUARD_BITS) * width)
         if (value > 0) - (value < 0) == sign_lo:
             a = m
         else:

@@ -62,10 +62,12 @@ ExpandedPoly = dict[tuple[int, int, int, int, int], Fraction]
 
 
 def tau(ell: int) -> int:
-    """Number of pairs (m, n) in N^2 with 2m + 3n <= ell; 0 for negative ell."""
-    if ell < 0:
-        return 0
-    return sum((ell - 3 * n) // 2 + 1 for n in range(ell // 3 + 1))
+    """Number of pairs (m, n) in N^2 with 2m + 3n <= ell; 0 for negative ell.
+
+    With k = ell - 2m - 3n these are the partitions k + 2m + 3n of ell into
+    parts 1, 2 and 3, whose number is the integer nearest (ell + 3)^2 / 12.
+    """
+    return ((ell + 3) ** 2 + 6) // 12 if ell >= 0 else 0
 
 
 def basis_of(ell: int) -> list[tuple[int, int]]:

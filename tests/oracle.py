@@ -34,7 +34,9 @@ of `RealContext` replaced.  Each depth's root cell becomes an `Interval`,
 its square and cube are `Interval` products, and the width test compares
 `Fraction`s; `approx_error`, `delta_of` and `scaled` follow from those
 enclosures by `Interval` arithmetic.  Only the cell index comes from the
-context (`_cell`), which the bisection oracle below checks on its own.
+context (`_cell`), which the bisection oracle below checks on its own:
+it halves the interval on signs summed in `Fraction`s, never on the
+homogenized Horner evaluation that `realctx` uses for every sign.
 
 Cell-power oracle: the powers of an integer cell [a, b] / den as the min
 and max of all endpoint products, the form `RealContext` used before it
@@ -74,7 +76,7 @@ from xicube.intervals import HALF, Interval
 from xicube.linalg import IntEchelon
 from xicube.minimal import MinimalPoint, candidate_for
 from xicube.realctx import (AlgebraicXi, DecimalXi, _check_endpoints, _dependence_reason,
-                            _eval_sign, _root_count_error, approx_error, delta_of, scaled_error)
+                            _root_count_error, approx_error, delta_of, scaled_error)
 from xicube.vectors import Vec3, content, sup_norm
 from xicube.ring import (_expand_monomial, basis_of, expand, mul_keyed, named_element,
                          tab_columns, tab_coordinates)
@@ -325,15 +327,23 @@ def exact_nearest(ctx, m, k, bits):
     return n if n - HALF < iv.lo and iv.hi < n + HALF else None
 
 
-def bisect_cell(coeffs, sign_lo, lo: Fraction, hi: Fraction, width_bound: Fraction):
+def fraction_sign(coeffs, v: Fraction) -> int:
+    """Sign of an ascending integer polynomial at v, its terms summed in Fractions."""
+    value = sum(c * v**i for i, c in enumerate(coeffs) if c)
+    return (value > 0) - (value < 0)
+
+
+def bisect_cell(coeffs, lo: Fraction, hi: Fraction, width_bound: Fraction):
     """Halve [lo, hi] around the root of coeffs until its width is <= width_bound.
 
-    Plain Fraction bisection: `RealContext._cell` at the depth it reaches
-    must be the same cell, whatever method it uses to find it.
+    Plain Fraction bisection on the signs of fraction_sign, which shares no
+    code with `realctx`: `RealContext._cell` at the depth it reaches must be
+    the same cell, whatever method it uses to find it.
     """
+    sign_lo = fraction_sign(coeffs, lo)
     while hi - lo > width_bound:
         mid = (lo + hi) / 2
-        if _eval_sign(coeffs, mid) == sign_lo:
+        if fraction_sign(coeffs, mid) == sign_lo:
             lo = mid
         else:
             hi = mid
@@ -426,9 +436,11 @@ def solve_unique(rows, rhs):
 
 
 def count_lattice_points(ell):
-    """tau by direct enumeration."""
-    return sum(1 for m in range(ell // 2 + 1) for n in range(ell // 3 + 1)
-               if 2 * m + 3 * n <= ell) if ell >= 0 else 0
+    """tau by enumeration: for each n, the (ell - 3n) // 2 + 1 values of m with 2m + 3n <= ell.
+
+    The loop that the closed form of `ring.tau` replaced.
+    """
+    return sum((ell - 3 * n) // 2 + 1 for n in range(ell // 3 + 1)) if ell >= 0 else 0
 
 
 # -- the truncated substitution engine ---------------------------------------

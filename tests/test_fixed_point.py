@@ -177,7 +177,7 @@ def _check_cells(ctx, depths, lo, hi):
     cells = {}
     for bits in depths:
         bound = Fraction(1, 1 << bits)
-        lo, hi = bisect_cell(ctx._isolating_poly, ctx._sign_lo, lo, hi, bound)
+        lo, hi = bisect_cell(ctx._isolating_poly, lo, hi, bound)
         depth = ((ctx._hi - ctx._lo) / (hi - lo)).numerator.bit_length() - 1
         cells[depth] = (lo, hi)
         assert _cell(ctx, depth) == (lo, hi), bits

@@ -10,8 +10,8 @@ from conftest import QUARTIC, ROOT2, cube_root_product_spec
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from oracle import (_analyze_by_factoring, cell_powers, fraction_approx_error,
-                    fraction_delta_of, fraction_powers, fraction_scaled)
+from oracle import (_analyze_by_factoring, bisect_cell, cell_powers, fraction_approx_error,
+                    fraction_delta_of, fraction_powers, fraction_scaled, fraction_sign)
 
 import xicube
 from xicube import (PrecisionError, RealContext, approx_error, delta_of, minimal_sequence,
@@ -355,6 +355,56 @@ def test_one_newton_search_per_level(monkeypatch):
     assert len(calls["_root_cell"]) <= 7, calls["_root_cell"]
     assert len(calls["_horner"]) + len(calls["_value"]) <= 4 * 7 + 1
     assert len(calls["_cell_powers"]) <= 7
+
+
+# degree 64, a root 2^63 + eps with eps = xi^-63 just under 2^-3969: its
+# cells are the middle ones down to depth 3969, and Newton must find the
+# offset past it
+NARROW = ("alg:x^64-9223372036854775808*x^63-1 in "
+          "[9223372036854775807,9223372036854775809]")
+
+
+def test_degree_64_root_cells_match_bisection():
+    # Fraction bisection is too slow to walk 3969 levels at degree 64, so
+    # past depth 192 it starts from the depth-3968 cell [2^63, 2^63 + 2^-3967],
+    # whose ends the oracle's own signs check
+    spec = parse_xi_spec(NARROW)
+    coeffs, grid, sign_lo = spec.coeffs, _grid(spec.lo, spec.hi), _eval_sign(spec.coeffs, spec.lo)
+    deep_lo = Fraction(1 << 63)
+    deep_hi = deep_lo + Fraction(1, 1 << 3967)
+    assert fraction_sign(coeffs, deep_lo) == -fraction_sign(coeffs, deep_hi) == sign_lo
+    for lo, hi, depths in [(spec.lo, spec.hi, (8, 64, 192)),
+                           (deep_lo, deep_hi, (3970, 3972, 3976))]:
+        for k in depths:
+            step = (spec.hi - spec.lo) / (1 << k)
+            lo, hi = bisect_cell(coeffs, lo, hi, step)
+            assert _root_cell(coeffs, sign_lo, *grid, k) == (lo - spec.lo) / step, k
+
+
+def test_one_homogenization_per_degree_64_root_cell(monkeypatch):
+    """_root_cell homogenizes once, and evaluates at most its Newton cap plus four probes.
+
+    The Newton loop runs at most 4 * depth.bit_length() + 16 times, depth =
+    k + GUARD_BITS, one _horner per step.  The probes j + 1, j, j + 2, j - 1
+    around the guess j take one _value each; bisection adds calls only when
+    the guess is more than one cell off the root, and the narrow spec's
+    Newton never is.
+    """
+    spec = parse_xi_spec(NARROW)
+    grid, sign_lo = _grid(spec.lo, spec.hi), _eval_sign(spec.coeffs, spec.lo)
+    calls = {name: 0 for name in ("_homogenized", "_horner", "_value")}
+    for name in calls:
+        def counted(*args, real=getattr(realctx, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(realctx, name, counted)
+    for k in (8, 192, 3976, 4200):
+        calls.update(dict.fromkeys(calls, 0))
+        _root_cell(spec.coeffs, sign_lo, *grid, k)
+        newton_cap = 4 * (k + realctx.GUARD_BITS).bit_length() + 16
+        assert calls["_homogenized"] == 1, (k, calls)
+        assert calls["_horner"] + calls["_value"] <= newton_cap + 4, (k, calls)
 
 
 @st.composite

@@ -17,8 +17,8 @@ def test_tau_examples():
     assert tau(5) == 5
     assert tau(9) == 12
     assert tau(-1) == tau(-7) == 0
-    for ell in range(40):
-        assert tau(ell) == count_lattice_points(ell)
+    for ell in range(-10, 2001):
+        assert tau(ell) == count_lattice_points(ell), ell
 
 
 def test_basis_examples():
