@@ -8,13 +8,14 @@ unreduced: :func:`~xicube.realctx.approx_error`,
 build one with :meth:`Interval.over` from the cell's integers over D^k.
 The reduced `Fraction` views ``lo`` and ``hi`` are built on first read and
 then cached, so an enclosure that an escalation throws away is never
-reduced.  Equality, :meth:`Interval.is_point` and
-:meth:`Interval.strictly_less` cross-multiply the integers; they go by
-value, so an interval built from integers equals the one built from
-`Fraction`s of the same value.  Comparison helpers return ``True``/``False``
-only when the answer is certain for *all* pairs of values in the operands,
-and ``None`` when the intervals overlap, so that callers can escalate
-precision instead of guessing.
+reduced.  Equality and :meth:`Interval.strictly_less` cross-multiply the
+integers, or compare the numerators when the denominators are equal, and
+:meth:`Interval.is_point` compares the ends; they go by value, so an
+interval built from integers equals the one built from `Fraction`s of the
+same value.  Comparison helpers return ``True``/``False`` only when the
+answer is certain for *all* pairs of values in the operands, and ``None``
+when the intervals overlap, so that callers can escalate precision instead
+of guessing.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ class Interval:
         if not isinstance(other, Interval):
             return False
         (a_lo, a_hi, a_den), (b_lo, b_hi, b_den) = self.integers, other.integers
+        if a_den == b_den:
+            return a_lo == b_lo and a_hi == b_hi
         return a_lo * b_den == b_lo * a_den and a_hi * b_den == b_hi * a_den
 
     def __hash__(self):
@@ -128,9 +131,11 @@ class Interval:
         if not isinstance(other, Interval):
             other = Interval(other)
         (a_lo, a_hi, a_den), (b_lo, b_hi, b_den) = self.integers, other.integers
-        if a_hi * b_den < b_lo * a_den:
+        if a_den != b_den:  # two enclosures over one D^3 take no product
+            a_lo, a_hi, b_lo, b_hi = a_lo * b_den, a_hi * b_den, b_lo * a_den, b_hi * a_den
+        if a_hi < b_lo:
             return True
-        if a_lo * b_den > b_hi * a_den:
+        if a_lo > b_hi:
             return False
         if a_lo == a_hi and b_lo == b_hi:
             return False  # exact equality, resolvable without escalation

@@ -13,8 +13,11 @@ question left open is put again at doubled precision through
 :meth:`RealContext.decide`, until it is certain or a configurable ceiling
 aborts the run instead of guessing.  An ``alg:`` cell is one of the 2^depth
 equal cells of [lo, hi], clipped first to the Cauchy bound of the isolating
-polynomial, found once per level by an integer Newton iteration
-certified by exact sign evaluations; a ``dec:`` cell is [a, a + 1] / 10^d.
+polynomial, found once per level by an integer Newton iteration from
+coarse to fine: its steps are evaluated on grids no finer than their
+accuracy needs, the first on the grid of the cell found one level up, and
+only the exact sign evaluations that certify the cell, and one step should
+their guess miss, run at full depth.  A ``dec:`` cell is [a, a + 1] / 10^d.
 Every value or sign of a polynomial at p / q, here and in the exact
 analysis below, is Horner's rule at p on its homogenization c_i * q^(n-i).
 
@@ -62,6 +65,10 @@ DEFAULT_MAX_BITS = 1 << 16
 # Newton runs on a grid 2^GUARD_BITS times finer than the cell it must find,
 # so its last rounding step rarely lands next to a cell boundary
 GUARD_BITS = 32
+# A Newton step short of full depth evaluates its point on a grid this many
+# bits finer, at least, than the bits its iterate is expected to hold; at
+# most twice this below GUARD_BITS / 2, so such a grid stays below depth
+COARSE_SLACK_BITS = 8
 # Degrees above this are refused at parse time: the exact analysis of an
 # alg: spec grows with a high power of the degree.
 MAX_DEGREE = 64
@@ -203,12 +210,18 @@ def _parse_int_poly(expr: str) -> tuple[int, ...]:
 
 
 def _homogenized(coeffs, q: int) -> list[int]:
-    """Ascending coefficients c_i * q^(n-i) of f = sum c_i x^i: at p they give q^n f(p / q)."""
+    """Ascending coefficients c_i * q^(n-i) of f = sum c_i x^i: at p they give q^n f(p / q).
+
+    A root-cell grid's q is a small odd number times a large power of 2,
+    which comes in by shifts.
+    """
+    z = (q & -q).bit_length() - 1  # q = odd * 2^z
+    odd, n = q >> z, len(coeffs) - 1
     out = list(coeffs)
-    q_pow = 1
-    for i in range(len(out) - 2, -1, -1):
-        q_pow *= q
-        out[i] *= q_pow
+    odd_pow = 1
+    for i in range(n - 1, -1, -1):
+        odd_pow *= odd
+        out[i] = out[i] * odd_pow << z * (n - i)
     return out
 
 
@@ -239,47 +252,89 @@ def _root_cell(coeffs, sign_lo: int, start: int, width: int, den: int, k: int) -
     """Index j of the depth-k bisection cell of [start, start + width] / den holding the root.
 
     The cell [start + j*w, start + (j+1)*w] / den, w = width / 2^k, whose left
-    end has sign sign_lo and whose right end has not.  An integer Newton
-    iteration on the grid 2^GUARD_BITS times finer guesses j, and stops once
-    its step is under a quarter of a cell: one more step would move the guess
-    by far less than that.  Exact sign evaluations at the guess and its
-    neighbours, values only, certify j, and bisection of the integer bracket
-    [0, 2^k] finishes the search whenever they do not.  So the cell is the
-    one the signs define, however close the guess came.
+    end has sign sign_lo and whose right end has not.  Exact sign
+    evaluations, values only, at cells around a Newton guess certify j, and
+    bisection of the integer bracket [0, 2^k] finishes the search whenever
+    they do not.  So the cell is the one the signs define, however close the
+    guess came.
 
-    Every evaluation is Horner's rule on h, f homogenized once to Q = den * 2^depth:
-    grid point t is x / Q with x = start * 2^depth + t * width, and its value
-    g(t) = Q^n f(x / Q) = h(x), a positive multiple of f, has g'(t) = width * h'(x).
+    Newton's iterates lie on the grid 2^GUARD_BITS times finer than the cells,
+    of 2^depth steps, depth = k + GUARD_BITS, but each is evaluated rounded
+    down to a grid of 2^d steps no finer than its accuracy needs: point u
+    of that grid is x / Q with Q = den * 2^d, x = start * 2^d + u * width,
+    and Horner's rule on h, f homogenized to Q, gives h(x) = Q^n f(x / Q), a
+    positive multiple of f, with slope width * h'(x) per step.  The step
+    from that point is exact, scaled to the fine grid.  The first starts at
+    the middle, a point of the grid of 2 steps.  When the bracket is a cell
+    found one level up, as on the precision ladder, that one step lands a
+    small part of a cell off the root, and the probes j + 1, j certify it.
+    Otherwise Newton goes on from coarse to fine: a step that fixed b bits
+    leaves about 2b, less the loss its predecessor's step showed, and the
+    next is evaluated a few bits finer than that, until the guess is
+    expected within 2^-(GUARD_BITS/2) of a cell.  The probes j + 1, j, j + 2,
+    j - 1 follow, and only if they miss does one step run at full depth
+    before they are tried again.
     """
     depth = k + GUARD_BITS
-    h = _homogenized(coeffs, den << depth)
-    origin = start << depth
-
     top = 1 << depth
-    quarter = 1 << (GUARD_BITS - 2)  # a quarter of a cell on the fine grid
-    t = top >> 1
-    for _ in range(4 * depth.bit_length() + 16):
-        value, slope = _horner(h, origin + t * width)
-        if slope == 0:
-            break
-        step = value // (slope * width)
-        t -= step
-        if not 0 <= t <= top or -quarter < step < quarter:
-            break
-    j = (t - 1) >> GUARD_BITS  # guess: the root r (in cells) has j < r <= j + 1
+    forms = {}  # per grid exponent d: f homogenized to den * 2^d
+    bracket = [0, 1 << k]  # the sign at the first cell is sign_lo, at the second it is not
 
-    a, b = 0, 1 << k  # sign at a is sign_lo, at b it is not
-    probes = [j - 1, j + 2, j, j + 1]
-    while b - a > 1:
-        m = probes.pop() if probes else (a + b) >> 1
-        if not a < m < b:
-            continue
-        value = _value(h, origin + (m << GUARD_BITS) * width)
-        if (value > 0) - (value < 0) == sign_lo:
-            a = m
-        else:
-            b = m
-    return a
+    def form(d):
+        if d not in forms:
+            forms[d] = _homogenized(coeffs, den << d)
+        return forms[d]
+
+    def newton(t, d):
+        """Newton's iterate from t rounded down to the grid of 2^d steps; None at a zero slope."""
+        shift = depth - d
+        u = t >> shift
+        value, slope = _horner(form(d), (start << d) + u * width)
+        if slope == 0:
+            return None
+        return (u << shift) - (value << shift) // (slope * width)
+
+    def probe(m):
+        if bracket[0] < m < bracket[1]:
+            value = _value(form(depth), (start << depth) + (m << GUARD_BITS) * width)
+            if (value > 0) - (value < 0) == sign_lo:
+                bracket[0] = m
+            else:
+                bracket[1] = m
+
+    def settled(t, offsets):
+        """Probe the cells j + offset, j the guess of t: the root r (in cells) has j < r <= j + 1.
+
+        An iterate off [0, top] guesses the cell at that end.
+        """
+        j = (min(max(t, 1), top) - 1) >> GUARD_BITS
+        for offset in offsets:
+            probe(j + offset)
+        return bracket[1] - bracket[0] == 1
+
+    t = newton(top >> 1, 1)
+    if t is not None and not settled(t, (1, 0)):
+        fixed = depth - abs(t - (top >> 1)).bit_length()  # bits the step fixed
+        held, d = 2 * fixed, 1  # bits t is expected to hold, grid of the last step
+        for _ in range(4 * depth.bit_length() + 16):
+            if held >= k + GUARD_BITS // 2 or not 0 <= t <= top:
+                break
+            if held + COARSE_SLACK_BITS > d:  # a finer grid, still below depth
+                d = held + 2 * COARSE_SLACK_BITS
+            last, t = t, newton(t, d)
+            if t is None:
+                break
+            now = depth - abs(t - last).bit_length()
+            # twice the bits this step fixed, less what it fell short of
+            # twice the bits of the step before
+            held, fixed = 2 * now - max(0, 2 * fixed - now), now
+        if t is not None and not settled(t, (1, 0, 2, -1)) and 0 <= t <= top:
+            t = newton(t, depth)
+            if t is not None:
+                settled(t, (1, 0, 2, -1))
+    while bracket[1] - bracket[0] > 1:
+        probe(sum(bracket) >> 1)
+    return bracket[0]
 
 
 def _cell_powers(a: int, b: int, dens: tuple[int, int, int]):

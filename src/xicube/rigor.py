@@ -248,6 +248,8 @@ def _log_bounds(man: int, exp: int, prec: int):
 def _ln(x: Enclosure) -> Enclosure:
     """Enclosure of ln x, for x > 0, at x's precision."""
     p = x.prec
+    if x.lo == x.hi:  # a point: one log gives both ends
+        return Enclosure(*_log_bounds(*x.lo, p), p)
     return Enclosure(_log_bounds(*x.lo, p)[0], _log_bounds(*x.hi, p)[1], p)
 
 

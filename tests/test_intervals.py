@@ -62,6 +62,31 @@ def test_integer_form_agrees_with_the_fraction_form(a, b):
         assert a_int.strictly_less(bound) is _reference_less(a_val, (bound, bound))
 
 
+@st.composite
+def ends_over_one_denominator(draw):
+    """(lo, hi) numerators, small ones often, so that ends tie and intervals overlap."""
+    end = st.integers(-4, 4) | st.integers(-2**80, 2**80)
+    lo, hi = sorted((draw(end), draw(end)))
+    return (lo, lo) if draw(st.booleans()) else (lo, hi)
+
+
+@given(den=st.integers(1, 2**70), a=ends_over_one_denominator(),
+       b=ends_over_one_denominator(), scale=st.integers(2, 2**40))
+def test_equal_denominators_compare_as_the_cross_multiplied_form(den, a, b, scale):
+    # over one denominator the numerators are compared; the same value of b
+    # over den * scale takes the cross-multiplied path; both agree with Fraction
+    a_int, b_int = Interval.over(*a, den), Interval.over(*b, den)
+    b_other = Interval.over(b[0] * scale, b[1] * scale, den * scale)
+    a_val, b_val = (Fraction(a[0], den), Fraction(a[1], den)), (Fraction(b[0], den),
+                                                              Fraction(b[1], den))
+    for x, y, want in ((a_int, b_int, _reference_less(a_val, b_val)),
+                       (a_int, b_other, _reference_less(a_val, b_val)),
+                       (b_int, a_int, _reference_less(b_val, a_val)),
+                       (b_other, a_int, _reference_less(b_val, a_val))):
+        assert x.strictly_less(y) is want
+        assert (x == y) is (y == x) is (a_val == b_val)
+
+
 def test_integer_form_rejects_what_is_not_an_interval():
     for ints in ((2, 1, 3), (1, 2, 0), (1, 2, -3)):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -335,26 +336,64 @@ def test_integer_powers_match_the_fraction_oracle(spec, levels, x0, offsets):
         fraction_approx_error(points[0], reference, bits))
 
 
+def _count_evaluations(monkeypatch):
+    """Count realctx's searches, homogenizations and evaluations, the last two by depth.
+
+    A key (name, "full") counts the calls on f homogenized to Q = den *
+    2^(k + GUARD_BITS) of the _root_cell call running, the search's own
+    grid; (name, "coarse") counts those on any coarser homogenization.
+    """
+    counts = Counter()
+    full = []  # the full-depth forms so far, kept alive so that `is` finds them
+    running = {}
+    real = {name: getattr(realctx, name)
+            for name in ("_root_cell", "_homogenized", "_horner", "_value")}
+
+    def root_cell(coeffs, sign_lo, start, width, den, k):
+        counts["_root_cell"] += 1
+        running["q"] = den << (k + realctx.GUARD_BITS)
+        return real["_root_cell"](coeffs, sign_lo, start, width, den, k)
+
+    def homogenized(coeffs, q):
+        h = real["_homogenized"](coeffs, q)
+        if q == running.get("q"):
+            full.append(h)
+        counts["_homogenized", "full" if q == running.get("q") else "coarse"] += 1
+        return h
+
+    def evaluation(name):
+        def counted(poly, t):
+            counts[name, "full" if any(poly is h for h in full) else "coarse"] += 1
+            return real[name](poly, t)
+        return counted
+
+    monkeypatch.setattr(realctx, "_root_cell", root_cell)
+    monkeypatch.setattr(realctx, "_homogenized", homogenized)
+    for name in ("_horner", "_value"):
+        monkeypatch.setattr(realctx, name, evaluation(name))
+    return counts
+
+
 def test_one_newton_search_per_level(monkeypatch):
     # an exact tie escalated from 192 to 8192 bits: 7 precision levels.  Per
-    # level one Newton search, which stops after two steps and certifies its
-    # cell with two sign evaluations, and one full-size build of the cell's
-    # powers (one a^2, one a^3), the deeper cells being halves of it
+    # level one search, whose first Newton step runs on the parent cell's
+    # grid and whose guess two full-depth sign evaluations certify, and one
+    # full-size build of the cell's powers (one a^2, one a^3), the deeper
+    # cells being halves of it
     ctx = RealContext(ROOT2, max_bits=8192)
-    calls = {name: [] for name in ("_root_cell", "_horner", "_value", "_cell_powers")}
-    for name, log in calls.items():
-        def counted(*args, real=getattr(realctx, name), log=log):
-            log.append(args[-1])
-            return real(*args)
-
-        monkeypatch.setattr(realctx, name, counted)
+    counts = _count_evaluations(monkeypatch)
+    powers_built = []
+    real_powers = realctx._cell_powers
+    monkeypatch.setattr(realctx, "_cell_powers",
+                        lambda *args: powers_built.append(args) or real_powers(*args))
     x = (1, 0, 0)
     with pytest.raises(PrecisionError, match="at 8192 bits"):
         ctx.decide(lambda bits: approx_error(x, ctx, bits).strictly_less(
             approx_error(x, ctx, bits)), what=f"tie L{x} < L{x}")
-    assert len(calls["_root_cell"]) <= 7, calls["_root_cell"]
-    assert len(calls["_horner"]) + len(calls["_value"]) <= 4 * 7 + 1
-    assert len(calls["_cell_powers"]) <= 7
+    assert counts["_root_cell"] <= 7, counts
+    assert counts["_horner", "full"] + counts["_value", "full"] <= 3 * 7, counts
+    assert counts["_homogenized", "full"] == counts["_root_cell"], counts
+    assert len(powers_built) <= 7
 
 
 # degree 64, a root 2^63 + eps with eps = xi^-63 just under 2^-3969: its
@@ -382,29 +421,116 @@ def test_degree_64_root_cells_match_bisection():
 
 
 def test_one_homogenization_per_degree_64_root_cell(monkeypatch):
-    """_root_cell homogenizes once, and evaluates at most its Newton cap plus four probes.
+    """_root_cell homogenizes once at full depth, and evaluates there only its probes.
 
-    The Newton loop runs at most 4 * depth.bit_length() + 16 times, depth =
-    k + GUARD_BITS, one _horner per step.  The probes j + 1, j, j + 2, j - 1
-    around the guess j take one _value each; bisection adds calls only when
-    the guess is more than one cell off the root, and the narrow spec's
-    Newton never is.
+    Newton's first step from the middle of the bracket, on the grid of 2
+    steps, lands within a cell of the narrow spec's root, and the probes
+    j + 1 and j certify its guess.  Later steps, which a search from a
+    coarse cell may need, each take a coarser homogenization of their own.
     """
     spec = parse_xi_spec(NARROW)
     grid, sign_lo = _grid(spec.lo, spec.hi), _eval_sign(spec.coeffs, spec.lo)
-    calls = {name: 0 for name in ("_homogenized", "_horner", "_value")}
-    for name in calls:
-        def counted(*args, real=getattr(realctx, name), name=name):
-            calls[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(realctx, name, counted)
+    counts = _count_evaluations(monkeypatch)
     for k in (8, 192, 3976, 4200):
-        calls.update(dict.fromkeys(calls, 0))
-        _root_cell(spec.coeffs, sign_lo, *grid, k)
-        newton_cap = 4 * (k + realctx.GUARD_BITS).bit_length() + 16
-        assert calls["_homogenized"] == 1, (k, calls)
-        assert calls["_horner"] + calls["_value"] <= newton_cap + 4, (k, calls)
+        counts.clear()
+        realctx._root_cell(spec.coeffs, sign_lo, *grid, k)
+        depth = k + realctx.GUARD_BITS
+        assert counts["_homogenized", "full"] == 1, (k, counts)
+        assert counts["_homogenized", "coarse"] <= depth.bit_length() + 1, (k, counts)
+        assert counts["_horner", "full"] == 0 and counts["_value", "full"] <= 2, (k, counts)
+
+
+def _ladder_bracket(coeffs, lo, hi, d0):
+    """(start, width, den, cell): the depth-d0 cell of [lo, hi] holding the root (bisect_cell)."""
+    width_bound = (hi - lo) / (1 << d0)
+    cell = bisect_cell(coeffs, lo, hi, width_bound)
+    den = cell[0].denominator * cell[1].denominator * width_bound.denominator
+    return int(cell[0] * den), int(width_bound * den), den, cell
+
+
+def _oracle_index(coeffs, cell, k):
+    """Index of the depth-k cell of `cell` around the root, by Fraction bisection."""
+    step = (cell[1] - cell[0]) / (1 << k)
+    return (bisect_cell(coeffs, cell[0], cell[1], step)[0] - cell[0]) / step
+
+
+# 4^82 x^2 - (p^2 - 1), p = 2^82 - 3: its root sqrt(p^2 - 1) / 2^82 lies
+# about 2^-83 of a depth-82 cell below the cell boundary p / 2^82 on [1, 2],
+# and Newton's iterates, from either side of this convex function, above it
+BOUNDARY = (1 - ((1 << 82) - 3) ** 2, 0, 1 << 164)
+
+
+@pytest.mark.parametrize("d0", [40, 76])
+def test_a_guess_across_a_cell_boundary_falls_back_to_the_cell_the_signs_define(
+        monkeypatch, d0):
+    k = 82 - d0
+    start, width, den, cell = _ladder_bracket(BOUNDARY, Fraction(1), Fraction(2), d0)
+    sign_lo = fraction_sign(BOUNDARY, cell[0])
+    counts = _count_evaluations(monkeypatch)
+    got = realctx._root_cell(BOUNDARY, sign_lo, start, width, den, k)
+    assert got == _oracle_index(BOUNDARY, cell, k)
+    assert counts["_value", "full"] > 2, counts  # the first guess missed
+
+
+@pytest.mark.parametrize("scale", [2, 3])
+@pytest.mark.parametrize("first_only", [True, False])
+def test_newton_steps_that_miss_fall_back_to_the_cell_the_signs_define(
+        monkeypatch, scale, first_only):
+    # slopes scaled up make each step fall short: on the first step only,
+    # its guess misses and the later steps mend it; on every step, Newton
+    # crawls, and the full-depth step and bisection end the search
+    coeffs = parse_xi_spec(QUARTIC).coeffs
+    real_horner = realctx._horner
+    steps = Counter()
+
+    def short_steps(poly, t):
+        value, slope = real_horner(poly, t)
+        steps["taken"] += 1
+        return value, slope * scale if steps["taken"] == 1 or not first_only else slope
+
+    monkeypatch.setattr(realctx, "_horner", short_steps)
+    for d0, k in [(0, 60), (30, 32), (100, 102)]:
+        steps.clear()
+        start, width, den, cell = _ladder_bracket(coeffs, Fraction(6, 5), Fraction(13, 10), d0)
+        sign_lo = fraction_sign(coeffs, cell[0])
+        got = _root_cell(coeffs, sign_lo, start, width, den, k)
+        assert got == _oracle_index(coeffs, cell, k), (d0, k)
+
+
+@st.composite
+def ladder_brackets(draw):
+    """A squarefree integer polynomial of degree 2 to 8, an isolating interval of one of
+    its real roots, the depth d0 of a parent cell and a depth k <= d0 + 2 below it."""
+    deg = draw(st.integers(2, 8))
+    coeffs = [draw(st.integers(-30, 30)) for _ in range(deg)] + [draw(st.integers(1, 9))]
+    poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x")).sqf_part()
+    roots = [(Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)))
+             for (a, b), _mult in poly.intervals()]
+    coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+    roots = [(lo, hi) for lo, hi in roots
+             if lo < hi and fraction_sign(coeffs, lo) and fraction_sign(coeffs, hi)]
+    assume(roots)
+    lo, hi = draw(st.sampled_from(roots))
+    d0 = draw(st.integers(0, 160))
+    return tuple(coeffs), lo, hi, d0, draw(st.integers(1, d0 + 2))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+                                                                 HealthCheck.filter_too_much])
+@given(ladder_brackets())
+def test_root_cells_on_ladder_brackets_match_bisection(case):
+    coeffs, lo, hi, d0, k = case
+    start, width, den, cell = _ladder_bracket(coeffs, lo, hi, d0)
+    sign_lo = fraction_sign(coeffs, cell[0])
+    assert _root_cell(coeffs, sign_lo, start, width, den, k) == _oracle_index(coeffs, cell, k)
+
+
+@given(coeffs=st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=9),
+       q=st.integers(1, 10**6), z=st.integers(0, 400))
+def test_homogenized_matches_its_definition(coeffs, q, z):
+    q <<= z  # as on a root-cell grid, a power of 2 times a small number
+    n = len(coeffs) - 1
+    assert realctx._homogenized(coeffs, q) == [c * q ** (n - i) for i, c in enumerate(coeffs)]
 
 
 @st.composite

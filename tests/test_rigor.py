@@ -41,6 +41,8 @@ def intervals(draw, lo=fractions):
 @example(1, 64)
 @example(2, 53)
 @example((1 << 64) + 1, 64)
+@example(3, 53)  # exact at prec bits, so a point: one log gives both ends
+@example((1 << 53) - 1, 53)
 def test_log_of_integer_matches_oracle(n, prec):
     ours = rigor.evaluate(lambda: rigor.log_abs(n), prec)
     ref = oracle.evaluate(lambda: oracle.log_abs(n), prec)
