@@ -1,28 +1,26 @@
-"""Closed intervals with exact rational endpoints.
+"""Closed intervals with exact rational endpoints: the record the report reads.
 
-Every real quantity in the package travels as one of these; callers compare
-intervals, never midpoints.  An interval holds its endpoints as integers
-over one positive denominator, ``integers = (num_lo, num_hi, den)``, left
-unreduced: :func:`~xicube.realctx.approx_error`,
-:func:`~xicube.realctx.delta_of` and :meth:`~xicube.realctx.RealContext.power`
-build one with :meth:`Interval.over` from the cell's integers over D^k.
-The reduced `Fraction` views ``lo`` and ``hi`` are built on first read and
-then cached, so an enclosure that an escalation throws away is never
-reduced.  Equality and :meth:`Interval.strictly_less` cross-multiply the
-integers, or compare the numerators when the denominators are equal, and
-:meth:`Interval.is_point` compares the ends; they go by value, so an
-interval built from integers equals the one built from `Fraction`s of the
-same value.  Comparison helpers return ``True``/``False`` only when the
-answer is certain for *all* pairs of values in the operands, and ``None``
-when the intervals overlap, so that callers can escalate precision instead
-of guessing.
+An interval holds its endpoints as integers over one positive denominator,
+``integers = (num_lo, num_hi, den)``, left unreduced:
+:func:`~xicube.realctx.approx_error`, :func:`~xicube.realctx.delta_of` and
+:meth:`~xicube.realctx.RealContext.power` build one with
+:meth:`Interval.over` from the exact rung of the context, integers over its
+scale.  The reduced `Fraction` views ``lo`` and ``hi`` are built on first
+read and then cached, so an enclosure that an escalation throws away is
+never reduced.  Equality and :meth:`Interval.strictly_less` cross-multiply
+the integers, or compare the numerators when the denominators are equal;
+they go by value, so an interval built from integers equals the one built
+from `Fraction`s of the same value.  The comparison returns ``True`` or
+``False`` only when the answer is certain for *all* pairs of values in the
+operands, and ``None`` when the intervals overlap, so that callers can
+escalate precision instead of guessing.  The package computes on rungs, not
+on intervals; the `Fraction` interval arithmetic of the reference paths
+lives in tests/oracle.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-HALF = Fraction(1, 2)
 
 
 class Interval:
@@ -74,64 +72,12 @@ class Interval:
     def __hash__(self):
         return hash((self.lo, self.hi))
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def __add__(self, other) -> "Interval":
-        if not isinstance(other, Interval):
-            other = Interval(other)
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other) -> "Interval":
-        if not isinstance(other, Interval):
-            other = Interval(other)
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __rsub__(self, other) -> "Interval":
-        return Interval(other) - self
-
-    def __mul__(self, other) -> "Interval":
-        if not isinstance(other, Interval):
-            other = Fraction(other)
-            if other >= 0:
-                return Interval(self.lo * other, self.hi * other)
-            return Interval(self.hi * other, self.lo * other)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return Interval(min(products), max(products))
-
-    __rmul__ = __mul__
-
-    def __abs__(self) -> "Interval":
-        if self.integers[0] >= 0:
-            return self
-        if self.integers[1] <= 0:
-            return -self
-        return Interval(0, max(-self.lo, self.hi))
-
-    def is_point(self) -> bool:
-        return self.integers[0] == self.integers[1]
-
     def strictly_less(self, other) -> bool | None:
         """True if every value here is < every value there; None if unresolved."""
         if not isinstance(other, Interval):
             other = Interval(other)
         (a_lo, a_hi, a_den), (b_lo, b_hi, b_den) = self.integers, other.integers
-        if a_den != b_den:  # two enclosures over one D^3 take no product
+        if a_den != b_den:  # two enclosures over one scale take no product
             a_lo, a_hi, b_lo, b_hi = a_lo * b_den, a_hi * b_den, b_lo * a_den, b_hi * a_den
         if a_hi < b_lo:
             return True

@@ -221,11 +221,9 @@ def height_checks(seq: list[MinimalPoint], records: list[PairRecord],
     for rec in records:
         err = errs[rec.i - 1]
         num = sup_norm(cross(rec.x_i, rec.x_j))
-        den_lo = rec.norm_j * err.lo
-        den_hi = rec.norm_j * err.hi
-        r = Interval(Fraction(num) / den_hi, Fraction(num) / den_lo)
-        lo = r.lo if lo is None else min(lo, r.lo)
-        hi = r.hi if hi is None else max(hi, r.hi)
+        r_lo, r_hi = num / (rec.norm_j * err.hi), num / (rec.norm_j * err.lo)
+        lo = r_lo if lo is None else min(lo, r_lo)
+        hi = r_hi if hi is None else max(hi, r_hi)
     return {
         "cross_primitive_all": prim,
         "cross_ratio_all": ratio_ok,

@@ -60,10 +60,10 @@ A decimal literal's cell [a, a + 1] / D is exact, and every rung's
 enclosures are rounded outward from it, so more bits cannot settle what
 the cell itself leaves open.  When the base precision leaves a search box
 or a record comparison open on a literal, the same test is put once to
-the cell's integers; if it is still open there, the PrecisionError that
-the ceiling would raise is raised at once (_literal_box_open,
-_literal_less_open).  So is a literal's capped box, which more bits do not
-shrink either.
+the cell's exact rung (RealContext.exact_rung); if it is still open there,
+the PrecisionError that the ceiling would raise is raised at once
+(_literal_box_open, _literal_less_open).  So is a literal's capped box,
+which more bits do not shrink either.
 """
 
 from __future__ import annotations
@@ -127,32 +127,22 @@ def _fixed_less(a: tuple[int, int], b: tuple[int, int]) -> bool | None:
     return None
 
 
-def _record_error(ctx: RealContext, prev: Vec3 | None, bits: int) -> tuple[int, int]:
-    """scaled_error(prev, ctx, bits), or 1/2 at that scale before the first record."""
-    return scaled_error(prev, ctx, bits) if prev else (1 << (bits - 1),) * 2
-
-
-def _exact_error(ctx: RealContext, p: Vec3 | None) -> tuple[int, int]:
-    """Enclosure (lo, hi) of 2*D^3 * L(p) on a literal's cell [a, a + 1] / D; D^3 for p None.
-
-    A literal's cell is exact: every rung's enclosure of L(p) holds this one.
-    """
-    if p is None:
-        den3 = ctx._literal[2][0]
-        return den3, den3
-    lo, hi, _ = approx_error(p, ctx).integers
-    return 2 * lo, 2 * hi
+def _record_error(rung: tuple, prev: Vec3 | None) -> tuple[int, int]:
+    """scaled_error(prev, rung), or 1/2 at the rung's scale S before the first record."""
+    return scaled_error(prev, rung) if prev else (rung[0] >> 1,) * 2
 
 
 def _literal_less_open(ctx: RealContext, x: Vec3, y: Vec3 | None) -> bool:
-    """True when ctx is a literal whose exact cell leaves L(x) < L(y) open.
+    """True when ctx is a literal whose exact rung leaves L(x) < L(y) open.
 
     Then every rung leaves it open: each rung's enclosures hold the exact
     ones, so they overlap too, and a rung's two equal points would make the
     exact enclosures those same points, which _fixed_less decides.
     """
-    return (ctx._literal is not None
-            and _fixed_less(_exact_error(ctx, x), _exact_error(ctx, y)) is None)
+    if not isinstance(ctx.spec, DecimalXi):
+        return False
+    exact = ctx.exact_rung()
+    return _fixed_less(scaled_error(x, exact), _record_error(exact, y)) is None
 
 
 def _err_less(ctx: RealContext, x: Vec3, y: Vec3 | None, ex: tuple[int, int],
@@ -163,19 +153,19 @@ def _err_less(ctx: RealContext, x: Vec3, y: Vec3 | None, ex: tuple[int, int],
         what = f"L{x} < L{y}" if y else f"L{x} < 1/2"
         if _literal_less_open(ctx, x, y):
             raise ctx.ceiling_error(what)
-        verdict = ctx.decide(lambda b: _fixed_less(scaled_error(x, ctx, b),
-                                                   _record_error(ctx, y, b)), what=what)
+        verdict = ctx.decide(lambda b: _fixed_less(scaled_error(x, ctx.rung(b)),
+                                                   _record_error(ctx.rung(b), y)), what=what)
     return verdict
 
 
 def _x0_limit(ctx: RealContext, norm_bound: int) -> int:
     # |x2| >= x0*|xi^3| - 1/2, so x0 beyond (norm_bound + 1/2)/|xi^3| cannot fit;
-    # c <= 2^bits * |xi^3| as the enclosure is rounded outward
-    lo, hi = ctx.scaled(3)
+    # c <= S * |xi^3| as the enclosure is rounded outward
+    scale, _, _, (lo, hi) = ctx.rung()
     c = max(lo, -hi)
-    if c <= 1 << ctx.precision_bits:
+    if c <= scale:
         return norm_bound
-    return min(norm_bound, ((2 * norm_bound + 1) << ctx.precision_bits) // (2 * c))
+    return min(norm_bound, (2 * norm_bound + 1) * scale // (2 * c))
 
 
 def minimal_sequence(ctx: RealContext, norm_bound: int) -> list[MinimalPoint]:
@@ -243,13 +233,14 @@ def _next_record(ctx: RealContext, prev: Vec3 | None, limit: int, norm_bound: in
     boxes = []  # (Y, bits) of every box enumerated
 
     def search(bits):
-        box = _resolved_box(ctx, prev, limit, bits)
+        rung = ctx.rung(bits)
+        box = _resolved_box(rung, prev, limit)
         if box is None:
             if bits == ctx.precision_bits and _literal_box_open(ctx, prev, limit):
                 raise ctx.ceiling_error(what)
             return None
         boxes.append((box[0], bits))
-        points = _box_points(ctx, bits, box[1], box[0], done, basis)
+        points = _box_points(rung, box[1], box[0], done, basis)
         if points is None and isinstance(ctx.spec, DecimalXi):
             # a literal's interval, and so the box, is the same at every precision
             raise PrecisionError(f"{what} holds more than {BOX_CAP} lattice points for "
@@ -258,14 +249,15 @@ def _next_record(ctx: RealContext, prev: Vec3 | None, limit: int, norm_bound: in
         return points
 
     points = ctx.decide(search, what=what)
-    prev_err = _record_error(ctx, prev, ctx.precision_bits)
+    base = ctx.rung()
+    prev_err = _record_error(base, prev)
     decided = 0
     found = None
     for x in points:
         if sup_norm(x) > norm_bound:
             continue
         decided += 1
-        if _err_less(ctx, x, prev, scaled_error(x, ctx), prev_err):
+        if _err_less(ctx, x, prev, scaled_error(x, base), prev_err):
             found = x
             break
     # logging costs milliseconds to import, more than a small run's search; a
@@ -279,16 +271,15 @@ def _next_record(ctx: RealContext, prev: Vec3 | None, limit: int, norm_bound: in
     return found
 
 
-def _resolved_box(ctx: RealContext, prev: Vec3 | None, limit: int,
-                  bits: int) -> tuple[int, int] | None:
-    """(Y, e_hi) when the search box is worth enumerating at bits, else None.
+def _resolved_box(rung: tuple, prev: Vec3 | None, limit: int) -> tuple[int, int] | None:
+    """(Y, e_hi) when the search box is worth enumerating on a rung, else None.
 
-    e_hi is the upper end of the enclosure of 2^bits * L(prev) (2^bits / 2 for
-    the first record), and Y is _box_size's at scale 2^bits.
+    e_hi is the upper end of the enclosure of S * L(prev) (S / 2 for the
+    first record), S the rung's scale, and Y is _box_size's at that scale.
     """
-    e_lo, e_hi = _record_error(ctx, prev, bits)
-    (lo1, hi1), (lo3, hi3) = ctx.scaled(1, bits), ctx.scaled(3, bits)
-    size = _box_size(limit, e_lo, e_hi, hi1 - lo1, hi3 - lo3, 1 << (2 * bits))
+    scale, (lo1, hi1), _, (lo3, hi3) = rung
+    e_lo, e_hi = _record_error(rung, prev)
+    size = _box_size(limit, e_lo, e_hi, hi1 - lo1, hi3 - lo3, scale * scale)
     return None if size is None else (size, e_hi)
 
 
@@ -315,11 +306,10 @@ def _box_size(limit: int, e_lo: int, e_hi: int, w1: int, w3: int,
 
 
 def _literal_box_open(ctx: RealContext, prev: Vec3 | None, limit: int) -> bool:
-    """True when ctx is a literal whose exact cell leaves the search box open.
+    """True when ctx is a literal whose exact rung leaves the search box open.
 
-    The test of _resolved_box, put once to the literal's cell: xi in
-    [a, b] / D and xi^3 in [c_lo, c_hi] / D^3, at scale S = 2*D^3, with e
-    from _exact_error and the widths 2*(b - a)*D^2 and 2*(c_hi - c_lo).
+    The test of _resolved_box, put once to the literal's exact rung: its
+    cell's powers at scale S = 2*D^3, the same rung at every precision.
 
     If it is open, so is every rung.  A rung's enclosures of 2^bits * xi^k
     are rounded outward from the cell, and its enclosure of 2^bits * L(prev)
@@ -329,27 +319,24 @@ def _literal_box_open(ctx: RealContext, prev: Vec3 | None, limit: int) -> bool:
     _box_size's monotonicity the rung's box is open too, up to max_bits,
     where RealContext.decide would raise its ceiling error.
     """
-    if ctx._literal is None:
-        return False
-    (den, a, b), _, (den3, c_lo, c_hi) = ctx._literal
-    e_lo, e_hi = _exact_error(ctx, prev)
-    return _box_size(limit, e_lo, e_hi, 2 * (b - a) * den * den, 2 * (c_hi - c_lo),
-                     4 * den3 * den3) is None
+    return (isinstance(ctx.spec, DecimalXi)
+            and _resolved_box(ctx.exact_rung(), prev, limit) is None)
 
 
-def _box_points(ctx: RealContext, bits: int, e_hi: int, size: int, done: int,
+def _box_points(rung: tuple, e_hi: int, size: int, done: int,
                 basis: list[list[int]]) -> list[Vec3] | None:
-    """The triples with done < x0 <= size and |x0*a_k - 2^bits*x_k| <= e_hi + size*w_k.
+    """The triples with done < x0 <= size and |x0*a_k - S*x_k| <= e_hi + size*w_k.
 
-    A superset of them, in ascending order: the bounds are rounded outward
-    when the low bits of a_k and 2^bits are shifted away.  None when the
-    enumeration meets more than BOX_CAP lattice points.
+    On a rung of scale S = 2^bits, a superset of them, in ascending order:
+    the bounds are rounded outward when the low bits of a_k and S are
+    shifted away.  None when the enumeration meets more than BOX_CAP
+    lattice points.
     """
-    (a1, hi1), (a3, hi3) = ctx.scaled(1, bits), ctx.scaled(3, bits)
+    scale, (a1, hi1), _, (a3, hi3) = rung
     b1, b3 = e_hi + size * (hi1 - a1), e_hi + size * (hi3 - a3)
     t = max(0, max(b1, b3).bit_length() - size.bit_length() - SHIFT_GUARD)
-    # x0*(a >> t) - (2^bits >> t)*x differs from (x0*a - 2^bits*x) / 2^t by less than x0
-    a1, a3, s = a1 >> t, a3 >> t, 1 << (bits - t)
+    # x0*(a >> t) - (S >> t)*x differs from (x0*a - S*x) / 2^t by less than x0
+    a1, a3, s = a1 >> t, a3 >> t, scale >> t
     b1, b3 = (b1 >> t) + 1 + size, (b3 >> t) + 1 + size
     r = max(b1, b3)
     # in these coordinates the box lies in the cube of half-side r*size

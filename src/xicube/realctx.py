@@ -1,14 +1,17 @@
 """Rigorous arithmetic for the target number xi.
 
 A :class:`RealContext` wraps a specification of xi (a decimal literal or an
-integer polynomial with an isolating interval) and keeps one integer form of
-its cell's powers: per precision `bits`, xi, xi^2, xi^3 lie in [a, b] / D,
-[s_lo, s_hi] / D^2 and [c_lo, c_hi] / D^3.  The rest are views of it:
-:meth:`RealContext.scaled` rounds outward to numerators over 2^bits, cached
-per (k, bits), on which every decision of the search runs; :func:`approx_error`
-and :func:`delta_of` give exact `Interval`s, integers over D^3 reduced only
-when read, as :meth:`RealContext.power` does over D^k for the tests'
-reference paths.  An integer verdict is final; a
+integer polynomial with an isolating interval) and keeps its enclosures in
+one integer form, a rung: a scale S and integers lo_k <= S * xi^k <= hi_k,
+k = 1..3, as the tuple (S, (lo_1, hi_1), (lo_2, hi_2), (lo_3, hi_3)).  Per
+precision `bits`, :meth:`RealContext.exact_rung` holds the powers of xi's
+cell over its denominator D at S = 2 * D^3, with no rounding; a literal's
+cell gives the same rung at every bits.  :meth:`RealContext.rung` rounds
+it outward to S = 2^bits, and every decision of the search runs on that.
+Each kind of rung has one cache.  The rest are views of a rung:
+:func:`scaled_error` encloses S * L(x) on either kind, and
+:func:`approx_error`, :func:`delta_of` and :meth:`RealContext.power` read
+the exact rung as `Interval`s over its S.  An integer verdict is final; a
 question left open is put again at doubled precision through
 :meth:`RealContext.decide`, until it is certain or a configurable ceiling
 aborts the run instead of guessing.  An ``alg:`` cell is one of the 2^depth
@@ -341,7 +344,7 @@ def _cell_powers(a: int, b: int, dens: tuple[int, int, int]):
     """((den^k, lo, hi) for k = 1..3): the powers of [a, b] / den are [lo, hi] / den^k.
 
     dens is (den, den^2, den^3).  The bounds are the min and max of all
-    endpoint products, as Interval multiplication takes them; this build
+    endpoint products, as interval multiplication takes them; this build
     makes the two full-size products a^2 and a^3, and _end_powers the rest.
     """
     a2 = a * a
@@ -389,13 +392,24 @@ def _halved(powers, r: int):
     return _end_powers(a, w, a2, a3, (den << 1, den2 << 2, den3 << 3))
 
 
+def _exact(powers) -> tuple:
+    """The rung (S, (lo_k, hi_k) for k = 1..3) of _cell_powers' powers at S = 2 * D^3.
+
+    xi^k in [lo, hi] / D^k is [2 * D^(3-k) * lo, 2 * D^(3-k) * hi] / S: the same
+    values, no rounding, and S / 2 = D^3 is an integer.
+    """
+    (den, a, b), (den2, s_lo, s_hi), (den3, c_lo, c_hi) = powers
+    return (2 * den3, (2 * a * den2, 2 * b * den2), (2 * s_lo * den, 2 * s_hi * den),
+            (2 * c_lo, 2 * c_hi))
+
+
 def _times(m: int, lo: int, hi: int) -> tuple[int, int]:
     """Bounds of m * [lo, hi]."""
     return (m * lo, m * hi) if m >= 0 else (m * hi, m * lo)
 
 
 def _abs_gap(target: int, m: int, lo: int, hi: int) -> tuple[int, int]:
-    """Bounds of |target - m * [lo, hi]|, taken as Interval's abs takes them."""
+    """Bounds of |target - m * [lo, hi]|: the ends where the gap keeps one sign, else [0, max]."""
     lo, hi = _times(m, lo, hi)
     lo, hi = target - hi, target - lo
     return (lo, hi) if lo >= 0 else (-hi, -lo) if hi <= 0 else (0, max(-lo, hi))
@@ -507,7 +521,7 @@ def _analyze_algebraic(ctx: RealContext) -> str | None:
     m divides the isolating polynomial g in Z[x], so Mignotte's bound (Math.
     Comp. 28, 1974) gives ||m||_1 <= 2^deg(m) * ||g||_2 <= 8 * ||g||_2.  The
     lattice has the rows (e_j | a_j), j = 0..k, where a_0 = 2^s and a_j is
-    the lower end of ctx.scaled(j, s), at most w below 2^s * xi^j.  As
+    the lower end of ctx.rung(s)[j], at most w below 2^s * xi^j.  As
     m(xi) = 0, m's vector (m | sum m_j a_j) has a last entry of size at most
     w * ||m||_1, so its squared length is at most R2 = 64 * ||g||_2^2 * (1 + w^2),
     and LLL with delta = 3/4 gives ||b1||^2 <= 2^k * lambda1^2.  So
@@ -533,7 +547,7 @@ def _analyze_algebraic(ctx: RealContext) -> str | None:
         return max((k + 1) * (at_zero + k + 8), min((k + 1) * (at_wide + k + 8), ctx.max_bits))
 
     def reduced(k, s):  # b1's coefficients, and whether ||b1||^2 > 2^k * R2
-        enclosures = [ctx.scaled(j, s) for j in range(1, k + 1)]
+        enclosures = ctx.rung(s)[1:k + 1]
         width = max((hi - lo for lo, hi in enclosures), default=0)
         rows = [[int(i == j) for i in range(k + 1)] + [a]
                 for j, a in enumerate([1 << s] + [lo for lo, _ in enclosures])]
@@ -576,8 +590,8 @@ class RealContext:
         self.max_bits = max_bits
         self.dependence_reason: str | None = None
         self.independence_assumed = False
-        self._pow_cache: dict[int, tuple] = {}  # per bits: the integer powers of _powers
-        self._scaled_cache: dict[tuple[int, int], tuple[int, int]] = {}  # per (k, bits)
+        self._exact_rungs: dict[int, tuple] = {}  # per bits, for an alg: cell
+        self._rungs: dict[int, tuple] = {}  # per bits
 
         if isinstance(spec, DecimalXi):
             whole, _, frac = spec.digits.partition(".")
@@ -586,7 +600,8 @@ class RealContext:
             with _LongInts():
                 low = int(whole + frac) - spec.digits.startswith("-")
             den = 10 ** len(frac)
-            self._literal = _cell_powers(low, low + 1, (den, den * den, den**3))
+            # the literal's exact rung, the same at every bits
+            self._literal = _exact(_cell_powers(low, low + 1, (den, den * den, den**3)))
             self._isolating_poly = None
             self.independence_assumed = True
         else:
@@ -636,17 +651,17 @@ class RealContext:
             self._depth, self._index = depth, (self._index << shift) + j
         return self._index >> (self._depth - depth)
 
-    def _powers(self, bits: int | None) -> tuple:
-        """((D^k, lo, hi) for k = 1..3): xi^k in [lo, hi] / D^k at bits (default precision).
+    def exact_rung(self, bits: int | None = None) -> tuple:
+        """The powers of xi's cell at bits (default precision) at scale S = 2 * D^3, unrounded.
 
         An alg: cell has the fewest halvings of [lo, hi] that leave its three
         powers 2^-bits * max(1, |xi|^3) wide at most, so it depends on bits alone.
         The first cell tried is built with two full-size products, a^2 and
         a^3; each deeper one is its half (_halved), from products with the
-        grid width and shifts.
+        grid width and shifts.  A literal's cell is the same at every bits.
         """
         bits = self.precision_bits if bits is None else bits
-        out = self._pow_cache.get(bits, self._literal)
+        out = self._exact_rungs.get(bits, self._literal)
         if out is None:
             p, w, q = self._grid
             # fewest halvings to width <= 2^-bits: least depth with 2^depth >= w * 2^bits / q
@@ -655,42 +670,36 @@ class RealContext:
             # further at most: one search there, and the coarser cells are shifts
             self._cell(depth + 2)
             a = (p << depth) + self._cell(depth) * w
-            out = _cell_powers(a, a + w, (q << depth, q * q << 2 * depth, q**3 << 3 * depth))
+            powers = _cell_powers(a, a + w, (q << depth, q * q << 2 * depth, q**3 << 3 * depth))
             while True:
-                (den, _, _), (den2, s_lo, s_hi), (den3, c_lo, c_hi) = out
+                (den, _, _), (den2, s_lo, s_hi), (den3, c_lo, c_hi) = powers
                 widest = max(w * den2, (s_hi - s_lo) * den, c_hi - c_lo)
                 if widest << bits <= max(den3, -c_lo, c_hi):  # 2^-bits * max(1, |xi^3|)
                     break
                 depth += 1
-                out = _halved(out, self._cell(depth) & 1)
-            self._pow_cache[bits] = out
+                powers = _halved(powers, self._cell(depth) & 1)
+            out = self._exact_rungs[bits] = _exact(powers)
         return out
 
-    def _power_ints(self, k: int, bits: int | None) -> tuple[int, int, int]:
-        if k not in (1, 2, 3):
-            raise ValueError("only powers 1..3 are served")
-        return self._powers(bits)[k - 1]
+    def rung(self, bits: int | None = None) -> tuple:
+        """exact_rung(bits) rounded outward (floor, ceil) to S = 2^bits; cached per bits."""
+        bits = self.precision_bits if bits is None else bits
+        out = self._rungs.get(bits)
+        if out is None:
+            scale, *powers = self.exact_rung(bits)
+            out = self._rungs[bits] = (1 << bits, *(
+                ((lo << bits) // scale, -((-hi << bits) // scale)) for lo, hi in powers))
+        return out
 
     def power(self, k: int, bits: int | None = None) -> Interval:
         """Enclosure of xi^k (k in 1..3) with width <= 2^-bits * max(1, |xi|^3).
 
-        The exact view of the integer powers.
+        The exact rung's, over its scale.
         """
-        den, lo, hi = self._power_ints(k, bits)
-        return Interval.over(lo, hi, den)
-
-    def scaled(self, k: int, bits: int | None = None) -> tuple[int, int]:
-        """Integers (lo, hi) with lo <= 2^bits * xi^k <= hi (default precision_bits).
-
-        Rounded outward (floor, ceil) from the integer powers at bits;
-        cached per (k, bits).
-        """
-        bits = self.precision_bits if bits is None else bits
-        out = self._scaled_cache.get((k, bits))
-        if out is None:
-            den, lo, hi = self._power_ints(k, bits)
-            out = self._scaled_cache[k, bits] = ((lo << bits) // den, -((-hi << bits) // den))
-        return out
+        if k not in (1, 2, 3):
+            raise ValueError("only powers 1..3 are served")
+        rung = self.exact_rung(bits)
+        return Interval.over(*rung[k], rung[0])
 
     # -- decisions ---------------------------------------------------------
     def decide(self, probe, what: str = "comparison"):
@@ -698,7 +707,7 @@ class RealContext:
 
         The precision doubles from precision_bits up to max_bits; raises
         ceiling_error(what) when probe(max_bits) is still undecided.  On a
-        decimal literal a question open on the exact cell is open on every
+        decimal literal a question open on the exact rung is open on every
         rung, as each rung's enclosures hold it; such a question can take
         that error at once (see minimal._literal_box_open).
         """
@@ -720,15 +729,15 @@ class RealContext:
     def nearest_to_multiple(self, m: int, k: int) -> int:
         """Nearest integer to m * xi^k, certified by strict enclosure containment.
 
-        The scaled integer enclosure decides when it lies strictly between
+        The rung's integer enclosure decides when it lies strictly between
         two half-integers, at escalating precision through :meth:`decide`.
         """
         return self.decide(lambda bits: self._nearest_fixed(m, k, bits),
                            what=f"rounding of {m}*xi^{k}")
 
     def _nearest_fixed(self, m: int, k: int, bits: int) -> int | None:
-        """Nearest integer to m * xi^k if the scaled enclosure at bits certifies it."""
-        lo, hi = _times(m, *self.scaled(k, bits))
+        """Nearest integer to m * xi^k if the rung at bits certifies it."""
+        lo, hi = _times(m, *self.rung(bits)[k])
         half = 1 << (bits - 1)
         n = (lo + half) >> bits
         if (n << bits) - half < lo and hi < (n << bits) + half:
@@ -740,23 +749,20 @@ class RealContext:
 
 def delta_of(x: Vec3, ctx: RealContext, bits: int | None = None) -> Interval:
     """Enclosure of 2*x0*xi^3 - 3*x1*xi^2 + x2 (second-order contact with the curve)."""
-    (den, _, _), (_, s_lo, s_hi), (den3, c_lo, c_hi) = ctx._powers(bits)
-    (c_lo, c_hi), (s_lo, s_hi) = _times(2 * x[0], c_lo, c_hi), _times(3 * x[1], s_lo, s_hi)
-    return Interval.over(c_lo - s_hi * den + x[2] * den3, c_hi - s_lo * den + x[2] * den3,
-                         den3)
+    scale, _, square, cube = ctx.exact_rung(bits)
+    (c_lo, c_hi), (s_lo, s_hi) = _times(2 * x[0], *cube), _times(3 * x[1], *square)
+    return Interval.over(c_lo - s_hi + x[2] * scale, c_hi - s_lo + x[2] * scale, scale)
 
 
 def approx_error(x: Vec3, ctx: RealContext, bits: int | None = None) -> Interval:
-    """Enclosure of L(x) = max(|x1 - x0*xi|, |x2 - x0*xi^3|)."""
-    (den, lo, hi), (den2, _, _), (den3, c_lo, c_hi) = ctx._powers(bits)
-    e1_lo, e1_hi = _abs_gap(x[1] * den, x[0], lo, hi)
-    e2_lo, e2_hi = _abs_gap(x[2] * den3, x[0], c_lo, c_hi)
-    return Interval.over(max(e1_lo * den2, e2_lo), max(e1_hi * den2, e2_hi), den3)
+    """Enclosure of L(x) = max(|x1 - x0*xi|, |x2 - x0*xi^3|), on the exact rung."""
+    rung = ctx.exact_rung(bits)
+    return Interval.over(*scaled_error(x, rung), rung[0])
 
 
-def scaled_error(x: Vec3, ctx: RealContext, bits: int | None = None) -> tuple[int, int]:
-    """Integers (lo, hi) with lo <= 2^bits * L(x) <= hi (default ctx.precision_bits)."""
-    shift = ctx.precision_bits if bits is None else bits
-    e1_lo, e1_hi = _abs_gap(x[1] << shift, x[0], *ctx.scaled(1, bits))
-    e3_lo, e3_hi = _abs_gap(x[2] << shift, x[0], *ctx.scaled(3, bits))
+def scaled_error(x: Vec3, rung: tuple) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= S * L(x) <= hi on a rung of scale S."""
+    scale, xi, _, cube = rung
+    e1_lo, e1_hi = _abs_gap(x[1] * scale, x[0], *xi)
+    e3_lo, e3_hi = _abs_gap(x[2] * scale, x[0], *cube)
     return max(e1_lo, e3_lo), max(e1_hi, e3_hi)

@@ -25,18 +25,25 @@ shares logic with the scan under test: no nearest-integer shortcut anywhere.
 
 The linear-scan oracle is the record sweep that the lattice search of
 `xicube.minimal` replaced: one nearest-integer candidate per x0, each put to
-an integer record test of its own, with its own x0 limit and certified
-error, so that a fault in the search's decision code cannot show on both
-sides.  It is linear in the bound, so it serves up to about 1e6.
+an integer record test of its own, with its own x0 limit, certified error
+and enclosure of L on the context's rung, so that a fault in the search's
+decision code or in `realctx.scaled_error` cannot show on both sides.  It
+is linear in the bound, so it serves up to about 1e6.
 
-Enclosure oracle: the cell-by-cell `Fraction` loop that the integer powers
-of `RealContext` replaced.  Each depth's root cell becomes an `Interval`,
-its square and cube are `Interval` products, and the width test compares
-`Fraction`s; `approx_error`, `delta_of` and `scaled` follow from those
-enclosures by `Interval` arithmetic.  Only the cell index comes from the
-context (`_cell`), which the bisection oracle below checks on its own:
-it halves the interval on signs summed in `Fraction`s, never on the
-homogenized Horner evaluation that `realctx` uses for every sign.
+Interval arithmetic: `FractionInterval`, the package's `Interval` with the
+`Fraction` arithmetic (+, -, *, abs), `width`, `mid` and `is_point` that
+the package's integer rungs replaced.  Its instances compare equal to the
+package's intervals of the same value, and `FractionInterval.of` views a
+package interval in it.
+
+Enclosure oracle: the cell-by-cell `Fraction` loop that the integer rungs
+of `RealContext` replaced.  Each depth's root cell becomes a
+`FractionInterval`, its square and cube are interval products, and the
+width test compares `Fraction`s; `approx_error`, `delta_of` and the rung
+follow from those enclosures by interval arithmetic.  Only the cell index
+comes from the context (`_cell`), which the bisection oracle below checks
+on its own: it halves the interval on signs summed in `Fraction`s, never
+on the homogenized Horner evaluation that `realctx` uses for every sign.
 
 Cell-power oracle: the powers of an integer cell [a, b] / den as the min
 and max of all endpoint products, the form `RealContext` used before it
@@ -72,21 +79,90 @@ from mpmath import libmp
 from mpmath.ctx_iv import MPIntervalContext
 
 from xicube.errors import DependenceError, InvariantViolation, Undecidable, ZeroElement
-from xicube.intervals import HALF, Interval
+from xicube.intervals import Interval
 from xicube.linalg import IntEchelon
 from xicube.minimal import MinimalPoint, candidate_for
 from xicube.realctx import (AlgebraicXi, DecimalXi, _check_endpoints, _dependence_reason,
-                            _root_count_error, approx_error, delta_of, scaled_error)
+                            _root_count_error, approx_error, delta_of)
 from xicube.vectors import Vec3, content, sup_norm
 from xicube.ring import (_expand_monomial, basis_of, expand, mul_keyed, named_element,
                          tab_columns, tab_coordinates)
 
 MARGIN = 1e-6  # far beyond float error for bounds <= a few thousand
+HALF = Fraction(1, 2)
+
+
+class FractionInterval(Interval):
+    """An `Interval` with exact `Fraction` arithmetic; equal to the package's of one value."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, iv: Interval) -> "FractionInterval":
+        """The same interval, with arithmetic."""
+        return cls.over(*iv.integers)
+
+    @property
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    @property
+    def mid(self) -> Fraction:
+        return (self.lo + self.hi) / 2
+
+    def __add__(self, other) -> "FractionInterval":
+        if not isinstance(other, Interval):
+            other = FractionInterval(other)
+        return FractionInterval(self.lo + other.lo, self.hi + other.hi)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "FractionInterval":
+        return FractionInterval(-self.hi, -self.lo)
+
+    def __sub__(self, other) -> "FractionInterval":
+        if not isinstance(other, Interval):
+            other = FractionInterval(other)
+        return FractionInterval(self.lo - other.hi, self.hi - other.lo)
+
+    def __rsub__(self, other) -> "FractionInterval":
+        return FractionInterval(other) - self
+
+    def __mul__(self, other) -> "FractionInterval":
+        if not isinstance(other, Interval):
+            other = Fraction(other)
+            if other >= 0:
+                return FractionInterval(self.lo * other, self.hi * other)
+            return FractionInterval(self.hi * other, self.lo * other)
+        products = (
+            self.lo * other.lo,
+            self.lo * other.hi,
+            self.hi * other.lo,
+            self.hi * other.hi,
+        )
+        return FractionInterval(min(products), max(products))
+
+    __rmul__ = __mul__
+
+    def __abs__(self) -> "FractionInterval":
+        if self.integers[0] >= 0:
+            return self
+        if self.integers[1] <= 0:
+            return -self
+        return FractionInterval(0, max(-self.lo, self.hi))
+
+    def is_point(self) -> bool:
+        return self.integers[0] == self.integers[1]
+
+
+def mid(iv: Interval) -> Fraction:
+    """Midpoint of a package interval."""
+    return FractionInterval.of(iv).mid
 
 
 def _survivors(ctx, bound):
-    xi = float(ctx.power(1).mid)
-    xi3 = float(ctx.power(3).mid)
+    xi = float(mid(ctx.power(1)))
+    xi3 = float(mid(ctx.power(3)))
     grid = np.arange(-bound, bound + 1)
     out = []
     for x0 in range(1, bound + 1):
@@ -142,33 +218,46 @@ def _fixed_less(a: tuple[int, int], b: tuple[int, int]) -> bool | None:
     return None
 
 
+def _scan_error(ctx, x: Vec3, bits: int | None = None) -> tuple[int, int]:
+    """Enclosure (lo, hi) of 2^bits * L(x), from ctx.rung(bits) alone.
+
+    Each gap x_k * S - x0 * [lo, hi], k = 1, 3, lies in [a_k, b_k], its ends
+    sorted; its absolute value in [max(0, a_k, -b_k), max(-a_k, b_k)].
+    """
+    scale, (lo1, hi1), _, (lo3, hi3) = ctx.rung(bits)
+    a1, b1 = sorted((x[1] * scale - x[0] * lo1, x[1] * scale - x[0] * hi1))
+    a3, b3 = sorted((x[2] * scale - x[0] * lo3, x[2] * scale - x[0] * hi3))
+    return max(0, a1, -b1, a3, -b3), max(-a1, b1, -a3, b3)
+
+
 def _err_less_than_half(ctx, x: Vec3, ex: tuple[int, int]) -> bool:
-    """L(x) < 1/2, given ex = scaled_error(x, ctx)."""
+    """L(x) < 1/2, given ex = _scan_error(ctx, x)."""
     half = 1 << (ctx.precision_bits - 1)
     verdict = _fixed_less(ex, (half, half))
     if verdict is None:
-        verdict = ctx.decide(lambda b: _fixed_less(scaled_error(x, ctx, b),
+        verdict = ctx.decide(lambda b: _fixed_less(_scan_error(ctx, x, b),
                                                    (1 << (b - 1),) * 2),
                              what=f"L{x} < 1/2")
     return verdict
 
 
 def _err_less(ctx, x: Vec3, y: Vec3, ex: tuple[int, int], ey: tuple[int, int]) -> bool:
-    """L(x) < L(y), given ex, ey = scaled_error(x, ctx), scaled_error(y, ctx)."""
+    """L(x) < L(y), given ex, ey = _scan_error(ctx, x), _scan_error(ctx, y)."""
     verdict = _fixed_less(ex, ey)
     if verdict is None:
-        verdict = ctx.decide(lambda b: _fixed_less(scaled_error(x, ctx, b),
-                                                   scaled_error(y, ctx, b)),
+        verdict = ctx.decide(lambda b: _fixed_less(_scan_error(ctx, x, b),
+                                                   _scan_error(ctx, y, b)),
                              what=f"L{x} < L{y}")
     return verdict
 
 
 def _x0_limit(ctx, norm_bound: int) -> int:
     # |x2| >= x0*|xi^3| - 1/2, so x0 beyond (norm_bound + 1/2)/|xi^3| cannot fit
-    cube = abs(ctx.power(3))
+    cube = abs(FractionInterval.of(ctx.power(3)))
     if cube.lo <= 1:
         return norm_bound
-    return min(norm_bound, int(((Interval(norm_bound) + HALF).hi / cube.lo).__floor__()))
+    return min(norm_bound,
+               int(((FractionInterval(norm_bound) + HALF).hi / cube.lo).__floor__()))
 
 
 def _certified_err(ctx, pt: Vec3, bits: int) -> Interval | None:
@@ -200,7 +289,7 @@ def linear_scan_minimal_points(ctx, norm_bound: int) -> list[MinimalPoint]:
     # single streaming sweep keeps only the current record; the guard turns
     # a violated premise into an abort instead of a wrong sequence
     records: list[tuple[int, Vec3]] = []  # (norm, point)
-    record_err = None  # scaled_error of records[-1]
+    record_err = None  # _scan_error of records[-1]
     last_norm = 0
     for x0 in range(1, limit + 1):
         c = candidate_for(x0, ctx)
@@ -211,7 +300,7 @@ def linear_scan_minimal_points(ctx, norm_bound: int) -> list[MinimalPoint]:
         last_norm = n
         if n > norm_bound:
             continue
-        err = scaled_error(c, ctx)
+        err = _scan_error(ctx, c)
         if records:
             if not _err_less(ctx, c, records[-1][1], err, record_err):
                 continue
@@ -255,7 +344,8 @@ def _analyze_by_factoring(spec: AlgebraicXi):
     return mp_coeffs, _dependence_reason(mp_coeffs)
 
 
-def fraction_powers(ctx, bits: int) -> tuple[Interval, Interval, Interval]:
+def fraction_powers(ctx, bits: int) -> tuple[FractionInterval, FractionInterval,
+                                              FractionInterval]:
     """Enclosures of xi, xi^2, xi^3 at bits, as Fraction intervals, cell by cell.
 
     From the fewest halvings of [lo, hi] that leave the cell 2^-bits wide,
@@ -266,8 +356,8 @@ def fraction_powers(ctx, bits: int) -> tuple[Interval, Interval, Interval]:
         value = Fraction(ctx.spec.digits)
         _, _, frac = ctx.spec.digits.partition(".")
         ulp = Fraction(1, 10 ** len(frac))
-        base = (Interval(value - ulp, value) if ctx.spec.digits.startswith("-")
-                else Interval(value, value + ulp))
+        base = (FractionInterval(value - ulp, value) if ctx.spec.digits.startswith("-")
+                else FractionInterval(value, value + ulp))
         return base, base * base, base * base * base
     target = Fraction(1, 1 << bits)
     width = ctx._hi - ctx._lo
@@ -275,7 +365,7 @@ def fraction_powers(ctx, bits: int) -> tuple[Interval, Interval, Interval]:
     while True:
         step = width / (1 << depth)
         j = ctx._cell(depth)
-        base = Interval(ctx._lo + j * step, ctx._lo + (j + 1) * step)
+        base = FractionInterval(ctx._lo + j * step, ctx._lo + (j + 1) * step)
         square = base * base
         cube = square * base
         if max(base.width, square.width, cube.width) <= target * max(Fraction(1), abs(cube).hi):
@@ -285,7 +375,7 @@ def fraction_powers(ctx, bits: int) -> tuple[Interval, Interval, Interval]:
 
 def cell_powers(a: int, b: int, den: int):
     """((den^k, lo, hi) for k = 1..3): the powers of [a, b] / den are [lo, hi] / den^k,
-    with the min and max of all endpoint products, as Interval multiplication takes them."""
+    with the min and max of all endpoint products, as interval multiplication takes them."""
     square = (a * a, a * b, b * b)
     s_lo, s_hi = min(square), max(square)
     cube = (s_lo * a, s_lo * b, s_hi * a, s_hi * b)
@@ -299,21 +389,22 @@ def fraction_scaled(ctx, k: int, bits: int) -> tuple[int, int]:
             -((-iv.hi.numerator << bits) // iv.hi.denominator))
 
 
-def max_with(a: Interval, b: Interval) -> Interval:
+def max_with(a: Interval, b: Interval) -> FractionInterval:
     """Enclosure of max(u, v) for u in a, v in b."""
-    return Interval(max(a.lo, b.lo), max(a.hi, b.hi))
+    return FractionInterval(max(a.lo, b.lo), max(a.hi, b.hi))
 
 
-def fraction_approx_error(x: Vec3, ctx, bits: int) -> Interval:
-    """L(x) = max(|x1 - x0*xi|, |x2 - x0*xi^3|) in Interval arithmetic."""
+def fraction_approx_error(x: Vec3, ctx, bits: int) -> FractionInterval:
+    """L(x) = max(|x1 - x0*xi|, |x2 - x0*xi^3|) in interval arithmetic."""
     xi, _, cube = fraction_powers(ctx, bits)
-    return max_with(abs(Interval(x[1]) - xi * x[0]), abs(Interval(x[2]) - cube * x[0]))
+    return max_with(abs(FractionInterval(x[1]) - xi * x[0]),
+                    abs(FractionInterval(x[2]) - cube * x[0]))
 
 
-def fraction_delta_of(x: Vec3, ctx, bits: int) -> Interval:
-    """2*x0*xi^3 - 3*x1*xi^2 + x2 in Interval arithmetic."""
+def fraction_delta_of(x: Vec3, ctx, bits: int) -> FractionInterval:
+    """2*x0*xi^3 - 3*x1*xi^2 + x2 in interval arithmetic."""
     _, square, cube = fraction_powers(ctx, bits)
-    return cube * (2 * x[0]) - square * (3 * x[1]) + Interval(x[2])
+    return cube * (2 * x[0]) - square * (3 * x[1]) + FractionInterval(x[2])
 
 
 def exact_nearest(ctx, m, k, bits):
@@ -322,7 +413,7 @@ def exact_nearest(ctx, m, k, bits):
     Strict containment of the Fraction enclosure in (n - 1/2, n + 1/2);
     None when the enclosure straddles a half-integer.
     """
-    iv = ctx.power(k, bits) * m
+    iv = FractionInterval.of(ctx.power(k, bits)) * m
     n = int((iv.mid + HALF).__floor__())
     return n if n - HALF < iv.lo and iv.hi < n + HALF else None
 

@@ -15,11 +15,11 @@ import sympy
 from conftest import QUARTIC, ROOT2, pi_prefix_spec
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from oracle import (bisect_cell, brute_force_minimal_points, exact_nearest,
-                    linear_scan_minimal_points)
+from oracle import (HALF, bisect_cell, brute_force_minimal_points, exact_nearest,
+                    linear_scan_minimal_points, mid)
 
 from xicube import PrecisionError, RealContext, minimal_sequence
-from xicube.intervals import HALF, Interval
+from xicube.intervals import Interval
 from xicube.minimal import _err_less, _fixed_less
 from xicube.realctx import AlgebraicXi, DecimalXi, approx_error, scaled_error
 
@@ -84,7 +84,7 @@ def _outcome(decision):
 
 
 def _approx(ctx) -> float:
-    return float(ctx.power(1).mid), float(ctx.power(3).mid)
+    return float(mid(ctx.power(1))), float(mid(ctx.power(3)))
 
 
 @st.composite
@@ -115,7 +115,7 @@ def test_integer_error_comparisons_match_exact_probe(spec, bits, data):
     ctx = RealContext(spec, bits, MAX_BITS)
     x = data.draw(near_triple(ctx))
     y = x if data.draw(st.booleans()) else data.draw(near_triple(ctx))  # exact ties too
-    ex, ey = scaled_error(x, ctx), scaled_error(y, ctx)
+    ex, ey = scaled_error(x, ctx.rung()), scaled_error(y, ctx.rung())
 
     def exact_less(b):
         return approx_error(x, ctx, b).strictly_less(approx_error(y, ctx, b))

@@ -101,14 +101,14 @@ def test_short_literal_aborts_on_little_work(spec, bound, monkeypatch):
     # enclosure above the base precision is asked for
     counts = _count_lattice_points(monkeypatch)
     above_base = []
-    real_scaled = RealContext.scaled
+    real_rung = RealContext.rung
 
-    def scaled(ctx, k, bits=None):
+    def rung(ctx, bits=None):
         if bits is not None and bits > ctx.precision_bits:
-            above_base.append((k, bits))
-        return real_scaled(ctx, k, bits)
+            above_base.append(bits)
+        return real_rung(ctx, bits)
 
-    monkeypatch.setattr(RealContext, "scaled", scaled)
+    monkeypatch.setattr(RealContext, "rung", rung)
     with pytest.raises(PrecisionError, match="at 65536 bits"):
         minimal_sequence(RealContext(spec), bound)
     assert sum(counts) < 1000
@@ -154,11 +154,11 @@ def _check_literal_rule(spec, bound, max_bits=DEFAULT_MAX_BITS):
     for ctx, kind, args in fired:
         for bits in _rungs(ctx):
             if kind == "box":
-                assert _resolved_box(ctx, *args, bits) is None, bits
+                assert _resolved_box(ctx.rung(bits), *args) is None, bits
             else:
                 x, y = args
-                assert _fixed_less(scaled_error(x, ctx, bits),
-                                   _record_error(ctx, y, bits)) is None, bits
+                assert _fixed_less(scaled_error(x, ctx.rung(bits)),
+                                   _record_error(ctx.rung(bits), y)) is None, bits
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minimal, "_literal_box_open", lambda *args: False)
         mp.setattr(minimal, "_literal_less_open", lambda *args: False)
@@ -297,13 +297,13 @@ def test_search_box_holds_every_triple_within_its_bounds(spec):
     bits = ctx.precision_bits
     e_hi, size, done = 1 << (bits - 3), 40, 3
     basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    got = _box_points(ctx, bits, e_hi, size, done, basis)
+    got = _box_points(ctx.rung(bits), e_hi, size, done, basis)
     assert got == sorted(set(got))
     want = []
     for x0 in range(done + 1, size + 1):
         coords = []
         for k in (1, 3):
-            lo, hi = ctx.scaled(k, bits)
+            lo, hi = ctx.rung(bits)[k]
             bound = e_hi + size * (hi - lo)  # x_k with |x0*lo - 2^bits*x_k| <= bound
             coords.append(range(-((bound - x0 * lo) >> bits), ((x0 * lo + bound) >> bits) + 1))
         want += [(x0, x1, x2) for x1 in coords[0] for x2 in coords[1]]

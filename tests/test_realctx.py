@@ -11,8 +11,9 @@ from conftest import QUARTIC, ROOT2, cube_root_product_spec
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from oracle import (_analyze_by_factoring, bisect_cell, cell_powers, fraction_approx_error,
-                    fraction_delta_of, fraction_powers, fraction_scaled, fraction_sign)
+from oracle import (FractionInterval, _analyze_by_factoring, bisect_cell, cell_powers,
+                    fraction_approx_error, fraction_delta_of, fraction_powers, fraction_scaled,
+                    fraction_sign, mid)
 
 import xicube
 from xicube import (PrecisionError, RealContext, approx_error, delta_of, minimal_sequence,
@@ -20,7 +21,7 @@ from xicube import (PrecisionError, RealContext, approx_error, delta_of, minimal
 from xicube.errors import UsageError
 from xicube.linalg import _lll
 from xicube.realctx import (DEFAULT_MAX_BITS, MAX_DEGREE, AlgebraicXi, DecimalXi, _cell_powers,
-                            _eval_sign, _halved, _root_cell)
+                            _eval_sign, _halved, _root_cell, scaled_error)
 
 
 def test_parse_specs():
@@ -254,18 +255,28 @@ def test_independent_quartics(ctx_root2, ctx_quartic):
 
 
 @st.composite
-def core_spec(draw):
+def core_spec(draw, kinds=("negative", "near_one", "below_one", "above_ten", "dec")):
     """An alg: spec of degree 4-6 with a negative, near-1, below-1 or above-10
-    root, or a decimal literal (-0.0 included)."""
-    kind = draw(st.sampled_from(["negative", "near_one", "below_one", "above_ten", "dec"]))
+    root, or with coefficients near 2^64 ("huge"), or a decimal literal (-0.0
+    included; "short_dec" for one of 1-6 digits)."""
+    kind = draw(st.sampled_from(kinds))
     if kind == "dec":
         sign, whole = draw(st.sampled_from(["", "-"])), draw(st.integers(0, 30))
         digits = draw(st.integers(1, 40))
         frac = draw(st.integers(0, 10**digits - 1))
         return draw(st.sampled_from([f"dec:{sign}{whole}.{frac:0{digits}d}", "dec:-0.0"]))
+    if kind == "short_dec":
+        sign = draw(st.sampled_from(["", "-"]))
+        digits = draw(st.text("0123456789", min_size=1, max_size=6))
+        point = draw(st.integers(1, len(digits)))
+        return f"dec:{sign}{digits[:point]}" + (f".{digits[point:]}" if digits[point:] else "")
     deg = draw(st.integers(4, 6))
     small = [draw(st.integers(-9, 9)) for _ in range(deg - 1)]
-    if kind == "near_one":
+    if kind == "huge":
+        coeffs = [draw(st.integers(2**63, 2**64)) * draw(st.sampled_from([-1, 1]))
+                  for _ in range(deg + 1)]
+        accept = lambda r: True
+    elif kind == "near_one":
         n = draw(st.integers(10**3, 10**6))  # N*x^deg + b*x - (N + c): a root near 1
         coeffs = ([-(n + draw(st.integers(1, 50))), draw(st.integers(-2, 2))]
                   + [0] * (deg - 2) + [n])
@@ -319,21 +330,51 @@ def _hostile_examples(test):
        x0=st.integers(-3000, 3000), offsets=st.tuples(*[st.integers(-2, 2)] * 2))
 def test_integer_powers_match_the_fraction_oracle(spec, levels, x0, offsets):
     ctx, reference = RealContext(spec), RealContext(spec)
-    xi, cube = (float(ctx.power(k, 64).mid) for k in (1, 3))
+    xi, cube = (float(mid(ctx.power(k, 64))) for k in (1, 3))
     points = [(x0, round(x0 * xi) + offsets[0], round(x0 * xi**3) + offsets[1]),
               (0, 1, 0), (1, 0, 0)]
     for bits in levels:
         powers = fraction_powers(reference, bits)
         for k in (1, 2, 3):
             assert ctx.power(k, bits) == powers[k - 1], (k, bits)
-            assert ctx.scaled(k, bits) == fraction_scaled(reference, k, bits), (k, bits)
+            assert ctx.rung(bits)[k] == fraction_scaled(reference, k, bits), (k, bits)
         for x in points:
             assert approx_error(x, ctx, bits) == fraction_approx_error(x, reference, bits)
             assert delta_of(x, ctx, bits) == fraction_delta_of(x, reference, bits)
     bits = ctx.precision_bits
-    assert (ctx.power(3), ctx.scaled(3), approx_error(points[0], ctx)) == (
+    assert (ctx.power(3), ctx.rung()[3], approx_error(points[0], ctx)) == (
         fraction_powers(reference, bits)[2], fraction_scaled(reference, 3, bits),
         fraction_approx_error(points[0], reference, bits))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@example(spec="dec:2.5", x0=1, offsets=(0, 0))
+@example(spec=HOSTILE_TIE_SPECS[0], x0=1, offsets=(0, 0))  # near 1
+@example(spec=HOSTILE_TIE_SPECS[1], x0=-7, offsets=(1, -1))  # negative
+@given(spec=core_spec(kinds=("near_one", "negative", "huge", "short_dec")),
+       x0=st.integers(-3000, 3000), offsets=st.tuples(*[st.integers(-1, 1)] * 2))
+def test_every_rung_contains_the_exact_rung(spec, x0, offsets):
+    # the ladder from 8 to 8192 bits: rung(bits) / 2^bits holds exact_rung(bits) / S
+    # for each power; a literal's exact rung is one object, so it lies inside
+    # every rung (the premise of minimal's literal shortcuts); and the error
+    # enclosure on a rung holds approx_error, the one on the exact rung
+    ctx = RealContext(spec)
+    xi, cube = (float(mid(ctx.power(k, 64))) for k in (1, 3))
+    points = [(x0, round(x0 * xi) + offsets[0], round(x0 * cube) + offsets[1]),
+              (0, 1, 0), (1, 0, 0)]
+    literal = ctx.exact_rung(8) if isinstance(ctx.spec, DecimalXi) else None
+    for bits in (8 << i for i in range(11)):
+        exact, rung = ctx.exact_rung(bits), ctx.rung(bits)
+        assert literal is None or exact is literal
+        assert rung[0] == 1 << bits
+        for k in (1, 2, 3):
+            (lo, hi), (e_lo, e_hi) = rung[k], exact[k]
+            assert lo * exact[0] <= e_lo << bits and e_hi << bits <= hi * exact[0], (k, bits)
+        for x in points:
+            lo, hi = scaled_error(x, rung)
+            num_lo, num_hi, den = approx_error(x, ctx, bits).integers
+            assert lo * den <= num_lo << bits and num_hi << bits <= hi * den, (x, bits)
 
 
 def _count_evaluations(monkeypatch):
@@ -555,35 +596,36 @@ def test_cell_powers_match_the_min_max_reference(cell, den, r):
 
 def test_enclosure_width_contract(ctx_root2):
     for bits in (32, 100, 256):
-        cube = ctx_root2.power(3, bits)
+        cube = FractionInterval.of(ctx_root2.power(3, bits))
         scale = max(Fraction(1), abs(cube).hi)
         for k in (1, 2, 3):
-            assert ctx_root2.power(k, bits).width <= Fraction(1, 1 << bits) * scale
+            width = FractionInterval.of(ctx_root2.power(k, bits)).width
+            assert width <= Fraction(1, 1 << bits) * scale
 
 
 def test_delta_examples(ctx_root2):
-    assert delta_of((0, 0, 1), ctx_root2).is_point()
+    assert FractionInterval.of(delta_of((0, 0, 1), ctx_root2)).is_point()
     assert delta_of((0, 0, 1), ctx_root2).lo == 1
     iv = delta_of((1, 0, 0), ctx_root2)  # 2*xi^3
     with mp.workdps(45):
         ref = 2 * mp.mpf(2) ** (mp.mpf(3) / 4)
-        assert abs(Fraction(str(ref)) - iv.mid) < Fraction(1, 10**40)
+        assert abs(Fraction(str(ref)) - mid(iv)) < Fraction(1, 10**40)
     iv = delta_of((1, 1, 2), ctx_root2)
     with mp.workdps(45):
         ref = 2 * mp.mpf(2) ** (mp.mpf(3) / 4) - 3 * mp.sqrt(2) + 2
-        assert abs(Fraction(str(ref)) - iv.mid) < Fraction(1, 10**40)
-    assert abs(iv.mid - Fraction("1.1209")) < Fraction(1, 10**3)
+        assert abs(Fraction(str(ref)) - mid(iv)) < Fraction(1, 10**40)
+    assert abs(mid(iv) - Fraction("1.1209")) < Fraction(1, 10**3)
 
 
 def test_l_norm_examples(ctx_root2):
     err, norm = approx_error((1, 1, 2), ctx_root2), sup_norm((1, 1, 2))
     assert norm == 2
-    assert abs(err.mid - Fraction("0.31821")) < Fraction(1, 10**5)
+    assert abs(mid(err) - Fraction("0.31821")) < Fraction(1, 10**5)
     err, norm = approx_error((0, 1, 0), ctx_root2), sup_norm((0, 1, 0))
     assert (err.lo, err.hi, norm) == (1, 1, 1)
     err, norm = approx_error((4, 5, 7), ctx_root2), sup_norm((4, 5, 7))
     assert norm == 7
-    assert abs(err.mid - Fraction("0.27283")) < Fraction(1, 10**5)
+    assert abs(mid(err) - Fraction("0.27283")) < Fraction(1, 10**5)
 
 
 def test_nearest_multiples(ctx_root2):
@@ -620,13 +662,13 @@ def test_enclosures_do_not_depend_on_call_history(spec):
     after_cube = RealContext(spec)
     after_cube.power(3)
     escalated = RealContext(spec)
-    escalated.scaled(1, 1536)
+    escalated.rung(1536)
     for bits in (192, 384, 768):
         for k in (1, 2, 3):
             fresh = RealContext(spec)
-            want = fresh.power(k, bits), fresh.scaled(k, bits)
+            want = fresh.power(k, bits), fresh.rung(bits)[k]
             for ctx in (after_cube, escalated):
-                assert (ctx.power(k, bits), ctx.scaled(k, bits)) == want, (k, bits)
+                assert (ctx.power(k, bits), ctx.rung(bits)[k]) == want, (k, bits)
 
 
 def test_decimal_rounding_contract():
