@@ -14,9 +14,9 @@ record at a time by a lattice search, and the argument that it is complete:
   each the triple of least x0 > x_i0 with L < L(x_i).  That sweep, one
   candidate per x0, is kept in tests/oracle.py as the reference; here a
   guard turns a violated premise into an abort instead of a wrong sequence.
-* The box is a superset.  With S = 2^bits, a_k and a_k + w_k the integer
-  enclosure of S*xi^k, and e_hi the upper end of the enclosure of S*L(x_i),
-  every triple with x0 <= Y and L(x) < L(x_i) has
+* The box is a superset.  With S the scale of a rung, a_k and a_k + w_k
+  the integer enclosure of S*xi^k, and e_hi the upper end of the
+  enclosure of S*L(x_i), every triple with x0 <= Y and L(x) < L(x_i) has
   |x0*a_k - S*x_k| <= e_hi + Y*w_k for k = 1, 3 (x_k is x1 or x2).  Its
   points are decided in ascending x0 and the first that passes is the next
   record.  For the first record L(x_i) reads 1/2, and x0 = 1 passes for
@@ -37,33 +37,27 @@ record at a time by a lattice search, and the argument that it is complete:
   e_lo is 0, Y is that cap.  Either way one box per record settles it.
 
 The box is a cube of the lattice (x0*R, (x0*a1 - S*x1)*Y, (x0*a3 - S*x2)*Y),
-with the low bits of a_k and S it does not need shifted away and its bounds
-rounded outward.  Its points come from an integral LLL reduction (Lenstra,
-Lenstra & Lovasz, Math. Ann. 261, 1982, in Cohen's d/lambda form) that
-starts from the previous box's reduced basis, and a Fincke-Pohst
-enumeration (Math. Comp. 44, 1985) of the ball around the cube, in integers
-only.  The work is bounded twice.  A box is enumerated only at a precision
+with the low bits of a_k and S it does not need shifted away, at most S's
+zero low bits, and its bounds rounded outward.  Its points come from an
+integral LLL reduction (Lenstra, Lenstra & Lovasz, Math. Ann. 261, 1982,
+in Cohen's d/lambda form) that starts from the previous box's reduced
+basis, and a Fincke-Pohst enumeration (Math. Comp. 44, 1985) of the ball
+around the cube, in integers only.  The work is bounded twice.  A box is enumerated only at a precision
 where the number of lattice points it should hold, about
 4*Y*b1*b3/S^2 with half-widths b_k = e_hi + Y*w_k, is at most 24; and an
 enumeration that meets more than BOX_CAP lattice points, as a box around
 a nearly rational literal can, is given up.  Either way the precision
 doubles, and the ceiling raises PrecisionError.
 
-Each record test compares integer enclosures of 2^bits * L at the base
+Each record test compares integer enclosures of S * L at the base
 precision, with the current record's enclosure computed once per record.
 An integer verdict is final, because the true values lie inside those
 enclosures; a comparison they leave open is put again on the same integer
 enclosures at escalating precision (RealContext.decide).  Nothing is ever
 settled by a midpoint guess.
 
-A decimal literal's cell [a, a + 1] / D is exact, and every rung's
-enclosures are rounded outward from it, so more bits cannot settle what
-the cell itself leaves open.  When the base precision leaves a search box
-or a record comparison open on a literal, the same test is put once to
-the cell's exact rung (RealContext.exact_rung); if it is still open there,
-the PrecisionError that the ceiling would raise is raised at once
-(_literal_box_open, _literal_less_open).  So is a literal's capped box,
-which more bits do not shrink either.
+A literal's last rung is its exact cell, where RealContext.decide stops
+(see realctx), so S is an even integer, not always a power of 2.
 """
 
 from __future__ import annotations
@@ -132,29 +126,14 @@ def _record_error(rung: tuple, prev: Vec3 | None) -> tuple[int, int]:
     return scaled_error(prev, rung) if prev else (rung[0] >> 1,) * 2
 
 
-def _literal_less_open(ctx: RealContext, x: Vec3, y: Vec3 | None) -> bool:
-    """True when ctx is a literal whose exact rung leaves L(x) < L(y) open.
-
-    Then every rung leaves it open: each rung's enclosures hold the exact
-    ones, so they overlap too, and a rung's two equal points would make the
-    exact enclosures those same points, which _fixed_less decides.
-    """
-    if not isinstance(ctx.spec, DecimalXi):
-        return False
-    exact = ctx.exact_rung()
-    return _fixed_less(scaled_error(x, exact), _record_error(exact, y)) is None
-
-
 def _err_less(ctx: RealContext, x: Vec3, y: Vec3 | None, ex: tuple[int, int],
               ey: tuple[int, int]) -> bool:
     """L(x) < L(y) (1/2 for y None), given their enclosures ex, ey at the base precision."""
     verdict = _fixed_less(ex, ey)
     if verdict is None:
-        what = f"L{x} < L{y}" if y else f"L{x} < 1/2"
-        if _literal_less_open(ctx, x, y):
-            raise ctx.ceiling_error(what)
         verdict = ctx.decide(lambda b: _fixed_less(scaled_error(x, ctx.rung(b)),
-                                                   _record_error(ctx.rung(b), y)), what=what)
+                                                   _record_error(ctx.rung(b), y)),
+                             what=f"L{x} < L{y}" if y else f"L{x} < 1/2")
     return verdict
 
 
@@ -236,8 +215,6 @@ def _next_record(ctx: RealContext, prev: Vec3 | None, limit: int, norm_bound: in
         rung = ctx.rung(bits)
         box = _resolved_box(rung, prev, limit)
         if box is None:
-            if bits == ctx.precision_bits and _literal_box_open(ctx, prev, limit):
-                raise ctx.ceiling_error(what)
             return None
         boxes.append((box[0], bits))
         points = _box_points(rung, box[1], box[0], done, basis)
@@ -305,36 +282,19 @@ def _box_size(limit: int, e_lo: int, e_hi: int, w1: int, w3: int,
     return size
 
 
-def _literal_box_open(ctx: RealContext, prev: Vec3 | None, limit: int) -> bool:
-    """True when ctx is a literal whose exact rung leaves the search box open.
-
-    The test of _resolved_box, put once to the literal's exact rung: its
-    cell's powers at scale S = 2*D^3, the same rung at every precision.
-
-    If it is open, so is every rung.  A rung's enclosures of 2^bits * xi^k
-    are rounded outward from the cell, and its enclosure of 2^bits * L(prev)
-    is built from them by interval arithmetic, which keeps an enclosure
-    inside any coarser one.  Divided by their scales, the rung's e_lo is no
-    larger than the cell's, and its e_hi and widths are no smaller, so by
-    _box_size's monotonicity the rung's box is open too, up to max_bits,
-    where RealContext.decide would raise its ceiling error.
-    """
-    return (isinstance(ctx.spec, DecimalXi)
-            and _resolved_box(ctx.exact_rung(), prev, limit) is None)
-
-
 def _box_points(rung: tuple, e_hi: int, size: int, done: int,
                 basis: list[list[int]]) -> list[Vec3] | None:
     """The triples with done < x0 <= size and |x0*a_k - S*x_k| <= e_hi + size*w_k.
 
-    On a rung of scale S = 2^bits, a superset of them, in ascending order:
-    the bounds are rounded outward when the low bits of a_k and S are
-    shifted away.  None when the enumeration meets more than BOX_CAP
-    lattice points.
+    On a rung of even scale S, a superset of them, in ascending order: the
+    bounds are rounded outward when the low bits of a_k and S are shifted
+    away, no more of them than S's zero low bits.  None when the enumeration
+    meets more than BOX_CAP lattice points.
     """
     scale, (a1, hi1), _, (a3, hi3) = rung
     b1, b3 = e_hi + size * (hi1 - a1), e_hi + size * (hi3 - a3)
-    t = max(0, max(b1, b3).bit_length() - size.bit_length() - SHIFT_GUARD)
+    t = max(0, min(max(b1, b3).bit_length() - size.bit_length() - SHIFT_GUARD,
+                   (scale & -scale).bit_length() - 1))
     # x0*(a >> t) - (S >> t)*x differs from (x0*a - S*x) / 2^t by less than x0
     a1, a3, s = a1 >> t, a3 >> t, scale >> t
     b1, b3 = (b1 >> t) + 1 + size, (b3 >> t) + 1 + size

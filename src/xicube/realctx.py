@@ -7,22 +7,26 @@ k = 1..3, as the tuple (S, (lo_1, hi_1), (lo_2, hi_2), (lo_3, hi_3)).  Per
 precision `bits`, :meth:`RealContext.exact_rung` holds the powers of xi's
 cell over its denominator D at S = 2 * D^3, with no rounding; a literal's
 cell gives the same rung at every bits.  :meth:`RealContext.rung` rounds
-it outward to S = 2^bits, and every decision of the search runs on that.
-Each kind of rung has one cache.  The rest are views of a rung:
-:func:`scaled_error` encloses S * L(x) on either kind, and
-:func:`approx_error`, :func:`delta_of` and :meth:`RealContext.power` read
-the exact rung as `Interval`s over its S.  An integer verdict is final; a
-question left open is put again at doubled precision through
-:meth:`RealContext.decide`, until it is certain or a configurable ceiling
-aborts the run instead of guessing.  An ``alg:`` cell is one of the 2^depth
-equal cells of [lo, hi], clipped first to the Cauchy bound of the isolating
-polynomial, found once per level by an integer Newton iteration from
-coarse to fine: its steps are evaluated on grids no finer than their
-accuracy needs, the first on the grid of the cell found one level up, and
-only the exact sign evaluations that certify the cell, and one step should
-their guess miss, run at full depth.  A ``dec:`` cell is [a, a + 1] / 10^d.
-Every value or sign of a polynomial at p / q, here and in the exact
-analysis below, is Horner's rule at p on its homogenization c_i * q^(n-i).
+it outward to S = 2^bits, unless S <= 2^bits already: then, and only for
+a literal's cell, the rung is the cell itself, which rounding could only
+widen.  Every decision of the search runs on :meth:`RealContext.rung`, so
+on an even S that need not be a power of 2.  Each kind of rung has one
+cache.  The rest are views of a rung: :func:`scaled_error` encloses
+S * L(x) on either kind, and :func:`approx_error`, :func:`delta_of` and
+:meth:`RealContext.power` read the exact rung as `Interval`s over its S.
+An integer verdict is final; a question left open is put again at doubled
+precision through :meth:`RealContext.decide`, until it is certain or a
+configurable ceiling aborts the run instead of guessing, at once when a
+literal's rung has become its cell, past which no rung differs.  An
+``alg:`` cell is one of the 2^depth equal cells of [lo, hi], clipped first
+to the Cauchy bound of the isolating polynomial, found once per level by
+an integer Newton iteration from coarse to fine: its steps are evaluated
+on grids no finer than their accuracy needs, the first on the grid of the
+cell found one level up, and only the exact sign evaluations that certify
+the cell, and one step should their guess miss, run at full depth.  A
+``dec:`` cell is [a, a + 1] / 10^d.  Every value or sign of a polynomial
+at p / q, here and in the exact analysis below, is Horner's rule at p on
+its homogenization c_i * q^(n-i).
 
 Spec grammar accepted by :func:`parse_xi_spec`:
 
@@ -682,13 +686,23 @@ class RealContext:
         return out
 
     def rung(self, bits: int | None = None) -> tuple:
-        """exact_rung(bits) rounded outward (floor, ceil) to S = 2^bits; cached per bits."""
+        """exact_rung(bits) rounded outward (floor, ceil) to S = 2^bits; cached per bits.
+
+        The exact rung itself when its S <= 2^bits, which rounding could only
+        widen: only a literal's cell, as an alg: cell has S = 2 * (q * 2^depth)^3
+        > 2^bits, and from the first such bits on every rung is that one object.
+        So S is 2^bits or an even 2 * D^3 below it: a reader takes S from
+        rung[0], and shifts it right by at most its 2-adic valuation.
+        """
         bits = self.precision_bits if bits is None else bits
         out = self._rungs.get(bits)
         if out is None:
-            scale, *powers = self.exact_rung(bits)
-            out = self._rungs[bits] = (1 << bits, *(
-                ((lo << bits) // scale, -((-hi << bits) // scale)) for lo, hi in powers))
+            out = self.exact_rung(bits)
+            scale, *powers = out
+            if scale > 1 << bits:
+                out = (1 << bits, *(((lo << bits) // scale, -((-hi << bits) // scale))
+                                    for lo, hi in powers))
+            self._rungs[bits] = out
         return out
 
     def power(self, k: int, bits: int | None = None) -> Interval:
@@ -706,17 +720,19 @@ class RealContext:
         """Run probe(bits) at escalating precision until it returns non-None.
 
         The precision doubles from precision_bits up to max_bits; raises
-        ceiling_error(what) when probe(max_bits) is still undecided.  On a
-        decimal literal a question open on the exact rung is open on every
-        rung, as each rung's enclosures hold it; such a question can take
-        that error at once (see minimal._literal_box_open).
+        ceiling_error(what) when probe(max_bits) is still undecided.  It
+        raises that error as soon as a probe is open on a literal whose rung
+        has become its exact cell (see rung): no later rung differs, so a
+        probe that reads xi through rung(bits) or exact_rung(bits) alone
+        stays open up to the ceiling.
         """
         bits = self.precision_bits
         while True:
             out = probe(bits)
             if out is not None:
                 return out
-            if bits >= self.max_bits:
+            if bits >= self.max_bits or (self._literal is not None
+                                         and self.rung(bits) is self._literal):
                 raise self.ceiling_error(what)
             bits = min(2 * bits, self.max_bits)
 
@@ -736,11 +752,15 @@ class RealContext:
                            what=f"rounding of {m}*xi^{k}")
 
     def _nearest_fixed(self, m: int, k: int, bits: int) -> int | None:
-        """Nearest integer to m * xi^k if the rung at bits certifies it."""
-        lo, hi = _times(m, *self.rung(bits)[k])
-        half = 1 << (bits - 1)
-        n = (lo + half) >> bits
-        if (n << bits) - half < lo and hi < (n << bits) + half:
+        """Nearest integer to m * xi^k if the rung at bits certifies it.
+
+        m * xi^k lies in [lo, hi] / S; n certifies when 2 * [lo, hi] lies
+        strictly inside ((2n - 1) * S, (2n + 1) * S).
+        """
+        rung = self.rung(bits)
+        scale, (lo, hi) = rung[0], _times(m, *rung[k])
+        n = (2 * lo + scale) // (2 * scale)
+        if (2 * n - 1) * scale < 2 * lo and 2 * hi < (2 * n + 1) * scale:
             return n
         return None
 

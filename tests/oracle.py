@@ -219,7 +219,7 @@ def _fixed_less(a: tuple[int, int], b: tuple[int, int]) -> bool | None:
 
 
 def _scan_error(ctx, x: Vec3, bits: int | None = None) -> tuple[int, int]:
-    """Enclosure (lo, hi) of 2^bits * L(x), from ctx.rung(bits) alone.
+    """Enclosure (lo, hi) of S * L(x), from ctx.rung(bits) of scale S alone.
 
     Each gap x_k * S - x0 * [lo, hi], k = 1, 3, lies in [a_k, b_k], its ends
     sorted; its absolute value in [max(0, a_k, -b_k), max(-a_k, b_k)].
@@ -231,12 +231,12 @@ def _scan_error(ctx, x: Vec3, bits: int | None = None) -> tuple[int, int]:
 
 
 def _err_less_than_half(ctx, x: Vec3, ex: tuple[int, int]) -> bool:
-    """L(x) < 1/2, given ex = _scan_error(ctx, x)."""
-    half = 1 << (ctx.precision_bits - 1)
+    """L(x) < 1/2, given ex = _scan_error(ctx, x); 1/2 is S / 2 at the rung's scale S."""
+    half = ctx.rung()[0] >> 1
     verdict = _fixed_less(ex, (half, half))
     if verdict is None:
         verdict = ctx.decide(lambda b: _fixed_less(_scan_error(ctx, x, b),
-                                                   (1 << (b - 1),) * 2),
+                                                   (ctx.rung(b)[0] >> 1,) * 2),
                              what=f"L{x} < 1/2")
     return verdict
 
@@ -383,8 +383,16 @@ def cell_powers(a: int, b: int, den: int):
 
 
 def fraction_scaled(ctx, k: int, bits: int) -> tuple[int, int]:
-    """floor and ceil of 2^bits times the ends of fraction_powers' xi^k."""
+    """floor and ceil of 2^bits times the ends of fraction_powers' xi^k.
+
+    For a literal of d decimals whose S = 2 * 10^(3d) is at most 2^bits, S
+    times them instead, integers: its exact cell.
+    """
     iv = fraction_powers(ctx, bits)[k - 1]
+    if isinstance(ctx.spec, DecimalXi):
+        scale = 2 * 10 ** (3 * len(ctx.spec.digits.partition(".")[2]))
+        if scale <= 1 << bits:
+            return int(iv.lo * scale), int(iv.hi * scale)
     return ((iv.lo.numerator << bits) // iv.lo.denominator,
             -((-iv.hi.numerator << bits) // iv.hi.denominator))
 

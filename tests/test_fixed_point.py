@@ -100,6 +100,8 @@ def near_triple(draw, ctx):
 @given(spec=xi_specs, bits=precisions, m=st.integers(-10**6, 10**6),
        k=st.sampled_from([1, 3]))
 @example(spec=DecimalXi("0.5"), bits=192, m=1, k=1)  # straddles 1/2 for good
+# rounded at 8 and 16 bits, the exact cell from 32; 50 * 2.17 = 108.5 is a cell end
+@example(spec=DecimalXi("2.17"), bits=8, m=50, k=1)
 def test_integer_rounding_matches_exact_probe(spec, bits, m, k):
     ctx = RealContext(spec, bits, MAX_BITS)
     fixed = ctx._nearest_fixed(m, k, ctx.precision_bits)
@@ -126,7 +128,7 @@ def test_integer_error_comparisons_match_exact_probe(spec, bits, data):
     fixed = _fixed_less(ex, ey)
     if fixed is not None:
         assert exact_less(bits) == fixed
-    half = 1 << (bits - 1)
+    half = ctx.rung()[0] >> 1  # 1/2 at the rung's scale
     fixed = _fixed_less(ex, (half, half))
     if fixed is not None:
         assert exact_half(bits) == fixed

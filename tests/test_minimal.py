@@ -1,7 +1,7 @@
 import hashlib
 import logging
 from itertools import permutations, product
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from conftest import QUARTIC, ROOT2, pi_prefix_spec
@@ -16,9 +16,8 @@ from xicube import (DependenceError, Interval, MinimalPoint, NotInSpan,
 from xicube import minimal
 from xicube.errors import InvariantViolation
 from xicube.linalg import _lll
-from xicube.minimal import (_box_points, _box_size, _certified_err, _fixed_less, _record_error,
-                            _resolved_box, _short_vectors, pair_record)
-from xicube.realctx import DEFAULT_MAX_BITS, scaled_error
+from xicube.minimal import _box_points, _box_size, _certified_err, _short_vectors, pair_record
+from xicube.realctx import DEFAULT_MAX_BITS, DEFAULT_PRECISION_BITS
 from xicube.vectors import content, det3, dot
 
 # The short decimals of the hostile benchmark inputs, seeds 1 to 20
@@ -117,13 +116,15 @@ def test_short_literal_aborts_on_little_work(spec, bound, monkeypatch):
         assert counts == []
 
 
-def _rungs(ctx):
-    """The precisions at which RealContext.decide puts a question, in order."""
+def _ladder_decide(ctx, probe, what="comparison"):
+    """RealContext.decide without its literal stop: an open question climbs to max_bits."""
     bits = ctx.precision_bits
     while True:
-        yield bits
+        out = probe(bits)
+        if out is not None:
+            return out
         if bits >= ctx.max_bits:
-            return
+            raise ctx.ceiling_error(what)
         bits = min(2 * bits, ctx.max_bits)
 
 
@@ -135,42 +136,57 @@ def _outcome(spec, bound, max_bits):
         return str(exc)
 
 
-def _check_literal_rule(spec, bound, max_bits=DEFAULT_MAX_BITS):
-    """Run spec to bound; each question it finds open on the literal's exact
-    cell must be open at every rung of decide's ladder, and the run must end
-    as it does when every question climbs that ladder.  Returns the kinds of
-    the early exits ('box' or 'less')."""
-    fired = []
-    with pytest.MonkeyPatch.context() as mp:
-        for name, kind in (("_literal_box_open", "box"), ("_literal_less_open", "less")):
-            def recorded(ctx, *args, real=getattr(minimal, name), kind=kind):
-                out = real(ctx, *args)
-                if out:
-                    fired.append((ctx, kind, args))
-                return out
+def _check_literal_stop(spec, bound, max_bits=DEFAULT_MAX_BITS):
+    """Run spec to bound; the run must end as it does when decide's literal
+    stop is disabled and every open question climbs the whole ladder.
+    Returns that outcome and the highest bits of a rung the run asked for."""
+    asked = [0]
+    real_rung = RealContext.rung
 
-            mp.setattr(minimal, name, recorded)
-        fast = _outcome(spec, bound, max_bits)
-    for ctx, kind, args in fired:
-        for bits in _rungs(ctx):
-            if kind == "box":
-                assert _resolved_box(ctx.rung(bits), *args) is None, bits
-            else:
-                x, y = args
-                assert _fixed_less(scaled_error(x, ctx.rung(bits)),
-                                   _record_error(ctx.rung(bits), y)) is None, bits
+    def rung(ctx, bits=None):
+        asked[0] = max(asked[0], ctx.precision_bits if bits is None else bits)
+        return real_rung(ctx, bits)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(minimal, "_literal_box_open", lambda *args: False)
-        mp.setattr(minimal, "_literal_less_open", lambda *args: False)
+        mp.setattr(RealContext, "rung", rung)
+        fast = _outcome(spec, bound, max_bits)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RealContext, "decide", _ladder_decide)
         assert fast == _outcome(spec, bound, max_bits)
-    return [kind for _, kind, _ in fired]
+    return fast, asked[0]
+
+
+def _quartic_root_literal(digits: int) -> str:
+    """The first `digits` digits of 2^(1/4) as a literal."""
+    d = str(isqrt(isqrt(2 * 10 ** (4 * (digits - 1)))))
+    return f"dec:{d[0]}.{d[1:]}"
 
 
 @pytest.mark.parametrize("spec,bound", SHORT_DECIMALS + [("dec:2.5", 2700)])
 def test_short_decimal_exits_early_only_where_every_rung_is_open(spec, bound):
-    # every one of them ends on a question its exact cell leaves open: a
-    # search box, or a record comparison
-    assert len(_check_literal_rule(spec, bound)) == 1
+    # every one of them ends on a search box or a record comparison that
+    # its exact cell, already the base rung, leaves open, as the whole
+    # ladder does; so no rung above the base is asked for
+    out, top = _check_literal_stop(spec, bound)
+    assert isinstance(out, str) and top == DEFAULT_PRECISION_BITS
+
+
+@pytest.mark.parametrize("spec,bound,want", [
+    # 19 decimals: the rung is the exact cell at the base precision
+    ("dec:1.1892071150027210667", 10**22, 192),
+    # 20 decimals: rounded at 192 bits, the exact cell from 384
+    ("dec:1.18920711500272106671", 10**22, 384),
+    # the exact cell from 3072 bits; a stop at the base rung would abort it
+    (_quartic_root_literal(300), 10**60, 118),
+], ids=["19 decimals", "20 decimals", "300 digits"])
+def test_literal_stop_where_the_rounded_rung_gives_way(spec, bound, want):
+    # the two short ones stop on the first rung that is their exact cell;
+    # the long one returns its points
+    out, top = _check_literal_stop(spec, bound)
+    if isinstance(out, str):
+        assert "the literal's last digit is the limit" in out and top == want
+    else:
+        assert len(out) == want
 
 
 @st.composite
@@ -186,7 +202,7 @@ def short_literals(draw):
 @given(literal=short_literals())
 def test_literal_rule_matches_the_ladder(literal):
     # a ceiling of 1536 bits keeps the ladder cheap
-    _check_literal_rule(*literal, max_bits=1536)
+    _check_literal_stop(*literal, max_bits=1536)
 
 
 def test_box_of_at_most_24_expected_points_is_enumerated():
@@ -290,22 +306,31 @@ def test_reduction_and_enumeration_match_brute_force(rows, radius):
     assert {max(v, tuple(-x for x in v)) for v in got} == want
 
 
-@pytest.mark.parametrize("spec", ["dec:1.234", "dec:-0.77", ROOT2, "alg:x^4-2 in [-2,-1]"])
+# (size, e_hi) of boxes on a short literal's rung, its exact cell of scale
+# 2 * 10^(3d): a shift past the scale's zero low bits drops (8, 20, 135) and
+# (8, 21, 135) from the first box, (107, 174, 458) from the second
+LITERAL_BOXES = {"dec:2.58": (8, 1615904), "dec:1.6247": (178, 1487050248671),
+                 "dec:-2.4936": (243, 836022225947)}
+
+
+@pytest.mark.parametrize("spec", ["dec:1.234", "dec:-0.77", ROOT2, "alg:x^4-2 in [-2,-1]",
+                                  *LITERAL_BOXES])
 def test_search_box_holds_every_triple_within_its_bounds(spec):
     # for a short literal the widths w_k make up most of the bounds
-    ctx = RealContext(spec)
-    bits = ctx.precision_bits
-    e_hi, size, done = 1 << (bits - 3), 40, 3
+    rung = RealContext(spec).rung()
+    scale = rung[0]
+    size, e_hi = LITERAL_BOXES.get(spec, (40, scale >> 3))
+    done = 3
     basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    got = _box_points(ctx.rung(bits), e_hi, size, done, basis)
+    got = _box_points(rung, e_hi, size, done, basis)
     assert got == sorted(set(got))
     want = []
     for x0 in range(done + 1, size + 1):
         coords = []
         for k in (1, 3):
-            lo, hi = ctx.rung(bits)[k]
-            bound = e_hi + size * (hi - lo)  # x_k with |x0*lo - 2^bits*x_k| <= bound
-            coords.append(range(-((bound - x0 * lo) >> bits), ((x0 * lo + bound) >> bits) + 1))
+            lo, hi = rung[k]
+            bound = e_hi + size * (hi - lo)  # x_k with |x0*lo - S*x_k| <= bound
+            coords.append(range(-((bound - x0 * lo) // scale), (x0 * lo + bound) // scale + 1))
         want += [(x0, x1, x2) for x1 in coords[0] for x2 in coords[1]]
     assert want and set(want) <= set(got)
 

@@ -355,10 +355,11 @@ def test_integer_powers_match_the_fraction_oracle(spec, levels, x0, offsets):
 @given(spec=core_spec(kinds=("near_one", "negative", "huge", "short_dec")),
        x0=st.integers(-3000, 3000), offsets=st.tuples(*[st.integers(-1, 1)] * 2))
 def test_every_rung_contains_the_exact_rung(spec, x0, offsets):
-    # the ladder from 8 to 8192 bits: rung(bits) / 2^bits holds exact_rung(bits) / S
-    # for each power; a literal's exact rung is one object, so it lies inside
-    # every rung (the premise of minimal's literal shortcuts); and the error
-    # enclosure on a rung holds approx_error, the one on the exact rung
+    # the ladder from 8 to 8192 bits: rung(bits) is exact_rung(bits) itself
+    # exactly when the latter's scale is at most 2^bits, and otherwise has
+    # scale 2^bits and holds it for each power; a literal's exact rung is one
+    # object, so it lies inside every rung; and the error enclosure on a rung
+    # holds approx_error, the one on the exact rung
     ctx = RealContext(spec)
     xi, cube = (float(mid(ctx.power(k, 64))) for k in (1, 3))
     points = [(x0, round(x0 * xi) + offsets[0], round(x0 * cube) + offsets[1]),
@@ -367,14 +368,16 @@ def test_every_rung_contains_the_exact_rung(spec, x0, offsets):
     for bits in (8 << i for i in range(11)):
         exact, rung = ctx.exact_rung(bits), ctx.rung(bits)
         assert literal is None or exact is literal
-        assert rung[0] == 1 << bits
+        assert (rung is exact) == (exact[0] <= 1 << bits), bits
+        assert rung is exact or rung[0] == 1 << bits
+        scale = rung[0]
         for k in (1, 2, 3):
             (lo, hi), (e_lo, e_hi) = rung[k], exact[k]
-            assert lo * exact[0] <= e_lo << bits and e_hi << bits <= hi * exact[0], (k, bits)
+            assert lo * exact[0] <= e_lo * scale and e_hi * scale <= hi * exact[0], (k, bits)
         for x in points:
             lo, hi = scaled_error(x, rung)
             num_lo, num_hi, den = approx_error(x, ctx, bits).integers
-            assert lo * den <= num_lo << bits and num_hi << bits <= hi * den, (x, bits)
+            assert lo * den <= num_lo * scale and num_hi * scale <= hi * den, (x, bits)
 
 
 def _count_evaluations(monkeypatch):
