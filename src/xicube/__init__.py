@@ -12,9 +12,8 @@ from .minimal import (MinimalPoint, PairRecord, build_pair_records,
                       minimal_sequence, pair_checks)
 from .realctx import RealContext, approx_error, delta_of, parse_xi_spec
 from .ring import (RingElem, basis_of, evaluate, expand, j_subspace,
-                   j_valuation, named_element, parse_elem, rho, tau)
-from .search import (SearchResult, SupportSet, hp_decompose,
-                     lattice_triangle_count, maximal_j_element,
+                   j_valuation, named_element, rho, tau)
+from .search import (SearchResult, SupportSet, hp_decompose, maximal_j_element,
                      prop8_inequality, s_subspace_dim, special_family,
                      special_support)
 from .vectors import content, cross, det3, sup_norm

@@ -7,15 +7,17 @@ An interval holds its endpoints as integers over one positive denominator,
 :meth:`Interval.over` from the exact rung of the context, integers over its
 scale.  The reduced `Fraction` views ``lo`` and ``hi`` are built on first
 read and then cached, so an enclosure that an escalation throws away is
-never reduced.  Equality and :meth:`Interval.strictly_less` cross-multiply
-the integers, or compare the numerators when the denominators are equal;
-they go by value, so an interval built from integers equals the one built
-from `Fraction`s of the same value.  The comparison returns ``True`` or
-``False`` only when the answer is certain for *all* pairs of values in the
-operands, and ``None`` when the intervals overlap, so that callers can
-escalate precision instead of guessing.  The package computes on rungs, not
-on intervals; the `Fraction` interval arithmetic of the reference paths
-lives in tests/oracle.py.
+never reduced.  Equality cross-multiplies the integers, or compares the
+numerators when the denominators are equal; it goes by value, so an
+interval built from integers equals the one built from `Fraction`s of the
+same value.  Integer enclosures at one scale have one comparison rule,
+`_fixed_less`: the search applies it to rung integers, and
+:meth:`Interval.strictly_less` applies it after the same cross-multiplying.
+It returns ``True`` or ``False`` only when the answer is certain for *all*
+pairs of values in the operands, and ``None`` when the intervals overlap,
+so that callers can escalate precision instead of guessing.  The package
+computes on rungs, not on intervals; the `Fraction` interval arithmetic of
+the reference paths lives in tests/oracle.py.
 """
 
 from __future__ import annotations
@@ -79,10 +81,19 @@ class Interval:
         (a_lo, a_hi, a_den), (b_lo, b_hi, b_den) = self.integers, other.integers
         if a_den != b_den:  # two enclosures over one scale take no product
             a_lo, a_hi, b_lo, b_hi = a_lo * b_den, a_hi * b_den, b_lo * a_den, b_hi * a_den
-        if a_hi < b_lo:
-            return True
-        if a_lo > b_hi:
-            return False
-        if a_lo == a_hi and b_lo == b_hi:
-            return False  # exact equality, resolvable without escalation
-        return None
+        return _fixed_less((a_lo, a_hi), (b_lo, b_hi))
+
+
+def _fixed_less(a: tuple[int, int], b: tuple[int, int]) -> bool | None:
+    """The comparison rule on integer enclosures a = (lo, hi) and b at one scale.
+
+    True when a lies below b, False when it lies above b or both are one
+    equal point, None when they overlap otherwise: the caller escalates.
+    """
+    if a[1] < b[0]:
+        return True
+    if a[0] > b[1]:
+        return False
+    if a[0] == a[1] == b[0] == b[1]:
+        return False
+    return None

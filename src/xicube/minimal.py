@@ -69,7 +69,7 @@ from math import gcd, isqrt
 from .errors import (DependenceError, InvariantViolation, NotInSpan, PrecisionError,
                      UsageError)
 from .forms import pair_values
-from .intervals import Interval
+from .intervals import Interval, _fixed_less
 from .linalg import _lll
 from .realctx import DecimalXi, RealContext, approx_error, delta_of, scaled_error
 from .vectors import (Vec3, content, cross, det3, euclid_norm_sq, sup_norm, vadd,
@@ -108,17 +108,6 @@ def candidate_for(x0: int, ctx: RealContext) -> Vec3:
     if x0 < 1:
         raise ValueError("x0 must be >= 1")
     return (x0, ctx.nearest_to_multiple(x0, 1), ctx.nearest_to_multiple(x0, 3))
-
-
-def _fixed_less(a: tuple[int, int], b: tuple[int, int]) -> bool | None:
-    """Interval.strictly_less on integer enclosures (lo, hi)."""
-    if a[1] < b[0]:
-        return True
-    if a[0] > b[1]:
-        return False
-    if a[0] == a[1] == b[0] == b[1]:
-        return False
-    return None
 
 
 def _record_error(rung: tuple, prev: Vec3 | None) -> tuple[int, int]:

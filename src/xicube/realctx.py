@@ -451,27 +451,15 @@ def _prem(a, b) -> list[int]:
     return a
 
 
-def _squarefree_part(f) -> list[int]:
-    """Primitive squarefree part of f, with a positive leading coefficient."""
-    f = _primitive(list(f))
-    a, b = f, _derivative(f)
-    while b:  # primitive remainder sequence: a ends as gcd(f, f') up to a constant
-        a, b = b, _primitive(_prem(a, b))
-    if len(a) > 1:  # exact division f / gcd(f, f'), integral by Gauss's lemma
-        a = _primitive(a)
-        quotient = [0] * (len(f) - len(a) + 1)
-        rest = list(f)
-        for i in range(len(quotient) - 1, -1, -1):
-            quotient[i] = rest[i + len(a) - 1] // a[-1]
-            for j, c in enumerate(a):
-                rest[i + j] -= quotient[i] * c
-        f = _primitive(quotient)
-    return f if f[-1] > 0 else [-c for c in f]
+def _sturm_count(f, lo: Fraction, hi: Fraction) -> tuple[int, list[int]]:
+    """Number of distinct roots of f in (lo, hi), neither end a root, and gcd(f, f').
 
-
-def _sturm_count(g, lo: Fraction, hi: Fraction) -> int:
-    """Number of roots of the squarefree g in (lo, hi); neither end is a root."""
-    seq = [g, _derivative(g)]
+    The sequence f, f', -rem, ... ends in gcd(f, f') up to a constant: the
+    zero remainder reads as sign 0 and is dropped.  Divided through by that
+    gcd it is the Sturm sequence of f's squarefree part, and the gcd has
+    one sign at a point that is no root of f, so the count is that part's.
+    """
+    seq = [f, _derivative(f)]
     while len(seq[-1]) > 1:
         seq.append(_primitive([-c for c in _prem(seq[-2], seq[-1])]))
 
@@ -479,7 +467,21 @@ def _sturm_count(g, lo: Fraction, hi: Fraction) -> int:
         signs = [s for s in (_eval_sign(p, v) for p in seq) if s]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    return changes(lo) - changes(hi)
+    return changes(lo) - changes(hi), seq[-1] or seq[-2]
+
+
+def _squarefree_part(f, h) -> list[int]:
+    """Primitive f / h, h = gcd(f, f') up to a constant, with a positive leading coefficient."""
+    if len(h) > 1:  # exact division, integral by Gauss's lemma
+        h = _primitive(h)
+        quotient = [0] * (len(f) - len(h) + 1)
+        rest = list(f)
+        for i in range(len(quotient) - 1, -1, -1):
+            quotient[i] = rest[i + len(h) - 1] // h[-1]
+            for j, c in enumerate(h):
+                rest[i + j] -= quotient[i] * c
+        f = _primitive(quotient)
+    return f if f[-1] > 0 else [-c for c in f]
 
 
 def _dependence_reason(minpoly) -> str | None:
@@ -509,11 +511,11 @@ def _root_count_error(spec: AlgebraicXi, nroots: int) -> UsageError:
 def _isolating_polynomial(spec: AlgebraicXi) -> tuple[int, ...]:
     """The squarefree part g of the spec's polynomial; xi is its only root in [lo, hi]."""
     _check_endpoints(spec)
-    g = _squarefree_part(spec.coeffs)
-    nroots = _sturm_count(g, spec.lo, spec.hi)
+    f = _primitive(list(spec.coeffs))
+    nroots, h = _sturm_count(f, spec.lo, spec.hi)
     if nroots != 1:
         raise _root_count_error(spec, nroots)
-    return tuple(g)
+    return tuple(_squarefree_part(f, h))
 
 
 def _analyze_algebraic(ctx: RealContext) -> str | None:

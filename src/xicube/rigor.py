@@ -4,11 +4,11 @@ Only logarithm-flavored quantities are inexact in this package.  They are
 built here as outward-rounded intervals (`Enclosure`) whose endpoints are
 dyadic numbers ``man * 2**exp``, each rounded to the enclosure's precision,
 so every comparison made on them is rigorous.  Every step is correctly
-rounded: ``+ - * /``, integer powers and negation round their exact result
-outward, and `_log_bounds` gives the correctly rounded floor and ceiling of
-a logarithm (an atanh series with a proven truncation bound, retried at a
-higher working precision while the bound straddles a rounding boundary, as
-in Ziv's method).  An enclosure keeps the precision it was built at, and
+rounded: ``- * /`` and negation round their exact result outward, and
+`_log_bounds` gives the correctly rounded floor and ceiling of a logarithm
+(an atanh series with a proven truncation bound, retried at a higher
+working precision while the bound straddles a rounding boundary, as in
+Ziv's method).  An enclosure keeps the precision it was built at, and
 each output is computed at a fixed one: logs and log ratios at `LOG_PREC`,
 decimal renderings of rational enclosures at `DECIMAL_PREC`, and the
 `lambda_hat` midpoints and the pair-inequality diagnostics at `MID_PREC`.
@@ -97,8 +97,10 @@ def _to_fraction(d) -> Fraction:
 class Enclosure:
     """[lo, hi] with dyadic endpoints (man, exp), rounded outward at `prec` bits.
 
-    An operand that is an int or a Fraction is enclosed at the same
-    precision first; the left enclosure's precision rules a binary step.
+    The operators are those of the pair inequality, `lambda_hat` and
+    `log_ratio`: ``- * /`` and negation.  An int operand of ``-`` or ``*`` is
+    enclosed at the same precision first, and a divisor is an enclosure above
+    zero; the left enclosure's precision rules a binary step.
     """
 
     __slots__ = ("lo", "hi", "prec")
@@ -106,23 +108,11 @@ class Enclosure:
     def __init__(self, lo, hi, prec: int):
         self.lo, self.hi, self.prec = lo, hi, prec
 
-    def __repr__(self):
-        return f"Enclosure({self.lo}, {self.hi}, prec={self.prec})"
-
     def to_interval(self) -> Interval:
         return Interval(_to_fraction(self.lo), _to_fraction(self.hi))
 
     def _coerce(self, other) -> "Enclosure":
-        if isinstance(other, int):
-            return _int(self.prec, other)
-        if isinstance(other, Fraction):
-            return _fraction(self.prec, other)
-        return other
-
-    def __add__(self, other):
-        other, p = self._coerce(other), self.prec
-        return Enclosure(_add(self.lo, other.lo, p, FLOOR),
-                         _add(self.hi, other.hi, p, CEILING), p)
+        return _int(self.prec, other) if isinstance(other, int) else other
 
     def __sub__(self, other):
         other, p = self._coerce(other), self.prec
@@ -151,26 +141,14 @@ class Enclosure:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other, p = self._coerce(other), self.prec
-        if other.hi[0] < 0:
-            return -self / -other
+        # every divisor is above zero: the log of an integer >= 2 or of
+        # |q| >= 3, or a positive denominator
+        p = self.prec
         if other.lo[0] <= 0:
             raise ZeroDivisionError("division by an enclosure of zero")
         (a, b), (c, d) = (self.lo, self.hi), (other.lo, other.hi)
         lo_den, hi_den = (d, c) if a[0] >= 0 else (c, d) if b[0] <= 0 else (c, c)
         return Enclosure(_div(a, lo_den, p, FLOOR), _div(b, hi_den, p, CEILING), p)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        (a, b), p = (self.lo, self.hi), self.prec
-        if n % 2 == 0 and a[0] < 0:
-            if b[0] > 0:
-                top = b if _less((-a[0], a[1]), b) else a
-                return Enclosure((0, 0), _round(top[0] ** n, top[1] * n, p, CEILING), p)
-            a, b = b, a
-        return Enclosure(_round(a[0] ** n, a[1] * n, p, FLOOR),
-                         _round(b[0] ** n, b[1] * n, p, CEILING), p)
 
 
 def _atanh(p: int, q: int, w: int) -> tuple[int, int]:

@@ -48,7 +48,6 @@ references in tests/oracle.py.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import comb, lcm, prod
 
@@ -182,20 +181,6 @@ class RingElem:
             c = self.coeffs[(m, n)]
             parts.append(f"({m},{n}):{c.numerator}/{c.denominator}")
         return "; ".join(parts)
-
-
-def parse_elem(text: str) -> RingElem:
-    parts = [p.strip() for p in text.split(";") if p.strip()]
-    m = re.fullmatch(r"deg=(\d+)", parts[0])
-    if not m:
-        raise ValueError(f"bad element header {parts[0]!r}")
-    coeffs = {}
-    for part in parts[1:]:
-        pm = re.fullmatch(r"\((\d+),(\d+)\):(-?\d+)/(\d+)", part)
-        if not pm:
-            raise ValueError(f"bad term {part!r}")
-        coeffs[(int(pm.group(1)), int(pm.group(2)))] = Fraction(int(pm.group(3)), int(pm.group(4)))
-    return RingElem(int(m.group(1)), coeffs)
 
 
 _NAMED: dict[str, tuple[int, dict]] = {

@@ -172,9 +172,6 @@ class HpDecomposition(namedtuple("HpDecomposition", "ell rst a b scale checks"))
 
     __slots__ = ()
 
-    def all_pass(self) -> bool:
-        return all(self.checks.values())
-
 
 def _hp_products(ell: int) -> list[dict[tuple[int, int], int]]:
     """(F N, F^2 M, M^2) * M^(3k) N^(2l-2k) for k = 0..l on the (m, n) keys, in integers.
@@ -254,28 +251,7 @@ def hp_decompose(pl: RingElem, ell: int) -> HpDecomposition:
     return HpDecomposition(ell, rst, a, b, scale, checks)
 
 
-# -- counting and the inequality test -----------------------------------------
-
-def lattice_triangle_count(a, b, c) -> tuple[int, Fraction, Fraction]:
-    """|{(m,n) in N^2 : a*m + b*n <= c}| with its two area bounds.
-
-    Returns (count, c^2/(2ab), (a+b+c)^2/(2ab)) and checks the sandwich.
-    """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    if a <= 0 or b <= 0 or c < 0:
-        raise ValueError("a, b must be positive and c >= 0")
-    count = 0
-    m = 0
-    while a * m <= c:
-        count += int((c - a * m) / b) + 1
-        m += 1
-    lower = c * c / (2 * a * b)
-    upper = (a + b + c) ** 2 / (2 * a * b)
-    if not lower <= count <= upper:
-        raise InvariantViolation("lattice count escaped its area bounds",
-                                 {"a": str(a), "b": str(b), "c": str(c), "count": count})
-    return count, lower, upper
-
+# -- the inequality test -----------------------------------------------------
 
 def prop8_decide(t: int, f: int, sv: int, q: int, eps) -> tuple[bool, dict]:
     """Rigorously decide log|T^2/F| * log|T^3/G0| >= 6 log^2|T| - (6-eps) log^2|q|.
@@ -298,7 +274,7 @@ def prop8_decide(t: int, f: int, sv: int, q: int, eps) -> tuple[bool, dict]:
     def diff():
         lt, lf, lsv, lq = logs()
         lhs = (2 * lt - lf) * (3 * lt - lsv)
-        rhs = 6 * lt**2 - (6 - rational(eps)) * lq**2
+        rhs = 6 * (lt * lt) - (6 - rational(eps)) * (lq * lq)
         return lhs - rhs
 
     sign = decide_sign(diff, what="pair inequality")

@@ -20,7 +20,8 @@ from oracle import (HALF, bisect_cell, brute_force_minimal_points, exact_nearest
 
 from xicube import PrecisionError, RealContext, minimal_sequence
 from xicube.intervals import Interval
-from xicube.minimal import _err_less, _fixed_less
+from xicube.intervals import _fixed_less
+from xicube.minimal import _err_less
 from xicube.realctx import AlgebraicXi, DecimalXi, approx_error, scaled_error
 
 MAX_BITS = 768  # a low ceiling keeps the undecidable ties cheap

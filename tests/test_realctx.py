@@ -245,6 +245,20 @@ def test_integer_analysis_matches_factoring(spec):
             assert cells[0] == cells[1], k
 
 
+@pytest.mark.parametrize("poly, squarefree", [
+    ("x^8-4*x^4+4", (-2, 0, 0, 0, 1)),  # (x^4 - 2)^2
+    ("x^9-3*x^8-4*x^5+12*x^4+4*x-12", (6, -2, 0, 0, -3, 1)),  # (x^4 - 2)^2 (x - 3)
+])
+def test_repeated_factor_gives_the_squarefree_part(ctx_root2, poly, squarefree):
+    # the Sturm sequence of the spec's polynomial ends in gcd(f, f'), the
+    # squared factor x^4 - 2, which the isolating polynomial is divided by
+    ctx = RealContext(f"alg:{poly} in [1,2]")
+    assert ctx._isolating_poly == squarefree
+    for bits in (64, 192, 1536):
+        assert ctx.exact_rung(bits) == ctx_root2.exact_rung(bits), bits
+    assert minimal_sequence(ctx, 10**5) == minimal_sequence(ctx_root2, 10**5)
+
+
 def test_independent_quartics(ctx_root2, ctx_quartic):
     assert not ctx_root2.dependent
     assert not ctx_quartic.dependent

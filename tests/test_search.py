@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xicube import (DecompositionFailure, SupportSet, hp_decompose,
-                    lattice_triangle_count, maximal_j_element, named_element,
-                    s_subspace_dim, special_family, special_support, tau)
+from xicube import (DecompositionFailure, SupportSet, hp_decompose, maximal_j_element,
+                    named_element, s_subspace_dim, special_family, special_support, tau)
 from xicube.errors import InvalidEll, Undecidable
 from xicube.ring import RingElem, basis_of, j_valuation
 from xicube.search import prop8_decide, to_fgh
@@ -106,7 +105,7 @@ def test_special_family(ell):
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_hp_decompose(ell):
     dec = hp_decompose(special_family(ell), ell)
-    assert dec.all_pass(), {k: v for k, v in dec.checks.items() if not v}
+    assert all(dec.checks.values()), {k: v for k, v in dec.checks.items() if not v}
     assert dec.a % 2 == 1 and dec.b % 2 == 1
     flat = [v for triple in dec.rst for v in triple]
     from math import gcd
@@ -125,7 +124,7 @@ def test_special_family_ell5():
     p = special_family(5)  # raises DimensionMismatch unless the space is a line
     assert p.coefficient(31, 0) != 0 and p.coefficient(0, 15) != 0
     assert j_valuation(p) >= 32
-    assert hp_decompose(p, 5).all_pass()
+    assert all(hp_decompose(p, 5).checks.values())
 
 
 def test_hp_decompose_rejects_outsiders():
@@ -153,16 +152,6 @@ def test_s_subspace_dims():
     assert s_subspace_dim(0, 3) == 0 and s_subspace_dim(0, -2) == 1
     with pytest.raises(ValueError):
         s_subspace_dim(7, 0)
-
-
-def test_lattice_triangle_count():
-    count, lower, upper = lattice_triangle_count(2, 3, 6)
-    assert count == 7 and lower == 3 and upper == Fraction(121, 12)
-    count, lower, upper = lattice_triangle_count(1, 1, 0)
-    assert (count, lower, upper) == (1, 0, 2)
-    count, lower, upper = lattice_triangle_count(2, 3, 200)
-    assert count == tau(200)
-    assert Fraction(200**2, 12) <= count <= Fraction(205**2, 12)
 
 
 def test_prop8_boundary_cases():
