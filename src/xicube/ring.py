@@ -137,18 +137,6 @@ class RingElem:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "RingElem":
-        if e < 0:
-            raise ValueError("negative power")
-        out = RingElem(0, {(0, 0): 1})
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
     def coefficient(self, m: int, n: int) -> Fraction:
         return self.coeffs.get((m, n), Fraction(0))
 
@@ -284,27 +272,46 @@ def _certify_closed_form() -> None:
     """Check once the premises of the closed form and of the counted tables; else raise.
 
     rho(A) = q^2 A, rho(B) = q^3 B, 3F = 4A - T^2 and 27 G0 = T^3 - 3TA - B;
-    `tab_coordinates` gives 4A - 1 and 1 - 3A - B for 3F and 27 G0, and
+    `tab_columns` gives 4A - 1 and 1 - 3A - B for 3F and 27 G0, and
     lowest-weight terms 1, A and B, single monomials, for 3F, 9M and 27N.
+    The checks run on the integer multiples 4A, 4B, 3F, 27 G0, 9M and 27N,
+    T implicit in their keys; a multiple that is not integral is refused.
     """
     global _certified
     if _certified:
         return
+
+    def lin(*terms):  # the sum of s * p over the terms (s, p), zeros dropped
+        out: dict = {}
+        for s, p in terms:
+            for key, v in p.items():
+                out[key] = out.get(key, 0) + s * v
+        return {key: v for key, v in out.items() if v}
+
+    ints = {}
+    for name, s in (("A", 4), ("B", 4), ("F", 3), ("S2V", 27), ("M", 9), ("N", 27)):
+        degree, coeffs = _NAMED[name]
+        if any((s * c).denominator != 1 for c in coeffs.values()):
+            raise InvariantViolation(f"{s} * {name} is not integral", {})
+        ints[name] = degree, {key: int(s * c) for key, c in coeffs.items() if c}
     for name, w in (("A", 2), ("B", 3)):
-        p = expand(named_element(name))
-        if rho(p) != {(eq + w, *mono): v for (eq, *mono), v in p.items()}:
+        degree, p = ints[name]
+        x = lin(*((c, dict(_expand_monomial(degree, m, n))) for (m, n), c in p.items()))
+        if rho(x) != {(eq + w, *mono): v for (eq, *mono), v in x.items()}:
             raise InvariantViolation(f"rho({name}) is not q^{w} * {name}", {})
-    t, f, g0, a, b, m, n = map(named_element, ("T", "F", "S2V", "A", "B", "M", "N"))
-    if 3 * f != 4 * a - t**2 or 27 * g0 != t**3 - 3 * t * a - b:
+    a4, b4, f3, g27 = (ints[name][1] for name in ("A", "B", "F", "S2V"))
+    t = {(0, 0): 1}  # so are T^2 and T^3, and TA is A: T is implicit in the keys
+    if f3 != lin((1, a4), (-1, t)) or lin((4, g27)) != lin((4, t), (-3, a4), (-1, b4)):
         raise InvariantViolation("3F is not 4A - T^2 or 27 G0 is not T^3 - 3TA - B", {})
-    _certified = True  # so that tab_coordinates does not re-enter this check
+    _certified = True  # so that tab_columns does not re-enter this check
     try:
-        f3, g27, m9, n27 = map(tab_coordinates, (3 * f, 27 * g0, 9 * m, 27 * n))
+        f3, g27, m9, n27 = (_int_coordinates(*ints[name]) for name in ("F", "S2V", "M", "N"))
     finally:
         _certified = False
-    if f3 != {(0, 0): -1, (1, 0): 4} or g27 != {(0, 0): 1, (1, 0): -3, (0, 1): -1}:
+    if [{bc: Fraction(v, den) for bc, v in c.items()} for c, den in (f3, g27)] != [
+            {(0, 0): -1, (1, 0): 4}, {(0, 0): 1, (1, 0): -3, (0, 1): -1}]:
         raise InvariantViolation("the closed form is not 3F = 4A - 1, 27 G0 = 1 - 3A - B", {})
-    for name, coords, key in (("3F", f3, (0, 0)), ("9M", m9, (1, 0)), ("27N", n27, (0, 1))):
+    for name, (coords, _), key in (("3F", f3, (0, 0)), ("9M", m9, (1, 0)), ("27N", n27, (0, 1))):
         if {bc for bc in coords if 2 * bc[0] + 3 * bc[1] <= 2 * key[0] + 3 * key[1]} != {key}:
             raise InvariantViolation(f"the lowest-weight part of {name} is not one monomial", {})
     _certified = True
@@ -343,12 +350,17 @@ def tab_coordinates(e: RingElem) -> dict[tuple[int, int], Fraction]:
     if e.is_zero():
         return {}
     den = lcm(*(c.denominator for c in e.coeffs.values()))
+    out, scale = _int_coordinates(e.degree, {key: int(c * den) for key, c in e.coeffs.items()})
+    return {key: Fraction(v, den * scale) for key, v in out.items()}
+
+
+def _int_coordinates(degree: int, ints: dict) -> tuple[dict[tuple[int, int], int], int]:
+    """The (T, A, B) coordinates of a nonzero integer element times a scale 3^w, and 3^w."""
     out: dict = {}
-    for c, col in zip(e.coeffs.values(), tab_columns(list(e.coeffs), e.degree + 1)):
+    for c, col in zip(ints.values(), tab_columns(list(ints), degree + 1)):
         for key, v in col.items():
-            out[key] = out.get(key, 0) + int(c * den) * v
-    w = max(m + 3 * n for m, n in e.coeffs)
-    return {key: Fraction(v, den * 3**w) for key, v in out.items() if v}
+            out[key] = out.get(key, 0) + c * v
+    return {key: v for key, v in out.items() if v}, 3 ** max(m + 3 * n for m, n in ints)
 
 
 def j_valuation(e: RingElem) -> int:

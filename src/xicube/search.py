@@ -105,16 +105,20 @@ def special_family(ell: int) -> RingElem:
     """The generator of the one-dimensional valuation-(6*ell+2) space on the support.
 
     Normalized to coprime integer coefficients with the (0, 3*ell) anchor
-    positive; both anchor coefficients are checked nonzero.
+    positive; both anchor coefficients are checked nonzero.  The columns go
+    in the order (n, m), in which `xicube.ring` shows the full coordinate
+    map triangular: the elimination does less work on shorter entries, and
+    a one-dimensional nullspace, once normalized, does not depend on it.
     """
     support = special_support(ell)
     k = 6 * ell + 2
-    vectors = _subspace_vectors(support.d, support.pairs, k)
+    pairs = sorted(support.pairs, key=lambda mn: mn[::-1])
+    vectors = _subspace_vectors(support.d, pairs, k)
     if len(vectors) != 1:
         raise DimensionMismatch(
             f"expected a one-dimensional space on E_{ell}, got dimension {len(vectors)}"
         )
-    elem = RingElem(support.d, dict(zip(support.pairs, vectors[0])))
+    elem = RingElem(support.d, dict(zip(pairs, vectors[0])))
     elem = elem.integer_normalized(sign_key=(0, 3 * ell))
     for anchor in ((6 * ell + 1, 0), (0, 3 * ell)):
         if elem.coefficient(*anchor) == 0:

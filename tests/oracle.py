@@ -85,8 +85,8 @@ from xicube.minimal import MinimalPoint, candidate_for
 from xicube.realctx import (AlgebraicXi, DecimalXi, _check_endpoints, _dependence_reason,
                             _root_count_error, approx_error, delta_of)
 from xicube.vectors import Vec3, content, sup_norm
-from xicube.ring import (_expand_monomial, basis_of, expand, mul_keyed, named_element,
-                         tab_columns, tab_coordinates)
+from xicube.ring import (RingElem, _expand_monomial, basis_of, expand, mul_keyed,
+                         named_element, tab_columns, tab_coordinates)
 
 MARGIN = 1e-6  # far beyond float error for bounds <= a few thousand
 HALF = Fraction(1, 2)
@@ -542,6 +542,16 @@ def count_lattice_points(ell):
     return sum((ell - 3 * n) // 2 + 1 for n in range(ell // 3 + 1)) if ell >= 0 else 0
 
 
+def ring_power(e: RingElem, k: int) -> RingElem:
+    """e^k for k >= 0 by repeated squaring; `RingElem` itself has no power."""
+    out = RingElem(0, {(0, 0): 1})
+    while k:
+        if k & 1:
+            out = out * e
+        e, k = (e * e if k > 1 else e), k >> 1
+    return out
+
+
 # -- the truncated substitution engine ---------------------------------------
 
 _pow_cache: dict = {}
@@ -699,7 +709,8 @@ def s_subspace_dim(two_ell: int, k: int) -> int:
     """dim of the degree-2l part of Q[F,M,N] meeting J^(k), by substitution."""
     F, M, N = (named_element(name) for name in "FMN")
     ell = two_ell // 2
-    cols = [F ** (ell - 2 * m - 3 * n) * M**m * N**n for (m, n) in basis_of(ell)]
+    cols = [ring_power(F, ell - 2 * m - 3 * n) * ring_power(M, m) * ring_power(N, n)
+            for (m, n) in basis_of(ell)]
     return general_subspace_dim(cols, k)
 
 
@@ -763,7 +774,8 @@ def s_columns(ell: int) -> list[dict]:
     w is the largest m' + 3n' over the product's (m', n') keys, e + 3m + 6n.
     """
     F, M, N = (named_element(name) for name in "FMN")
-    products = [F ** (ell - 2 * m - 3 * n) * M**m * N**n for (m, n) in basis_of(ell)]
+    products = [ring_power(F, ell - 2 * m - 3 * n) * ring_power(M, m) * ring_power(N, n)
+                for (m, n) in basis_of(ell)]
     return [scaled_coordinates({key: int(c) for key, c in p.coeffs.items()})[0]
             for p in products]
 

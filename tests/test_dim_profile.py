@@ -1,6 +1,7 @@
 """The weight-ordered elimination on subset supports, and the counted dimension tables."""
 
 import time
+from fractions import Fraction
 
 import oracle
 import pytest
@@ -53,15 +54,19 @@ def test_dims_reject_bad_degrees():
         s_subspace_dims(7)
 
 
+def _fmn_power(e, m, n):
+    """F^e M^m N^n by products of ring elements."""
+    f, m_, n_ = (named_element(name) for name in "FMN")
+    return oracle.ring_power(f, e) * oracle.ring_power(m_, m) * oracle.ring_power(n_, n)
+
+
 @given(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2))
 def test_integer_fmn_product_matches_ring_powers(e, m, n):
-    F, M, N = (named_element(name) for name in "FMN")
-    assert RingElem(2 * e + 4 * m + 6 * n, oracle.fmn_product(e, m, n)) == F**e * M**m * N**n
+    assert RingElem(2 * e + 4 * m + 6 * n, oracle.fmn_product(e, m, n)) == _fmn_power(e, m, n)
 
 
 @pytest.mark.parametrize("ell", range(1, 5))
 def test_power_table_products_match_ring_powers(ell):
-    F, M, N = (named_element(name) for name in "FMN")
     want = []
     for k in range(ell + 1):
         m, n = 3 * k, 2 * ell - 2 * k
@@ -70,7 +75,7 @@ def test_power_table_products_match_ring_powers(ell):
     assert len(got) == len(want) == 3 * ell + 3
     for (e, m, n), product in zip(want, got):
         assert product == oracle.fmn_product(e, m, n), (e, m, n)
-        assert RingElem(12 * ell + 8, product) == F**e * M**m * N**n, (e, m, n)
+        assert RingElem(12 * ell + 8, product) == _fmn_power(e, m, n), (e, m, n)
 
 
 _KEYS = [(b, c) for b in range(5) for c in range(4)]
@@ -203,6 +208,18 @@ def _perturbed_a(monkeypatch):
     monkeypatch.setitem(ring._NAMED, "A", (degree, {key: 2 * c for key, c in coeffs.items()}))
 
 
+def _half_constant_in_b(monkeypatch):
+    # 4B stays integral, but its T^3 term no longer cancels under rho
+    degree, coeffs = ring._NAMED["B"]
+    monkeypatch.setitem(ring._NAMED, "B", (degree, {**coeffs, (0, 0): Fraction(1, 2)}))
+
+
+def _doubled_b(monkeypatch):
+    # 2B still has rho(2B) = q^3 2B, so only 27 G0 = T^3 - 3TA - B can catch it
+    degree, coeffs = ring._NAMED["B"]
+    monkeypatch.setitem(ring._NAMED, "B", (degree, {key: 2 * c for key, c in coeffs.items()}))
+
+
 def _b_term_in_the_closed_form_3f(monkeypatch):
     columns = ring.tab_columns
 
@@ -220,11 +237,27 @@ def _second_low_monomial_in_9m(monkeypatch):
     monkeypatch.setitem(ring._NAMED, "M", (degree, {**coeffs, (0, 0): 1}))
 
 
+def _low_monomial_in_27n(monkeypatch):
+    # a T^6 term puts a monomial below 27N's B
+    degree, coeffs = ring._NAMED["N"]
+    monkeypatch.setitem(ring._NAMED, "N", (degree, {**coeffs, (0, 0): 1}))
+
+
+def _half_constant_in_n(monkeypatch):
+    # 27N is then not integral, a premise of the integer check
+    degree, coeffs = ring._NAMED["N"]
+    monkeypatch.setitem(ring._NAMED, "N", (degree, {**coeffs, (0, 0): Fraction(1, 2)}))
+
+
 @pytest.mark.parametrize("table", TABLE_ROWS)
 @pytest.mark.parametrize("breaking, message", [
+    (_half_constant_in_b, "rho\\(B\\) is not q\\^3 \\* B"),
     (_perturbed_a, "3F is not 4A - T\\^2"),
+    (_doubled_b, "27 G0 is not T\\^3 - 3TA - B"),
     (_b_term_in_the_closed_form_3f, "the closed form is not 3F = 4A - 1"),
     (_second_low_monomial_in_9m, "the lowest-weight part of 9M is not one monomial"),
+    (_low_monomial_in_27n, "the lowest-weight part of 27N is not one monomial"),
+    (_half_constant_in_n, "27 \\* N is not integral"),
 ])
 def test_a_broken_premise_raises(table, breaking, message, monkeypatch):
     monkeypatch.setattr(ring, "_certified", False)

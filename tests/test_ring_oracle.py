@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from xicube import ring, search
 from xicube.errors import InvariantViolation
-from xicube.ring import (RingElem, basis_of, j_subspace, j_valuation,
+from xicube.ring import (RingElem, basis_of, dim_profile, j_subspace, j_valuation,
                          named_element, rho, tab_columns, tab_coordinates)
-from xicube.search import s_subspace_dim, special_family
+from xicube.search import s_subspace_dim, special_family, special_support
 
 
 @pytest.mark.parametrize("ell", range(11))
@@ -71,7 +71,7 @@ def test_rho_matches_substitution_engine():
 def test_closed_form_refuses_a_wrong_substitution(monkeypatch):
     monkeypatch.setattr(ring, "_certified", False)
     monkeypatch.setattr(ring, "rho", lambda p: p)  # an engine that never shifts q
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation, match="rho\\(A\\)"):
         j_valuation(named_element("F"))
 
 
@@ -126,3 +126,38 @@ def test_special_family_builds_no_row_of_weight_26_or_more(monkeypatch):
     special_family(4)
     assert max(2 * b + 3 * c for b, c in built) == 25
     assert len(set(built)) == 65  # every row of weight below 26 occurs
+
+
+def _closed_form_order(pairs):
+    return sorted(pairs, key=lambda mn: (mn[1], mn[0]))
+
+
+def test_special_family_eliminates_in_the_closed_form_order(monkeypatch):
+    # the columns go in the order (n, m), and the element is the one of the
+    # lexicographic elimination
+    orders = []
+    real = search._subspace_vectors
+
+    def recording(ell, support, k):
+        orders.append(list(support))
+        return real(ell, support, k)
+
+    monkeypatch.setattr(search, "_subspace_vectors", recording)
+    for ell in range(1, 7):
+        pairs, k = special_support(ell).pairs, 6 * ell + 2
+        elem = special_family(ell)
+        assert orders[-1] == _closed_form_order(pairs), ell
+        (vec,) = dim_profile(tab_columns(pairs, k), k)[1].nullspace()
+        lexicographic = RingElem(12 * ell + 2, dict(zip(pairs, vec)))
+        assert elem == lexicographic.integer_normalized(sign_key=(0, 3 * ell)), ell
+
+
+@pytest.mark.parametrize("ell, bits, lexicographic_bits", [(4, 52, 67), (5, 61, 88)])
+def test_closed_form_order_keeps_the_echelon_entries_short(ell, bits, lexicographic_bits):
+    def longest(pairs):
+        echelon = dim_profile(tab_columns(pairs, 6 * ell + 2), 6 * ell + 2)[1]
+        return max(abs(v).bit_length() for _, row in echelon.rows for v in row)
+
+    pairs = special_support(ell).pairs
+    assert longest(_closed_form_order(pairs)) <= bits
+    assert longest(pairs) == lexicographic_bits
