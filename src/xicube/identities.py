@@ -16,7 +16,7 @@ from .errors import UsageError
 from .forms import (conjugate_point, coupling_form, cubic_form,
                     pair_discriminant, trilinear_form)
 from .ring import (ExpandedPoly, evaluate, expand, j_valuation,
-                   named_element, rho)
+                   named_element, rho, shift_q)
 from .vectors import cross, dot
 
 # unit generators as expanded polynomials (q, S, T, U, V)
@@ -24,10 +24,6 @@ _S: ExpandedPoly = {(0, 1, 0, 0, 0): Fraction(1)}
 _T: ExpandedPoly = {(0, 0, 1, 0, 0): Fraction(1)}
 _U: ExpandedPoly = {(0, 0, 0, 1, 0): Fraction(1)}
 _V: ExpandedPoly = {(0, 0, 0, 0, 1): Fraction(1)}
-
-
-def _shift_q(p: ExpandedPoly, k: int) -> ExpandedPoly:
-    return {(eq + k, a, b, c, d): v for (eq, a, b, c, d), v in p.items()}
 
 
 def symbolic_checks() -> list[tuple[str, bool]]:
@@ -46,8 +42,8 @@ def symbolic_checks() -> list[tuple[str, bool]]:
                             (2, 0, 0, 1, 0): 1, (3, 0, 0, 0, 1): 1}))
     ea = expand(A)
     eb = expand(B)
-    out.append(("rho(A) = q^2 A", rho(ea) == _shift_q(ea, 2)))
-    out.append(("rho(B) = q^3 B", rho(eb) == _shift_q(eb, 3)))
+    out.append(("rho(A) = q^2 A", rho(ea) == shift_q(ea, 2)))
+    out.append(("rho(B) = q^3 B", rho(eb) == shift_q(eb, 3)))
     out.append(("F = (4A - T^2)/3", 3 * F == 4 * A - T * T))
     out.append(("4A = T^2 + 3F", 4 * A == T * T + 3 * F))
     out.append(("4B = T^3 - 9TF - 108 S2V",

@@ -143,17 +143,24 @@ def write_atomically(path: str, write, newline=None):
 
     A reader never sees a part-written file; a write that fails removes its
     temporary file, leaves path as it was, and raises an OSError as OutputError.
+    A symlink is followed, so its target is written.  An existing target that
+    is not a regular file, such as a FIFO or a device, is written in place,
+    since a rename would replace it.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
+    target = os.path.realpath(path)
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    tmp = target if in_place else f"{target}.{os.getpid()}.tmp"
     try:
         with _LongInts(), open(tmp, "w", newline=newline) as fh:
             write(fh)
-        os.replace(tmp, path)
+        if not in_place:
+            os.replace(tmp, target)
     except BaseException as exc:
-        try:
-            os.remove(tmp)
-        except OSError:
-            pass
+        if not in_place:
+            try:
+                os.remove(tmp)
+            except OSError:
+                pass
         if isinstance(exc, OSError):
             raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise

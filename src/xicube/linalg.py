@@ -25,15 +25,6 @@ from math import gcd, lcm
 from operator import mul
 
 
-def vec_content(vec) -> int:
-    g = 0
-    for v in vec:
-        g = gcd(g, abs(v))
-        if g == 1:
-            break
-    return g
-
-
 class IntEchelon:
     """Incremental fraction-free row echelon form with a fixed column count."""
 
@@ -58,7 +49,7 @@ class IntEchelon:
         pivot = next((c for c, v in enumerate(r) if v), None)
         if pivot is None:
             return False
-        g = vec_content(r)
+        g = gcd(*r)
         if g > 1:
             r = [v // g for v in r]
         if r[pivot] < 0:

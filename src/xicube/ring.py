@@ -18,7 +18,8 @@ J-valuation, the quantity that turns symbolic membership into integer
 divisibility on minimal-point pairs.  `expand` and `rho` substitute
 exactly; with them the identity suite, and this module before its first
 valuation or table, certify rho(A) = q^2 A and rho(B) = q^3 B for
-A = (T^2 + 3F)/4 and B = (T^3 - 9TF - 108 G0)/4.
+A = (T^2 + 3F)/4 and B = (T^3 - 9TF - 108 G0)/4.  Every sparse sum and
+product here, on (m, n), (b, c) or (q, S, T, U, V) keys, is `lin` or `mul`.
 
 Hence the closed form.  Through F = (4A - T^2)/3 and G0 = (T^3 - 3TA - B)/27
 an element lies on the monomials T^(l-2b-3c) A^b B^c, which rho maps to
@@ -49,11 +50,12 @@ references in tests/oracle.py.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
+from operator import add
 
 from .errors import InvariantViolation, ZeroElement
 from .forms import pair_values
-from .linalg import IntEchelon, vec_content
+from .linalg import IntEchelon
 from .vectors import Vec3
 
 # monomial keys for expanded polynomials: (e_q, e_S, e_T, e_U, e_V)
@@ -76,16 +78,22 @@ def basis_of(ell: int) -> list[tuple[int, int]]:
     return [(m, n) for m in range(ell // 2 + 1) for n in range((ell - 2 * m) // 3 + 1)]
 
 
-def mul_keyed(p: dict, r: dict, top: int | None = None) -> dict:
-    """Product of sparse polynomials keyed by exponent pairs (i, j), zeros dropped.
-
-    With `top`, so are the keys of weight 2i + 3j above top."""
+def lin(*terms) -> dict:
+    """The sum of s * p over the terms (s, p), p sparse on exponent tuples; zeros dropped."""
     out: dict = {}
-    for (m1, n1), c1 in p.items():
-        for (m2, n2), c2 in r.items():
-            k = (m1 + m2, n1 + n2)
-            if top is None or 2 * k[0] + 3 * k[1] <= top:
-                out[k] = out.get(k, 0) + c1 * c2
+    for s, p in terms:
+        for key, v in p.items():
+            out[key] = out.get(key, 0) + s * v
+    return {key: v for key, v in out.items() if v}
+
+
+def mul(p: dict, r: dict) -> dict:
+    """The product of polynomials sparse on exponent tuples of one length; zeros dropped."""
+    out: dict = {}
+    for k1, c1 in p.items():
+        for k2, c2 in r.items():
+            k = tuple(map(add, k1, k2))
+            out[k] = out.get(k, 0) + c1 * c2
     return {k: v for k, v in out.items() if v}
 
 
@@ -122,18 +130,15 @@ class RingElem:
     def __add__(self, other: "RingElem") -> "RingElem":
         if self.degree != other.degree:
             raise ValueError("cannot add elements of different degrees")
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return RingElem(self.degree, out)
+        return RingElem(self.degree, lin((1, self.coeffs), (1, other.coeffs)))
 
     def __sub__(self, other: "RingElem") -> "RingElem":
         return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, RingElem):
-            return RingElem(self.degree + other.degree, mul_keyed(self.coeffs, other.coeffs))
-        return RingElem(self.degree, {k: c * Fraction(other) for k, c in self.coeffs.items()})
+            return RingElem(self.degree + other.degree, mul(self.coeffs, other.coeffs))
+        return RingElem(self.degree, lin((Fraction(other), self.coeffs)))
 
     __rmul__ = __mul__
 
@@ -150,7 +155,7 @@ class RingElem:
             return self
         den = lcm(*(c.denominator for c in self.coeffs.values()))
         ints = {k: int(c * den) for k, c in self.coeffs.items()}
-        g = vec_content(list(ints.values()))
+        g = gcd(*ints.values())
         if g > 1:
             ints = {k: v // g for k, v in ints.items()}
         if sign_key is None:
@@ -197,40 +202,20 @@ def named_element(name: str) -> RingElem:
 
 # -- expansion to Q[S,T,U,V] -------------------------------------------------
 
-def _expand_monomial(ell: int, m: int, n: int):
+def _expand_monomial(ell: int, m: int, n: int) -> dict:
     """Expansion of T^(ell-2m-3n) * F^m * G0^n with F -> T^2 - 4SU, G0 -> S^2 V."""
     e = ell - 2 * m - 3 * n
-    terms = []
-    for j in range(m + 1):
-        c = comb(m, j) * (-4) ** j
-        terms.append(((0, j + 2 * n, e + 2 * (m - j), j, n), c))
-    return terms
+    return {(0, j + 2 * n, e + 2 * (m - j), j, n): comb(m, j) * (-4) ** j for j in range(m + 1)}
 
 
 def expand(e: RingElem) -> ExpandedPoly:
     """The unique representation of the element in Q[S, T, U, V] (q-free keys)."""
-    out: ExpandedPoly = {}
-    for (m, n), c in e.coeffs.items():
-        for mono, ic in _expand_monomial(e.degree, m, n):
-            v = out.get(mono, Fraction(0)) + c * ic
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-    return out
+    return lin(*((c, _expand_monomial(e.degree, m, n)) for (m, n), c in e.coeffs.items()))
 
 
-def mul_expanded(p: ExpandedPoly, r: ExpandedPoly) -> ExpandedPoly:
-    out: ExpandedPoly = {}
-    for k1, c1 in p.items():
-        for k2, c2 in r.items():
-            k = tuple(a + b for a, b in zip(k1, k2))
-            v = out.get(k, 0) + c1 * c2
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out
+def shift_q(p: ExpandedPoly, k: int) -> ExpandedPoly:
+    """q^k times an expanded polynomial."""
+    return mul({(k, 0, 0, 0, 0): 1}, p)
 
 
 # -- the substitution y -> x + q*y -------------------------------------------
@@ -246,21 +231,16 @@ _GEN_IMAGES: tuple[ExpandedPoly, ...] = (
 
 def rho(p: ExpandedPoly) -> ExpandedPoly:
     """Apply the substitution to a q-free expanded polynomial, exactly."""
-    out: ExpandedPoly = {}
+    terms = []
     for key, coeff in p.items():
         if key[0]:
             raise ValueError("input must be free of q")
-        img: ExpandedPoly = {(0, 0, 0, 0, 0): coeff}
+        img: ExpandedPoly = {(0, 0, 0, 0, 0): 1}
         for gen, e in zip(_GEN_IMAGES, key[1:]):
             for _ in range(e):
-                img = mul_expanded(img, gen)
-        for k, v in img.items():
-            v += out.get(k, 0)
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out
+                img = mul(img, gen)
+        terms.append((coeff, img))
+    return lin(*terms)
 
 
 # -- the (T, A, B) coordinates ------------------------------------------------
@@ -280,14 +260,6 @@ def _certify_closed_form() -> None:
     global _certified
     if _certified:
         return
-
-    def lin(*terms):  # the sum of s * p over the terms (s, p), zeros dropped
-        out: dict = {}
-        for s, p in terms:
-            for key, v in p.items():
-                out[key] = out.get(key, 0) + s * v
-        return {key: v for key, v in out.items() if v}
-
     ints = {}
     for name, s in (("A", 4), ("B", 4), ("F", 3), ("S2V", 27), ("M", 9), ("N", 27)):
         degree, coeffs = _NAMED[name]
@@ -296,8 +268,8 @@ def _certify_closed_form() -> None:
         ints[name] = degree, {key: int(s * c) for key, c in coeffs.items() if c}
     for name, w in (("A", 2), ("B", 3)):
         degree, p = ints[name]
-        x = lin(*((c, dict(_expand_monomial(degree, m, n))) for (m, n), c in p.items()))
-        if rho(x) != {(eq + w, *mono): v for (eq, *mono), v in x.items()}:
+        x = lin(*((c, _expand_monomial(degree, m, n)) for (m, n), c in p.items()))
+        if rho(x) != shift_q(x, w):
             raise InvariantViolation(f"rho({name}) is not q^{w} * {name}", {})
     a4, b4, f3, g27 = (ints[name][1] for name in ("A", "B", "F", "S2V"))
     t = {(0, 0): 1}  # so are T^2 and T^3, and TA is A: T is implicit in the keys
@@ -356,11 +328,8 @@ def tab_coordinates(e: RingElem) -> dict[tuple[int, int], Fraction]:
 
 def _int_coordinates(degree: int, ints: dict) -> tuple[dict[tuple[int, int], int], int]:
     """The (T, A, B) coordinates of a nonzero integer element times a scale 3^w, and 3^w."""
-    out: dict = {}
-    for c, col in zip(ints.values(), tab_columns(list(ints), degree + 1)):
-        for key, v in col.items():
-            out[key] = out.get(key, 0) + c * v
-    return {key: v for key, v in out.items() if v}, 3 ** max(m + 3 * n for m, n in ints)
+    cols = tab_columns(list(ints), degree + 1)
+    return lin(*zip(ints.values(), cols)), 3 ** max(m + 3 * n for m, n in ints)
 
 
 def j_valuation(e: RingElem) -> int:
@@ -451,7 +420,8 @@ def evaluate(e: RingElem | ExpandedPoly, x: Vec3, y: Vec3):
     den = lcm(*(coeff.denominator for coeff in poly.values()))
     acc = 0
     for (eq, a, b, c, d), coeff in poly.items():
-        assert eq == 0
+        if eq:
+            raise ValueError("input must be free of q")
         acc += coeff.numerator * (den // coeff.denominator) * prod((s**a, t**b, u**c, v**d))
     q, rem = divmod(acc, den)
     return Fraction(acc, den) if rem else q

@@ -28,15 +28,15 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .errors import (DecompositionFailure, DimensionMismatch, InvalidEll,
                      InvariantViolation, UsageError)
-from .linalg import solve_unique, vec_content
+from .linalg import solve_unique
 from .minimal import PairRecord
 from .rigor import MID_PREC, decide_sign, evaluate, log_abs, mid_str, rational
 from .ring import (RingElem, _subspace_vectors, basis_of, dim_profile, j_subspace_dims,
-                   mul_keyed, named_element, tab_columns)
+                   mul, named_element, tab_columns)
 
 
 class SupportSet(namedtuple("SupportSet", "d pairs")):
@@ -183,16 +183,16 @@ def _hp_products(ell: int) -> list[dict[tuple[int, int], int]]:
     The powers M^(3k) and N^(2k) come from one table, built per call.
     """
     f, m, n = ({key: int(c) for key, c in named_element(name).coeffs.items()} for name in "FMN")
-    m2 = mul_keyed(m, m)
-    heads = [mul_keyed(f, n), mul_keyed(mul_keyed(f, f), m), m2]
-    m3, n2 = mul_keyed(m2, m), mul_keyed(n, n)
+    m2 = mul(m, m)
+    heads = [mul(f, n), mul(mul(f, f), m), m2]
+    m3, n2 = mul(m2, m), mul(n, n)
     table = [({(0, 0): 1}, {(0, 0): 1})]
     for _ in range(ell):
-        table.append((mul_keyed(table[-1][0], m3), mul_keyed(table[-1][1], n2)))
+        table.append((mul(table[-1][0], m3), mul(table[-1][1], n2)))
     products = []
     for k in range(ell + 1):
-        tail = mul_keyed(table[k][0], table[ell - k][1])
-        products += [mul_keyed(head, tail) for head in heads]
+        tail = mul(table[k][0], table[ell - k][1])
+        products += [mul(head, tail) for head in heads]
     return products
 
 
@@ -223,7 +223,7 @@ def hp_decompose(pl: RingElem, ell: int) -> HpDecomposition:
 
     den = lcm(*(c.denominator for c in sol))
     ints = [int(c * den) for c in sol]
-    g = vec_content(ints)
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     scale = Fraction(den, g)  # > 0, so the input sign convention survives

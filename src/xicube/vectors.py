@@ -36,7 +36,7 @@ def cross(x: Vec3, y: Vec3) -> Vec3:
 
 def content(x: Vec3) -> int:
     """gcd of the absolute values of the coordinates; 0 only for the zero vector."""
-    return gcd(gcd(abs(x[0]), abs(x[1])), abs(x[2]))
+    return gcd(*x)
 
 
 def sup_norm(x: Vec3) -> int:

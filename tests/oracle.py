@@ -85,8 +85,8 @@ from xicube.minimal import MinimalPoint, candidate_for
 from xicube.realctx import (AlgebraicXi, DecimalXi, _check_endpoints, _dependence_reason,
                             _root_count_error, approx_error, delta_of)
 from xicube.vectors import Vec3, content, sup_norm
-from xicube.ring import (RingElem, _expand_monomial, basis_of, expand, mul_keyed,
-                         named_element, tab_columns, tab_coordinates)
+from xicube.ring import (RingElem, _expand_monomial, basis_of, expand, named_element,
+                         tab_columns, tab_coordinates)
 
 MARGIN = 1e-6  # far beyond float error for bounds <= a few thousand
 HALF = Fraction(1, 2)
@@ -661,7 +661,7 @@ def _column_images(ell: int, support: tuple, qmax: int):
         if hit[0] == qmax:
             return hit[1]
         return [{k: v for k, v in img.items() if k[0] <= qmax} for img in hit[1]]
-    images = [rho(dict(_expand_monomial(ell, m, n)), qmax=qmax) for (m, n) in support]
+    images = [rho(_expand_monomial(ell, m, n), qmax=qmax) for (m, n) in support]
     _image_cache[key] = (qmax, images)
     return images
 
@@ -716,6 +716,22 @@ def s_subspace_dim(two_ell: int, k: int) -> int:
 
 # -- (T, A, B) coordinates by the product recursion ---------------------------
 
+def pair_product(p: dict, r: dict, top: int | None = None) -> dict:
+    """Product of sparse polynomials keyed by exponent pairs (i, j), zeros dropped.
+
+    With `top`, so are the keys of weight 2i + 3j above top.  The package's
+    `ring.mul` is not used, so the references here do not share the product
+    they check.
+    """
+    out: dict = {}
+    for (m1, n1), c1 in p.items():
+        for (m2, n2), c2 in r.items():
+            k = (m1 + m2, n1 + n2)
+            if top is None or 2 * k[0] + 3 * k[1] <= top:
+                out[k] = out.get(k, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
 # 3F = 4A - T^2 and 27 G0 = T^3 - 3TA - B on T^a A^b B^c, keyed (b, c); the
 # power of T is implied by the degree
 _3F_TAB = {(0, 0): -1, (1, 0): 4}
@@ -727,8 +743,8 @@ def tab_monomial(m: int, n: int) -> dict:
     """(3F)^m * (27 G0)^n on the (b, c) keys, built from cached neighbours."""
     hit = _tab_cache.get((m, n))
     if hit is None:
-        hit = (mul_keyed(tab_monomial(m - 1, n), _3F_TAB) if m
-               else mul_keyed(tab_monomial(0, n - 1), _27G0_TAB))
+        hit = (pair_product(tab_monomial(m - 1, n), _3F_TAB) if m
+               else pair_product(tab_monomial(0, n - 1), _27G0_TAB))
         _tab_cache[(m, n)] = hit
     return hit
 
@@ -809,9 +825,9 @@ def s_table_columns(ell: int, top: int) -> list[dict]:
         form = {bc: int(v * 3**i) for bc, v in tab_coordinates(named_element(name)).items()}
         powers.append([{(0, 0): 1}])
         for _ in range(ell // i):
-            powers[-1].append(mul_keyed(powers[-1][-1], form, top))
+            powers[-1].append(pair_product(powers[-1][-1], form, top))
     f, m3, n3 = powers
-    return [mul_keyed(mul_keyed(f[ell - 2 * m - 3 * n], m3[m], top), n3[n], top)
+    return [pair_product(pair_product(f[ell - 2 * m - 3 * n], m3[m], top), n3[n], top)
             for m, n in basis_of(ell)]
 
 
@@ -840,11 +856,11 @@ def fmn_product(e: int, m: int, n: int) -> dict:
     hit = _fmn_cache.get(key)
     if hit is None:
         if e:
-            hit = mul_keyed(fmn_product(e - 1, m, n), _FMN["F"])
+            hit = pair_product(fmn_product(e - 1, m, n), _FMN["F"])
         elif m:
-            hit = mul_keyed(fmn_product(0, m - 1, n), _FMN["M"])
+            hit = pair_product(fmn_product(0, m - 1, n), _FMN["M"])
         elif n:
-            hit = mul_keyed(fmn_product(0, 0, n - 1), _FMN["N"])
+            hit = pair_product(fmn_product(0, 0, n - 1), _FMN["N"])
         else:
             hit = {(0, 0): 1}
         _fmn_cache[key] = hit

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from math import isqrt
 
@@ -93,6 +95,9 @@ RELATION_JSON = {
            "ae758df66ea8adfd004865c5436b09710f55971bbb00d1ec76c5a34dae1783fc"),
     "D6": (9, "4,0;3,1;2,1;1,2;0,2;0,3", {"0": 6, "5": 2, "6": 1, "7": 0, "10": 0},
            "6f1f121ab8c9e812d345af2303c8ddf308ecdbf8304e9aa9b39d2366d9b1e81b"),
+    # the full basis of degree 6: a two-dimensional top space, so the whole basis is written
+    "full6": (6, "0,0;0,1;0,2;1,0;1,1;2,0;3,0", {"0": 7, "3": 5, "5": 3, "6": 2, "7": 0},
+              "27164a4923c81762ba9d8dd0d256fb1e4bc5c576cc9b8acb64a67989fdddfab1"),
 }
 
 
@@ -243,6 +248,33 @@ def test_unwritable_reproducer_keeps_the_run_error(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2 and lines[0] + "\n" == own
     assert lines[1].startswith(f"no reproducer: cannot write {target}: ")
+
+
+D2_RELATION = ["find-relation", "--degree", "6", "--support", "3,0;0,2", "--json"]
+
+
+def test_json_through_a_symlink_writes_its_target(tmp_path):
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old\n")
+    link.symlink_to("real.json")
+    assert main(D2_RELATION + [str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == "real.json"
+    assert json.loads(real.read_text())["k_max"] == 2
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def test_json_to_a_fifo_is_written_in_place(tmp_path):
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(D2_RELATION + [str(fifo)]) == 0
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert got and json.loads(got[0])["k_max"] == 2
+    assert [path.name for path in tmp_path.iterdir()] == ["fifo.json"]
 
 
 @pytest.mark.parametrize("command", ["run", "minpoints"])

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from oracle import count_lattice_points, ring_power
 
 from xicube import (RingElem, ZeroElement, basis_of, evaluate, expand,
                     j_subspace, j_valuation, named_element, rho, tau)
 from xicube.forms import cubic_form, pair_discriminant, pair_values
-from xicube.ring import mul_expanded
+from xicube.ring import lin, mul
 
 
 def test_tau_examples():
@@ -67,7 +70,42 @@ def test_rho_multiplicative():
     rng = random.Random(5)
     for _ in range(25):
         p, r = _random_expanded(rng), _random_expanded(rng)
-        assert rho(mul_expanded(p, r)) == mul_expanded(rho(p), rho(r))
+        assert rho(mul(p, r)) == mul(rho(p), rho(r))
+
+
+# small keys and values, so that sums and products often cancel to zero
+_VALUES = st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3)
+
+
+def _sparse(length):
+    return st.dictionaries(st.tuples(*[st.integers(0, 1)] * length), _VALUES, max_size=5)
+
+
+def _naive_lin(terms):
+    keys = {key for _, p in terms for key in p}
+    sums = {key: sum(s * p.get(key, 0) for s, p in terms) for key in keys}
+    return {key: v for key, v in sums.items() if v}
+
+
+def _naive_mul(p, r):
+    terms = [(tuple(a + b for a, b in zip(k1, k2)), c1 * c2)
+             for (k1, c1), (k2, c2) in product(p.items(), r.items())]
+    sums = {key: sum(c for k, c in terms if k == key) for key, _ in terms}
+    return {key: v for key, v in sums.items() if v}
+
+
+@given(st.sampled_from([2, 5]).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(_VALUES, _sparse(n)), max_size=4), _sparse(n), _sparse(n))))
+@example(([(1, {(1, 0): 1, (0, 1): Fraction(1, 2)}), (-1, {(1, 0): 1, (0, 1): Fraction(1, 2)})],
+          {(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}))
+def test_lin_and_mul_match_their_definitions(case):
+    terms, p, r = case
+    assert lin(*terms) == _naive_lin(terms)
+    assert lin(*terms, (-1, lin(*terms))) == {}
+    got = mul(p, r)
+    assert got == _naive_mul(p, r) and all(got.values())
+    assert mul(p, r) == mul(r, p)
+    assert mul(lin((1, p), (-1, p)), r) == {}
 
 
 def test_named_element_tables():
@@ -156,6 +194,11 @@ def test_evaluate_examples():
         s, v = cubic_form(x), cubic_form(y)
         assert evaluate(D2, x, y) == pair_discriminant(x, y) ** 3 + 27 * (s * s * v) ** 2
         assert evaluate(T, x, x) == 3 * cubic_form(x)
+
+
+def test_evaluate_refuses_q_terms():
+    with pytest.raises(ValueError, match="free of q"):
+        evaluate(rho(expand(named_element("F"))), (1, 2, 3), (4, 5, 6))
 
 
 def _substituted(e, x, y) -> Fraction:
