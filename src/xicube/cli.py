@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: minpoints, ring-dims, find-relation, special-family,
-verify-identities, run.  Exit codes: 0 success with all requested suites
-passing, 1 invariant failure or any other error, 2 usage error or dependent
-xi, 3 precision-ceiling abort.
+verify-identities, run.  Exit codes: 0 success with all suites passing,
+1 invariant failure or any other error, 2 usage error or dependent xi,
+3 precision-ceiling abort.
 
 Each flag is declared once, in the `_COMMANDS` table, with its converter,
 its help and a default taken from the library object that uses it.  `_parse`
@@ -43,21 +43,23 @@ from .search import (SupportSet, hp_decompose, maximal_j_element,
 def _config_flags(path: str) -> list[str]:
     """The `key = value` lines of a config file as `--key=value` flags."""
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from exc
     flags = []
-    with fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line {line!r}; expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key == "config":
-                raise UsageError(f"config file {path} cannot name another config file")
-            flags.append(f"--{key.replace('_', '-')}={value}")
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line {line!r}; expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "config":
+            raise UsageError(f"config file {path} cannot name another config file")
+        flags.append(f"--{key.replace('_', '-')}={value}")
     return flags
 
 
@@ -200,7 +202,6 @@ def _cmd_run(args) -> int:
         precision_bits=args.precision,
         max_bits=args.max_bits,
         epsilon=args.epsilon,
-        suites=args.suites,
         lambda_window=args.window,
         csv_path=args.csv,
         json_path=args.json,
@@ -250,8 +251,6 @@ _COMMANDS = {
         **_XI_FLAGS,
         "epsilon": (_positive_rational, _RUN["epsilon"],
                     "rational epsilon for the pair inequality"),
-        "suites": (lambda text: tuple(text.split(",")), _RUN["suites"],
-                   "comma list of suites"),
         "window": (int, _RUN["lambda_window"], "trailing window for the exponent estimate"),
         "csv": (str, None, "write per-pair CSV"),
         "json": (str, None, "write the JSON summary"),
@@ -268,8 +267,7 @@ def _help(commands) -> str:
         lines.append(f"\nxicube {command}: {about}")
         for flag, (_, default, about) in flags.items():
             if default is not None:
-                shown = ",".join(default) if isinstance(default, tuple) else default
-                about += f" (default {shown})"
+                about += f" (default {default})"
             lines.append(f"  --{flag:<12} {about}")
     return "\n".join(lines)
 

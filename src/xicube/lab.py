@@ -3,8 +3,10 @@
 One experiment takes a xi specification through the full pipeline: minimal
 points, independence set, pair records, the exact divisibility suites, the
 pair inequality decisions, and the monitored (expressly non-PASS/FAIL)
-asymptotic ratio traces.  Output is a CSV of pair data and a JSON summary;
-both are byte-deterministic for a fixed configuration.
+asymptotic ratio traces.  Every run runs all three suites.  Output is a CSV
+of pair data and a JSON summary; both are byte-deterministic for a fixed
+configuration.  A run that fails leaves a reproducer JSON instead (see
+`run_experiment`).
 """
 
 from __future__ import annotations
@@ -24,16 +26,16 @@ from .realctx import (DEFAULT_MAX_BITS, DEFAULT_PRECISION_BITS, RealContext,
                       _LongInts, approx_error)
 from .rigor import decimal, lambda_hat, log_ratio
 from .search import prop8_inequality
-from .vectors import content, cross, sup_norm, vscale
+from .vectors import content, cross, sup_norm
 
 ALL_SUITES = ("divisibility", "heights", "prop8")
 
 
 class ExperimentConfig(namedtuple(
         "ExperimentConfig",
-        "xi norm_bound precision_bits max_bits epsilon suites lambda_window "
+        "xi norm_bound precision_bits max_bits epsilon lambda_window "
         "csv_path json_path reproducer_path",
-        defaults=(100_000, DEFAULT_PRECISION_BITS, DEFAULT_MAX_BITS, "1/10", ALL_SUITES,
+        defaults=(100_000, DEFAULT_PRECISION_BITS, DEFAULT_MAX_BITS, "1/10",
                   8, None, None, "xicube_reproducer.json"))):
     """The settings of one experiment; every field but `xi` has a default."""
 
@@ -47,9 +49,6 @@ class ExperimentConfig(namedtuple(
             raise UsageError("epsilon must be positive")
         if self.lambda_window < 1:
             raise UsageError(f"lambda_window must be >= 1, got {self.lambda_window}")
-        unknown = set(self.suites) - set(ALL_SUITES)
-        if unknown:
-            raise UsageError(f"unknown suites {sorted(unknown)}")
         return self
 
 
@@ -90,9 +89,10 @@ class ExperimentReport(namedtuple("ExperimentReport", (
                 "prop8": p8,
             })
         return {
-            # "threads" is the setting of the parallel scan that was removed;
-            # it stays at its one value so reports keep their recorded bytes
-            "config": {**self.config._asdict(), "threads": 1},
+            # "suites" and "threads" are settings that were removed (the suite
+            # switch and the parallel scan); they stay at their one value so
+            # reports keep their recorded bytes
+            "config": {**self.config._asdict(), "suites": ALL_SUITES, "threads": 1},
             "constants": threshold_constants(),
             "counts": {
                 "sequence": len(self.sequence),
@@ -214,16 +214,14 @@ def lambda_hat_window_min(trace: list[dict], window: int) -> dict:
 
 
 def height_checks(seq: list[MinimalPoint], records: list[PairRecord],
-                  errs: list[Interval]) -> dict:
+                  checks: list[dict], errs: list[Interval]) -> dict:
     """Primitivity of consecutive cross products plus the bounded-ratio monitor.
 
+    The cross ratio of each pair is the `cross_ratio` verdict of its checks.
     The ratio sup|x_i ^ x_j| / (X_j * L_i) has no effective constants in the
     theory, so only its observed range is reported.
     """
     prim = all(content(cross(a.point, b.point)) == 1 for a, b in zip(seq, seq[1:]))
-    ratio_ok = all(
-        cross(r.x_i, r.x_j) == vscale(r.q, cross(r.x_i, r.x_ip1)) for r in records
-    )
     lo = hi = None
     for rec in records:
         err = errs[rec.i - 1]
@@ -233,47 +231,49 @@ def height_checks(seq: list[MinimalPoint], records: list[PairRecord],
         hi = r_hi if hi is None else max(hi, r_hi)
     return {
         "cross_primitive_all": prim,
-        "cross_ratio_all": ratio_ok,
+        "cross_ratio_all": all(chk.get("cross_ratio", False) for chk in checks),
         "ratio_min": decimal(Interval(lo)) if lo is not None else "",
         "ratio_max": decimal(Interval(hi)) if hi is not None else "",
     }
 
 
-def _dump_reproducer(cfg: ExperimentConfig, exc: Exception, **failure) -> dict:
-    """Write the run's settings and what failed to cfg.reproducer_path.
+def _dump_reproducer(cfg: ExperimentConfig, exc: Exception):
+    """Write the run's settings, exc and the data it carries to cfg.reproducer_path.
 
-    A reproducer that cannot be written does not replace the failure it
-    records: exc keeps its class and message and gains a note (the CLI
-    prints each note on a line of its own).
+    The payload becomes exc.reproducer.  A reproducer that cannot be written
+    does not replace the failure it records: exc keeps its class and message
+    and gains a note (the CLI prints each note on a line of its own).
     """
-    payload = {
+    exc.reproducer = {
+        **getattr(exc, "reproducer", {}),
+        "error": type(exc).__name__,
+        "message": str(exc),
         "xi": cfg.xi,
         "norm_bound": cfg.norm_bound,
         "precision_bits": cfg.precision_bits,
         "max_bits": cfg.max_bits,
-        **failure,
     }
     try:
-        dump_json(cfg.reproducer_path, payload)
+        dump_json(cfg.reproducer_path, exc.reproducer)
     except OutputError as unwritten:
         exc.__notes__ = [*getattr(exc, "__notes__", ()), f"no reproducer: {unwritten}"]
-    return payload
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """The full pipeline for one xi; deterministic for a fixed configuration.
 
-    A run that fails writes a reproducer to cfg.reproducer_path: the failing
-    pair for a divisibility failure, the height monitors for a height failure,
-    the exception class and message for any other error that the CLI
-    reports but a UsageError.  A passing run writes none.
+    A run that fails with any error that the CLI reports but a UsageError
+    writes a reproducer to cfg.reproducer_path: the run's settings, the
+    exception class (`error`) and `message`, and the data the exception
+    carries, such as the failing pair and checks or the height monitors.
+    A passing run writes none.
     """
     try:
         return _experiment(cfg)
-    except (UsageError, InvariantViolation):
+    except UsageError:
         raise
     except (XicubeError, ValueError) as exc:
-        _dump_reproducer(cfg, exc, error=type(exc).__name__, message=str(exc))
+        _dump_reproducer(cfg, exc)
         raise
 
 
@@ -282,57 +282,40 @@ def _experiment(cfg: ExperimentConfig) -> ExperimentReport:
     seq = minimal_sequence(ctx, cfg.norm_bound)
     indep = independence_set(seq) if len(seq) >= 3 else []
     records = build_pair_records(seq, indep)
-    suites: dict[str, str] = {}
 
     checks = [pair_checks(rec) for rec in records]
-    if "divisibility" in cfg.suites:
-        for rec, chk in zip(records, checks):
-            failed = sorted(name for name, ok in chk.items() if not ok)
-            if failed:
-                exc = InvariantViolation(
-                    f"exact invariant failed on pair ({rec.i},{rec.j}): {failed}")
-                exc.reproducer = _dump_reproducer(cfg, exc, pair={
-                    "i": rec.i, "j": rec.j,
-                    "x_i": list(rec.x_i), "x_ip1": list(rec.x_ip1), "x_j": list(rec.x_j),
-                }, failed_checks=failed)
-                raise exc
-        suites["divisibility"] = "PASS"
-    else:
-        suites["divisibility"] = "SKIPPED"
+    for rec, chk in zip(records, checks):
+        failed = sorted(name for name, ok in chk.items() if not ok)
+        if failed:
+            raise InvariantViolation(
+                f"exact invariant failed on pair ({rec.i},{rec.j}): {failed}", {
+                    "pair": {"i": rec.i, "j": rec.j, "x_i": list(rec.x_i),
+                             "x_ip1": list(rec.x_ip1), "x_j": list(rec.x_j)},
+                    "failed_checks": failed,
+                })
 
     errs = positive_errors(ctx, seq)
-    if "heights" in cfg.suites:
-        heights = height_checks(seq, records, errs)
-        if not (heights["cross_primitive_all"] and heights["cross_ratio_all"]):
-            exc = InvariantViolation("cross-product height check failed")
-            exc.reproducer = _dump_reproducer(cfg, exc, heights=heights)
-            raise exc
-        suites["heights"] = "PASS"
-    else:
-        heights = {}
-        suites["heights"] = "SKIPPED"
+    heights = height_checks(seq, records, checks, errs)
+    if not (heights["cross_primitive_all"] and heights["cross_ratio_all"]):
+        raise InvariantViolation("cross-product height check failed", {"heights": heights})
 
+    eps = Fraction(cfg.epsilon)
     prop8 = []
-    if "prop8" in cfg.suites:
-        eps = Fraction(cfg.epsilon)
-        for rec in records:
-            entry: dict = {"i": rec.i, "j": rec.j}
-            sv = rec.s * rec.s * rec.v
-            if rec.t == 0 or rec.f == 0 or sv == 0 or abs(rec.q) < 3:
-                entry["verdict"] = "skipped"
-                entry["reason"] = "preconditions (nonzero T, F, S^2V and |q| >= 3)"
-            else:
-                try:
-                    holds, diag = prop8_inequality(rec, eps)
-                    entry["verdict"] = "holds" if holds else "fails"
-                    entry["diagnostics"] = diag
-                except Undecidable:
-                    entry["verdict"] = "undecidable"
-            prop8.append(entry)
-        suites["prop8"] = "DONE"
-    else:
-        prop8 = [{"i": rec.i, "j": rec.j, "verdict": "skipped"} for rec in records]
-        suites["prop8"] = "SKIPPED"
+    for rec in records:
+        entry: dict = {"i": rec.i, "j": rec.j}
+        sv = rec.s * rec.s * rec.v
+        if rec.t == 0 or rec.f == 0 or sv == 0 or abs(rec.q) < 3:
+            entry["verdict"] = "skipped"
+            entry["reason"] = "preconditions (nonzero T, F, S^2V and |q| >= 3)"
+        else:
+            try:
+                holds, diag = prop8_inequality(rec, eps)
+                entry["verdict"] = "holds" if holds else "fails"
+                entry["diagnostics"] = diag
+            except Undecidable:
+                entry["verdict"] = "undecidable"
+        prop8.append(entry)
+    suites = {"divisibility": "PASS", "heights": "PASS", "prop8": "DONE"}
 
     lam = lambda_hat_trace(seq, errs)
     rho_seq = [{"i": a.index, "value": log_ratio(b.norm, a.norm)}

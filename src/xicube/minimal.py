@@ -160,17 +160,14 @@ def minimal_sequence(ctx: RealContext, norm_bound: int) -> list[MinimalPoint]:
             break
         n = sup_norm(pt)
         if records and n <= records[-1][0]:
-            raise InvariantViolation("candidate norms failed to increase",
-                                     {"xi": ctx.describe(), "point": pt})
+            raise InvariantViolation("candidate norms failed to increase", {"point": pt})
         records.append((n, pt))
 
     out: list[MinimalPoint] = []
     for idx, (n, pt) in enumerate(records, start=1):
         if content(pt) != 1:
-            raise InvariantViolation(
-                "minimal point is not primitive",
-                {"xi": ctx.describe(), "point": pt, "content": content(pt)},
-            )
+            raise InvariantViolation("minimal point is not primitive",
+                                     {"point": pt, "content": content(pt)})
         err = ctx.decide(lambda bits, p=pt: _certified_err(ctx, p, bits),
                          what=f"certified L{pt}")
         out.append(MinimalPoint(idx, pt, n, err, delta_of(pt, ctx)))

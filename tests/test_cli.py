@@ -13,7 +13,7 @@ import pytest
 import xicube
 from xicube import RealContext, minimal_sequence
 from xicube.cli import _COMMANDS, _parse, main
-from xicube.errors import Undecidable
+from xicube.errors import InvariantViolation, Undecidable
 from xicube.lab import ExperimentConfig
 from xicube.realctx import _LongInts
 
@@ -165,10 +165,11 @@ def test_config_file_merge(tmp_path, capsys):
     (f"xi = {ROOT2}\nbound = ten\n", "bound"),
     (f"xi = {ROOT2}\nbound = 100\nthredas = 2\n", "thredas"),
     (f"xi = {ROOT2}\nbound = 100\nthreads = 2\n", "threads"),
+    (f"xi = {ROOT2}\nbound = 100 # caf\xe9\n", "xicube.cfg: 'utf-8' codec can't decode"),
 ])
 def test_config_file_errors_exit_2(tmp_path, capsys, text, needle):
     cfg = tmp_path / "xicube.cfg"
-    cfg.write_text(text)
+    cfg.write_bytes(text.encode("latin-1"))
     assert main(["minpoints", "--config", str(cfg)]) == 2
     assert needle in capsys.readouterr().err
 
@@ -327,6 +328,7 @@ def test_value_out_of_range_is_usage_error(tmp_path, monkeypatch, capsys, argv, 
     ("epsilon = -1/10", "epsilon"),
     ("epsilon = abc", "argument --epsilon: 'abc' is not a rational number"),
     ("config = other.cfg", "another config"),
+    ("suites = divisibility", "unrecognized argument '--suites=divisibility' for run"),
 ])
 def test_bad_config_value_exits_2(tmp_path, monkeypatch, capsys, line, name):
     monkeypatch.chdir(tmp_path)
@@ -366,6 +368,27 @@ def test_failed_suite_exits_1_with_reproducer(tmp_path, monkeypatch, capsys):
     assert main(["run", "--xi", ROOT2, "--bound", "2000", "--reproducer", str(repro)]) == 1
     assert "invariant FAILED" in capsys.readouterr().err
     assert json.loads(repro.read_text())["failed_checks"] == ["q2_divides_a"]
+
+
+def test_pair_record_violation_exits_1_with_reproducer(tmp_path, monkeypatch, capsys):
+    import xicube.lab as lab
+
+    message = "V of a pair must equal S of the next pair"
+
+    def broken_records(seq, indep):
+        # a data key that names a setting loses to the run's own setting
+        raise InvariantViolation(message, {"pair": (1, 2), "next": (2, 3), "norm_bound": 1})
+
+    monkeypatch.setattr(lab, "build_pair_records", broken_records)
+    repro = tmp_path / "repro.json"
+    assert main(["run", "--xi", ROOT2, "--bound", "2000", "--reproducer", str(repro)]) == 1
+    assert capsys.readouterr().err == f"invariant FAILED: {message}\n"
+    cfg = ExperimentConfig(xi=ROOT2)
+    assert json.loads(repro.read_text()) == {
+        "xi": ROOT2, "norm_bound": 2000, "precision_bits": cfg.precision_bits,
+        "max_bits": cfg.max_bits, "error": "InvariantViolation", "message": message,
+        "pair": [1, 2], "next": [2, 3],
+    }
 
 
 @pytest.mark.parametrize("flag,message", [
@@ -478,9 +501,9 @@ def test_run_defaults_are_the_config_defaults(capsys):
                   cfg.reproducer_path):
         assert f"(default {value})" in shown
     args = _parse(["run"])
-    assert (args.precision, args.max_bits, args.epsilon, args.suites, args.window,
+    assert (args.precision, args.max_bits, args.epsilon, args.window,
             args.reproducer) == (cfg.precision_bits, cfg.max_bits, cfg.epsilon,
-                                 cfg.suites, cfg.lambda_window, cfg.reproducer_path)
+                                 cfg.lambda_window, cfg.reproducer_path)
 
 
 def test_flag_forms_and_prefixes_parse_alike():
@@ -509,6 +532,7 @@ def test_prefix_is_a_config_key(tmp_path, capsys):
     (["ring-dims", "--lmax"], "argument --lmax"),
     (["ring-dims", "--lmax", "--s-lmax", "2"], "argument --lmax"),
     (["ring-dims", "3"], "'3'"),
+    (["run", "--xi", ROOT2, "--suites", "divisibility"], "unrecognized argument '--suites'"),
 ])
 def test_bad_flags_exit_2_naming_the_token(capsys, argv, needle):
     with pytest.raises(SystemExit) as exc:
@@ -530,5 +554,4 @@ def test_help_lists_every_flag_with_its_default(capsys, argv):
         assert sorted(lines) == sorted(f"--{flag}" for flag in flags)
         for flag, (_, default, _) in flags.items():
             if default is not None:
-                shown = ",".join(default) if isinstance(default, tuple) else default
-                assert lines[f"--{flag}"].endswith(f"(default {shown})")
+                assert lines[f"--{flag}"].endswith(f"(default {default})")

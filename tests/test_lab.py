@@ -9,7 +9,7 @@ from xicube.errors import InvariantViolation
 from xicube.lab import (dump_json, height_checks, lambda_hat_trace, lambda_hat_window_min,
                         positive_errors, write_atomically)
 from xicube.minimal import (MinimalPoint, PairRecord, build_pair_records,
-                            independence_set, minimal_sequence)
+                            independence_set, minimal_sequence, pair_checks)
 from xicube.realctx import AlgebraicXi, DecimalXi
 from xicube.rigor import lambda_hat
 from xicube.search import prop8_decide
@@ -40,8 +40,6 @@ def test_config_validation():
         ExperimentConfig(xi=ROOT2, norm_bound=0)
     with pytest.raises(ValueError):
         ExperimentConfig(xi=ROOT2, epsilon="0")
-    with pytest.raises(ValueError):
-        ExperimentConfig(xi=ROOT2, suites=("divisibility", "nosuch"))
 
 
 @pytest.mark.parametrize("record,field", [
@@ -111,7 +109,8 @@ def test_monitors_certify_each_error_once(monkeypatch):
 def test_height_checks(ctx_root2):
     seq = minimal_sequence(ctx_root2, 20_000)
     records = build_pair_records(seq, independence_set(seq))
-    out = height_checks(seq, records, positive_errors(ctx_root2, seq))
+    checks = [pair_checks(rec) for rec in records]
+    out = height_checks(seq, records, checks, positive_errors(ctx_root2, seq))
     assert out["cross_primitive_all"] and out["cross_ratio_all"]
     assert float(out["ratio_min"]) > 0
 
@@ -210,13 +209,6 @@ def test_outputs_ignore_global_iv_precision(tmp_path, prec):
         iv.prec = old
 
 
-def test_suite_toggles():
-    cfg = ExperimentConfig(xi=ROOT2, norm_bound=2000, suites=("divisibility",))
-    rep = run_experiment(cfg)
-    assert rep.suites == {"divisibility": "PASS", "heights": "SKIPPED",
-                          "prop8": "SKIPPED"}
-
-
 def test_failure_dumps_reproducer(tmp_path, monkeypatch):
     from xicube import lab
 
@@ -253,7 +245,7 @@ def test_height_failure_dumps_reproducer(tmp_path, monkeypatch):
 
     failing = {"cross_primitive_all": True, "cross_ratio_all": False,
                "ratio_min": "", "ratio_max": ""}
-    monkeypatch.setattr(lab, "height_checks", lambda seq, records, errs: failing)
+    monkeypatch.setattr(lab, "height_checks", lambda seq, records, checks, errs: failing)
     repro = tmp_path / "repro.json"
     cfg = ExperimentConfig(xi=ROOT2, norm_bound=2000, reproducer_path=str(repro))
     with pytest.raises(InvariantViolation):
