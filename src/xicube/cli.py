@@ -19,7 +19,6 @@ An output file that cannot be written exits 1 as ``error: cannot write ...``.
 
 from __future__ import annotations
 
-import csv
 import sys
 import warnings
 from fractions import Fraction
@@ -28,7 +27,7 @@ from types import SimpleNamespace
 from .errors import (DependenceError, InvariantViolation, PrecisionError,
                      UsageError, XicubeError)
 from .identities import run_identity_suite
-from .lab import ExperimentConfig, dump_json, run_experiment, write_atomically
+from .lab import ExperimentConfig, dump_json, run_experiment, write_rows
 from .minimal import minimal_sequence
 from .realctx import DEFAULT_MAX_BITS, DEFAULT_PRECISION_BITS, RealContext
 # ring-dims reads j_subspace_dims and s_subspace_dims; j_subspace and
@@ -103,8 +102,7 @@ def _cmd_minpoints(args) -> int:
               f"norm={r['norm']}  L~{r['err']}")
     if args.csv:
         fields = ["index", "x0", "x1", "x2", "norm", "err"]
-        write_atomically(args.csv, lambda fh: csv.writer(fh).writerows(
-            [fields] + [[r[f] for f in fields] for r in rows]), newline="")
+        write_rows(args.csv, [fields] + [[r[f] for f in fields] for r in rows])
     if args.json:
         dump_json(args.json, rows)
     print(f"{len(seq)} minimal points with norm <= {args.bound}")

@@ -7,12 +7,18 @@ asymptotic ratio traces.  Every run runs all three suites.  Output is a CSV
 of pair data and a JSON summary; both are byte-deterministic for a fixed
 configuration.  A run that fails leaves a reproducer JSON instead (see
 `run_experiment`).
+
+The report does each piece of work once.  The run's `Logs` table computes
+the log of each norm and |q| once, and every monitor reads it.  The CSV and
+the JSON are written in one pass over the records: each pair's integers are
+turned into decimal once, for both files (CPython's int-to-str is quadratic,
+and a deep run's pair integers have thousands of digits), and a deep run
+holds one pair's text at a time.  One writer, `_enc`, makes every JSON text
+as ``json.dumps(obj, sort_keys=True, indent=2)`` would.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 from collections import namedtuple
 from fractions import Fraction
@@ -24,7 +30,7 @@ from .minimal import (MinimalPoint, PairRecord, build_pair_records,
                       independence_set, minimal_sequence, pair_checks)
 from .realctx import (DEFAULT_MAX_BITS, DEFAULT_PRECISION_BITS, RealContext,
                       _LongInts, approx_error)
-from .rigor import decimal, lambda_hat, log_ratio
+from .rigor import Logs, decimal, lambda_hat
 from .search import prop8_inequality
 from .vectors import content, cross, sup_norm
 
@@ -54,88 +60,97 @@ class ExperimentConfig(namedtuple(
 
 class ExperimentReport(namedtuple("ExperimentReport", (
         "config sequence indep records checks prop8 lambda_hat rho_seq "
-        "monitors suites"))):
+        "monitors suites pair_rho"))):
     """The results of one experiment.
 
     `lambda_hat` holds, per index i, the enclosure of log(1/L_i)/log X_{i+1};
-    `rho_seq`, per index, the monitor log X_{i+1} / log X_i.
+    `rho_seq`, per index, the monitor log X_{i+1} / log X_i; `pair_rho`, per
+    pair, the monitor log X_{j+1} / log X_{i+1} ("" below X = 2).
     """
 
     __slots__ = ()
 
-    def summary_dict(self) -> dict:
-        seq = [
-            {
-                "index": p.index,
-                "point": list(p.point),
-                "norm": p.norm,
+    def _point(self, n: int) -> dict:
+        p = self.sequence[n]
+        return {"index": p.index, "point": list(p.point), "norm": p.norm,
                 "err": [str(p.err.lo), str(p.err.hi)],
-                "err_dec": decimal(p.err),
-                "delta_dec": decimal(p.delta),
-            }
-            for p in self.sequence
-        ]
-        pairs = []
-        for rec, chk, p8 in zip(self.records, self.checks, self.prop8):
-            pairs.append({
-                "i": rec.i, "j": rec.j,
+                "err_dec": decimal(p.err), "delta_dec": decimal(p.delta)}
+
+    def _pair(self, n: int) -> dict:
+        rec = self.records[n]
+        return {"i": rec.i, "j": rec.j,
                 "x_i": list(rec.x_i), "x_ip1": list(rec.x_ip1), "x_j": list(rec.x_j),
-                "p": rec.p, "q": rec.q,
-                "S": rec.s, "T": rec.t, "U": rec.u, "V": rec.v,
-                "A": rec.a, "B": rec.b, "F": rec.f,
-                "D2": rec.d2, "D3": rec.d3, "D6": rec.d6,
-                "height_sq": rec.height_sq,
-                "checks": dict(sorted(chk.items())),
-                "prop8": p8,
-            })
-        return {
+                "p": rec.p, "q": rec.q, "S": rec.s, "T": rec.t, "U": rec.u, "V": rec.v,
+                "A": rec.a, "B": rec.b, "F": rec.f, "D2": rec.d2, "D3": rec.d3, "D6": rec.d6,
+                "height_sq": rec.height_sq, "checks": self.checks[n], "prop8": self.prop8[n]}
+
+    def write_csv(self, path: str):
+        write_atomically(path, lambda fh: self._write(fh, None), newline="")
+
+    def write_json(self, path: str, csv_path: str | None = None):
+        """Write summary.json, and pairs.csv at csv_path in the same pass."""
+        write_atomically(path, lambda fh: write_atomically(
+            csv_path, lambda csv_fh: self._write(csv_fh, fh), newline=""))
+
+    def _write(self, csv_fh, json_fh):
+        """Write pairs.csv and summary.json, either file None, in one pass.
+
+        The points and pairs of summary.json are made and written one at a
+        time, and each pair with its CSV row: the two read one table of the
+        pair's decimal strings.
+        """
+        names = sorted({name for chk in self.checks for name in chk})
+        mids = {entry["i"]: entry["mid"] for entry in self.lambda_hat}
+
+        def row(n, digits):
+            rec, chk = self.records[n], self.checks[n]
+            return ",".join([
+                *map(digits.__getitem__, (
+                    rec.i, rec.j, rec.norm_i, rec.norm_ip1, rec.norm_j, rec.p, rec.q, rec.s,
+                    rec.t, rec.u, rec.v, rec.a, rec.b, rec.f, rec.d2, rec.d3, rec.d6)),
+                *("" if name not in chk else "1" if chk[name] else "0" for name in names),
+                mids.get(rec.i, ""), self.pair_rho[n]]) + "\r\n"
+
+        if csv_fh:
+            csv_fh.write(",".join(["i", "j", "X_i", "X_ip1", "X_j", "p", "q", "S", "T", "U", "V",
+                                   "A", "B", "F", "D2", "D3", "D6", *names, "lambda_hat", "rho"])
+                         + "\r\n")
+        if not json_fh:
+            for n in range(len(self.records)):
+                csv_fh.write(row(n, _Digits()))
+            return
+        members = {
             # "suites" and "threads" are settings that were removed (the suite
             # switch and the parallel scan); they stay at their one value so
             # reports keep their recorded bytes
             "config": {**self.config._asdict(), "suites": ALL_SUITES, "threads": 1},
             "constants": threshold_constants(),
-            "counts": {
-                "sequence": len(self.sequence),
-                "independence": len(self.indep),
-                "pairs": len(self.records),
-            },
+            "counts": {"sequence": len(self.sequence), "independence": len(self.indep),
+                       "pairs": len(self.records)},
             "independence_set": self.indep,
-            "sequence": seq,
-            "pairs": pairs,
             "lambda_hat": self.lambda_hat,
             "rho_seq": self.rho_seq,
             "monitors": self.monitors,
             "suites": self.suites,
         }
-
-    def csv_rows(self) -> tuple[list[str], list[list]]:
-        check_names = sorted({name for chk in self.checks for name in chk})
-        header = ["i", "j", "X_i", "X_ip1", "X_j", "p", "q", "S", "T", "U", "V",
-                  "A", "B", "F", "D2", "D3", "D6"]
-        header += check_names + ["lambda_hat", "rho"]
-        rows = []
-        lam_by_index = {entry["i"]: entry for entry in self.lambda_hat}
-        for rec, chk in zip(self.records, self.checks):
-            row = [rec.i, rec.j, rec.norm_i, rec.norm_ip1, rec.norm_j, rec.p, rec.q,
-                   rec.s, rec.t, rec.u, rec.v, rec.a, rec.b, rec.f,
-                   rec.d2, rec.d3, rec.d6]
-            row += [int(chk[name]) if name in chk else "" for name in check_names]
-            lam = lam_by_index.get(rec.i)
-            row.append(lam["mid"] if lam else "")
-            # growth ratio of the pair: log X_{j+1} / log X_{i+1}
-            xj1, xi1 = self.sequence[rec.j].norm, rec.norm_ip1
-            row.append(log_ratio(xj1, xi1) if min(xj1, xi1) >= 2 else "")
-            rows.append(row)
-        return header, rows
-
-    def write_csv(self, path: str):
-        header, rows = self.csv_rows()
-        write_atomically(path, lambda fh: csv.writer(fh).writerows([header, *rows]), newline="")
-
-    def write_json(self, path: str):
-        with _LongInts():  # a long spec's error enclosures have long terms
-            payload = self.summary_dict()
-        dump_json(path, payload)
+        # the long lists: (length, n -> item)
+        lists = {"sequence": (len(self.sequence), self._point),
+                 "pairs": (len(self.records), self._pair)}
+        sep = "{"
+        for key in sorted([*members, *lists]):
+            json_fh.write(f"{sep}\n  {_quote(key)}: ")
+            sep = ","
+            if key in members:
+                json_fh.write(_enc(members[key], "  ", _Digits()))
+                continue
+            length, item = lists[key]
+            for n in range(length):
+                digits = _Digits()
+                if key == "pairs" and csv_fh:
+                    csv_fh.write(row(n, digits))
+                json_fh.write(("[" if n == 0 else ",") + "\n    " + _enc(item(n), "    ", digits))
+            json_fh.write("\n  ]" if length else "[]")
+        json_fh.write("\n}\n")
 
 
 def write_atomically(path: str, write, newline=None):
@@ -145,8 +160,10 @@ def write_atomically(path: str, write, newline=None):
     temporary file, leaves path as it was, and raises an OSError as OutputError.
     A symlink is followed, so its target is written.  An existing target that
     is not a regular file, such as a FIFO or a device, is written in place,
-    since a rename would replace it.
+    since a rename would replace it.  A path of None calls write(None).
     """
+    if path is None:
+        return write(None)
     target = os.path.realpath(path)
     in_place = os.path.exists(target) and not os.path.isfile(target)
     tmp = target if in_place else f"{target}.{os.getpid()}.tmp"
@@ -166,13 +183,95 @@ def write_atomically(path: str, write, newline=None):
         raise
 
 
-def dump_json(path: str, payload):
-    """Write payload as sorted, 2-space-indented JSON with a trailing newline."""
-    def write(fh):
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def write_rows(path: str, rows):
+    """Write rows of fields as comma-separated lines, each ending in CRLF.
 
-    write_atomically(path, write)
+    These are the bytes of `csv.writer` for fields free of commas, quotes and
+    line breaks, as every field written is: a number, a decimal or a column
+    name.  The text is built in memory and written with one call.
+    """
+    write_atomically(path, lambda fh: fh.write(
+        "".join([",".join(map(str, row)) + "\r\n" for row in rows])), newline="")
+
+
+class _Digits(dict):
+    """int.__repr__(n) of each integer n, made on its first read."""
+
+    __slots__ = ()
+
+    def __missing__(self, n: int) -> str:
+        text = self[n] = int.__repr__(n)
+        return text
+
+
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+            "\b": "\\b", "\f": "\\f"}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _quote(s: str) -> str:
+    """s as a JSON string in ASCII, escaped as json.dumps escapes it."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    # past U+FFFF a character is written as its UTF-16 surrogate pair
+    return '"' + "".join(
+        c if " " <= c <= "~" and c not in '"\\' else _ESCAPES.get(c)
+        or (f"\\u{ord(c):04x}" if c <= "\uffff"
+            else f"\\u{0xD7C0 + (ord(c) >> 10):04x}\\u{0xDC00 | ord(c) & 0x3FF:04x}")
+        for c in s) + '"'
+
+
+def _scalar(o, digits: _Digits) -> str:
+    """The JSON text of null, a bool, an int or a float; TypeError for any other object."""
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return digits[o]
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return _NONFINITE.get(text, text)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _enc(o, pad: str, digits: _Digits) -> str:
+    """o as ``json.dumps(o, sort_keys=True, indent=2)`` writes it, nested at indent `pad`.
+
+    Integers are read from `digits`.  What json.dumps rejects raises
+    TypeError; a circular payload recurses without bound.
+    """
+    # ints and strings fill most of a report: they come first, and a
+    # container looks its int members up itself
+    t = type(o)
+    if t is int:
+        return digits[o]
+    if t is str:
+        return _quote(o)
+    inner = pad + "  "
+    if isinstance(o, dict):
+        items = [_quote(k if isinstance(k, str) else _scalar(k, digits)) + ": "
+                 + (digits[v] if type(v) is int else _enc(v, inner, digits))
+                 for k, v in sorted(o.items())]
+        ends = "{}"
+    elif isinstance(o, (list, tuple)):
+        items = [digits[v] if type(v) is int else _enc(v, inner, digits) for v in o]
+        ends = "[]"
+    else:
+        return _quote(o) if isinstance(o, str) else _scalar(o, digits)
+    if not items:
+        return ends
+    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + ends[1]
+
+
+def to_json(obj) -> str:
+    """obj as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it, and a newline."""
+    with _LongInts():
+        return _enc(obj, "", _Digits()) + "\n"
+
+
+def dump_json(path: str, payload):
+    """Write `to_json(payload)` to path with one call; nothing is opened if it raises."""
+    text = to_json(payload)
+    write_atomically(path, lambda fh: fh.write(text))
 
 
 def positive_errors(ctx: RealContext, seq: list[MinimalPoint]) -> list[Interval]:
@@ -187,28 +286,21 @@ def positive_errors(ctx: RealContext, seq: list[MinimalPoint]) -> list[Interval]
     return [certified(p.point) for p in seq[:-1]]
 
 
-def lambda_hat_trace(seq: list[MinimalPoint], errs: list[Interval]) -> list[dict]:
-    """Empirical exponent enclosures log(1/L_i)/log X_{i+1} for i < len(seq)."""
-    out = []
-    for i in range(1, len(seq)):
-        x_next = seq[i].norm
-        if x_next < 2:
-            continue
-        enclosure, mid = lambda_hat(errs[i - 1], x_next)
-        out.append({"i": i, "lo": str(enclosure.lo), "hi": str(enclosure.hi),
-                    "mid": mid})
-    return out
+def lambda_hat_trace(seq: list[MinimalPoint], errs: list[Interval], logs: Logs) -> list:
+    """(i, enclosure, midpoint) of log(1/L_i)/log X_{i+1} for i < len(seq), X_{i+1} >= 2."""
+    return [(i, *lambda_hat(errs[i - 1], logs[seq[i].norm]))
+            for i in range(1, len(seq)) if seq[i].norm >= 2]
 
 
-def lambda_hat_window_min(trace: list[dict], window: int) -> dict:
+def lambda_hat_window_min(trace: list, window: int) -> dict:
     """Enclosure of the least lambda_hat over the last `window` trace entries.
 
     An empirical estimate of the uniform exponent, not the exponent itself.
     """
-    tail = trace[-window:]
+    tail = [lam for _, lam, _ in trace[-window:]]
     return {
-        "lo": str(min(Fraction(e["lo"]) for e in tail)),
-        "hi": str(min(Fraction(e["hi"]) for e in tail)),
+        "lo": str(min(lam.lo for lam in tail)),
+        "hi": str(min(lam.hi for lam in tail)),
         "window": len(tail),
     }
 
@@ -317,11 +409,16 @@ def _experiment(cfg: ExperimentConfig) -> ExperimentReport:
         prop8.append(entry)
     suites = {"divisibility": "PASS", "heights": "PASS", "prop8": "DONE"}
 
-    lam = lambda_hat_trace(seq, errs)
-    rho_seq = [{"i": a.index, "value": log_ratio(b.norm, a.norm)}
+    logs = Logs()
+    lam = lambda_hat_trace(seq, errs, logs)
+    rho_seq = [{"i": a.index, "value": logs.ratio(b.norm, a.norm)}
                for a, b in zip(seq, seq[1:]) if a.norm >= 2]
-    q_ratio = [{"i": rec.i, "value": log_ratio(rec.q, rec.norm_ip1)}
+    q_ratio = [{"i": rec.i, "value": logs.ratio(rec.q, rec.norm_ip1)}
                for rec in records if rec.norm_ip1 >= 2 and rec.q != 0]
+    # growth ratio of each pair: log X_{j+1} / log X_{i+1}
+    pair_rho = [logs.ratio(seq[rec.j].norm, rec.norm_ip1)
+                if min(seq[rec.j].norm, rec.norm_ip1) >= 2 else "" for rec in records]
+    del logs  # the run's table; the files are written without it
 
     monitors: dict = {
         "nonvanishing_zero_counts": {
@@ -337,11 +434,12 @@ def _experiment(cfg: ExperimentConfig) -> ExperimentReport:
     monitors.update({f"heights_{k}": v for k, v in heights.items()})
     if lam:
         monitors["lambda_hat_window_min"] = lambda_hat_window_min(lam, cfg.lambda_window)
+    lam = [{"i": i, "lo": str(e.lo), "hi": str(e.hi), "mid": mid} for i, e, mid in lam]
 
     report = ExperimentReport(cfg, seq, indep, records, checks, prop8, lam,
-                              rho_seq, monitors, suites)
-    if cfg.csv_path:
+                              rho_seq, monitors, suites, pair_rho)
+    if cfg.json_path:  # with the CSV, if any, in the same pass
+        report.write_json(cfg.json_path, cfg.csv_path)
+    elif cfg.csv_path:
         report.write_csv(cfg.csv_path)
-    if cfg.json_path:
-        report.write_json(cfg.json_path)
     return report

@@ -379,14 +379,16 @@ def pair_record(i: int, j: int, x_i: Vec3, x_ip1: Vec3, x_j: Vec3,
                 norm_i: int, norm_ip1: int, norm_j: int) -> PairRecord:
     p, q = decompose_pair(x_i, x_ip1, x_j)
     s, t, u, v = pair_values(x_i, x_j)
-    a = t * t - 3 * s * u
-    b = t**3 - 3 * t * a - 27 * s * s * v
-    f = t * t - 4 * s * u
-    sv = s * s * v
-    d2 = f**3 + 27 * sv * sv
-    d3 = f**3 - 18 * t * f * sv - 135 * sv * sv
-    d6 = (t * f**4 + 10 * f**3 * sv - 11 * t * t * f * f * sv
-          - 180 * t * f * sv * sv - t**3 * sv * sv - 675 * sv**3)
+    # D2, D3 and D6 share the powers of T, F and S^2 V
+    t2, su, sv = t * t, s * u, s * s * v
+    t3, sv2 = t2 * t, sv * sv
+    a = t2 - 3 * su
+    b = t3 - 3 * t * a - 27 * sv
+    f = t2 - 4 * su
+    f3, tf = f * f * f, t * f
+    d2 = f3 + 27 * sv2
+    d3 = f3 - 18 * tf * sv - 135 * sv2
+    d6 = tf * f3 + 10 * f3 * sv - 11 * tf * tf * sv - 180 * tf * sv2 - t3 * sv2 - 675 * sv2 * sv
     return PairRecord(i, j, x_i, x_ip1, x_j, p, q, s, t, u, v, a, b, f, d2, d3, d6,
                       euclid_norm_sq(cross(x_i, x_ip1)), norm_i, norm_ip1, norm_j)
 

@@ -9,7 +9,8 @@ rounded: ``- * /`` and negation round their exact result outward, and
 (an atanh series with a proven truncation bound, retried at a higher
 working precision while the bound straddles a rounding boundary, as in
 Ziv's method).  An enclosure keeps the precision it was built at, and
-each output is computed at a fixed one: logs and log ratios at `LOG_PREC`,
+each output is computed at a fixed one: logs and log ratios at `LOG_PREC`
+(the logs of a run's integers in one `Logs` table, each computed once),
 decimal renderings of rational enclosures at `DECIMAL_PREC`, and the
 `lambda_hat` midpoints and the pair-inequality diagnostics at `MID_PREC`.
 Decimal strings follow mpmath's ``to_str`` digit for digit, so recorded
@@ -236,13 +237,20 @@ def _int(prec: int, n: int) -> Enclosure:
     return Enclosure(_round(n, 0, prec, FLOOR), _round(n, 0, prec, CEILING), prec)
 
 
+def _end(prec: int, x: Fraction, mode: int) -> tuple[int, int]:
+    """The FLOOR or CEILING end of `_int(prec, num) / _int(prec, den)` for x = num/den."""
+    num, den = x.numerator, x.denominator
+    return _div(_round(num, 0, prec, mode),
+                _round(den, 0, prec, mode if num < 0 else CEILING - mode), prec, mode)
+
+
 def _fraction(prec: int, x) -> Enclosure:
     x = Fraction(x)
-    return _int(prec, x.numerator) / _int(prec, x.denominator)
+    return Enclosure(_end(prec, x, FLOOR), _end(prec, x, CEILING), prec)
 
 
 def _hull(prec: int, interval: Interval) -> Enclosure:
-    return Enclosure(_fraction(prec, interval.lo).lo, _fraction(prec, interval.hi).hi, prec)
+    return Enclosure(_end(prec, interval.lo, FLOOR), _end(prec, interval.hi, CEILING), prec)
 
 
 # the precision `log_abs` and `rational` enclose at: LOG_PREC, or the
@@ -369,16 +377,29 @@ def decimal(interval: Interval, digits: int = 15) -> str:
     return mid_str(_hull(DECIMAL_PREC, interval), digits)
 
 
-def log_ratio(num: int, den: int) -> str:
-    """log|num| / log|den| at LOG_PREC, as the decimal of its midpoint."""
-    return mid_str(evaluate(lambda: log_abs(num) / log_abs(den), LOG_PREC))
+class Logs(dict):
+    """ln n at LOG_PREC of integers n >= 1, each computed on its first read.
+
+    A table belongs to one run: it holds the logs of the run's norms and of
+    its |q|, and every monitor reads them from it.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, n: int) -> Enclosure:
+        log = self[n] = _ln(_int(LOG_PREC, n))
+        return log
+
+    def ratio(self, num: int, den: int) -> str:
+        """log|num| / log|den|, as the decimal of its midpoint."""
+        return mid_str(self[abs(num)] / self[abs(den)])
 
 
-def lambda_hat(err: Interval, x_next: int) -> tuple[Interval, str]:
+def lambda_hat(err: Interval, log_x: Enclosure) -> tuple[Interval, str]:
     """Enclosure of log(1/L) / log X for a positive enclosure of L, and its mid.
 
-    The enclosure is computed at LOG_PREC; the midpoint is rendered at
-    MID_PREC.
+    `log_x` is the LOG_PREC enclosure of log X, as `Logs` holds it; the
+    enclosure is computed at LOG_PREC and the midpoint rendered at MID_PREC.
     """
-    lam = -_ln(_hull(LOG_PREC, err)) / _ln(_int(LOG_PREC, x_next))
+    lam = -_ln(_hull(LOG_PREC, err)) / log_x
     return lam.to_interval(), mid_str(lam, prec=MID_PREC)

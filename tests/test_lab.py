@@ -1,17 +1,21 @@
+import hashlib
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from xicube import ExperimentConfig, Interval, SupportSet, run_experiment
-from xicube.errors import InvariantViolation
+from xicube.errors import InvariantViolation, OutputError
 from xicube.lab import (dump_json, height_checks, lambda_hat_trace, lambda_hat_window_min,
-                        positive_errors, write_atomically)
+                        positive_errors, to_json, write_atomically)
 from xicube.minimal import (MinimalPoint, PairRecord, build_pair_records,
                             independence_set, minimal_sequence, pair_checks)
-from xicube.realctx import AlgebraicXi, DecimalXi
-from xicube.rigor import lambda_hat
+from xicube.realctx import AlgebraicXi, DecimalXi, _LongInts
+from xicube.rigor import Logs, lambda_hat
 from xicube.search import prop8_decide
 
 ROOT2 = "alg:x^4-2 in [1,2]"
@@ -63,10 +67,7 @@ def test_window_must_be_positive():
 
 def test_estimate_on_synthetic_half_power():
     # L_i = X_{i+1}^(-1/2) exactly: the estimate must pin 1/2
-    trace = []
-    for k in (10, 20, 40, 80):
-        enclosure, _mid = lambda_hat(Interval(Fraction(1, k)), k * k)
-        trace.append({"lo": str(enclosure.lo), "hi": str(enclosure.hi)})
+    trace = [(k, *lambda_hat(Interval(Fraction(1, k)), Logs()[k * k])) for k in (10, 20, 40, 80)]
     est = lambda_hat_window_min(trace, 4)
     lo, hi = Fraction(est["lo"]), Fraction(est["hi"])
     assert lo <= Fraction(1, 2) <= hi
@@ -76,16 +77,17 @@ def test_estimate_on_synthetic_half_power():
 
 def test_dirichlet_floor(ctx_root2):
     seq = minimal_sequence(ctx_root2, 100_000)
-    est = lambda_hat_window_min(lambda_hat_trace(seq, positive_errors(ctx_root2, seq)), 8)
+    est = lambda_hat_window_min(lambda_hat_trace(seq, positive_errors(ctx_root2, seq), Logs()), 8)
     assert Fraction(est["lo"]) >= Fraction(1, 3) - Fraction(5, 100)
 
 
 def test_lambda_trace_fields(ctx_root2):
     seq = minimal_sequence(ctx_root2, 5000)
-    trace = lambda_hat_trace(seq, positive_errors(ctx_root2, seq))
-    assert [e["i"] for e in trace] == list(range(1, len(seq)))
-    for e in trace:
-        assert Fraction(e["lo"]) <= Fraction(e["hi"])
+    trace = lambda_hat_trace(seq, positive_errors(ctx_root2, seq), Logs())
+    assert [i for i, _, _ in trace] == list(range(1, len(seq)))
+    for _, enclosure, mid in trace:
+        assert enclosure.lo <= enclosure.hi
+        assert abs(Fraction(mid) - enclosure.lo) < Fraction(1, 10**12)
 
 
 def test_monitors_certify_each_error_once(monkeypatch):
@@ -262,7 +264,7 @@ def test_failed_writer_leaves_no_file(tmp_path):
     target = tmp_path / "out.csv"
     with pytest.raises(RuntimeError):
         write_atomically(str(target), _half_then_fail, newline="")
-    with pytest.raises(TypeError):  # json.dump stops at the object after writing "a"
+    with pytest.raises(TypeError):  # raised while the text is built, before any file opens
         dump_json(str(tmp_path / "out.json"), {"a": 1, "b": object()})
     assert list(tmp_path.iterdir()) == []
     # a failed rewrite keeps the complete file that was there
@@ -271,3 +273,87 @@ def test_failed_writer_leaves_no_file(tmp_path):
         write_atomically(str(target), _half_then_fail)
     assert list(tmp_path.iterdir()) == [target]
     assert target.read_text() == "[\n  1,\n  2\n]\n"
+
+
+def test_each_log_is_computed_once_per_run(tmp_path, monkeypatch):
+    from xicube import rigor
+
+    calls = []
+    log_bounds = rigor._log_bounds
+
+    def counting(man, exp, prec):
+        calls.append((man, exp, prec))
+        return log_bounds(man, exp, prec)
+
+    monkeypatch.setattr(rigor, "_log_bounds", counting)
+    monkeypatch.chdir(tmp_path)
+    run_experiment(ExperimentConfig(xi=ROOT2, norm_bound=16_000, csv_path="pairs.csv",
+                                    json_path="summary.json"))
+    # the norms and |q| are logged once each, and every error end once
+    assert calls and Counter(calls).most_common(1)[0][1] == 1
+    # the root2 digests of PAPER_DIGESTS in bench/workloads.py
+    got = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in ("pairs.csv", "summary.json")]
+    assert got == ["3560d7b44846245a5a2667f85dad92e633705bbd64c72446640573b76d39074c",
+                   "b52c57140c90c376ee3ef66fb631ad2a96080b71c703ad4b4de3f04610247064"]
+
+
+# strings of every code point, lone surrogates and control characters included
+_text = st.text(st.characters(exclude_categories=()), max_size=8)
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats() | _text
+            # integers past the 4300 digits Python turns into text by default
+            | st.builds(lambda e, k: k * 10**e + 1, st.integers(4300, 4400), st.integers(-9, 9)))
+_keys = st.one_of(_text, st.integers(), st.floats(), st.booleans(), st.none())
+_payloads = st.recursive(_scalars, lambda kids: (
+    st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_text, kids, max_size=4) | st.dictionaries(_keys, kids, max_size=3)),
+    max_leaves=20)
+
+
+@settings(max_examples=300)
+@given(_payloads)
+@example({"": [], "\x00\x1f\x7f\"\\\u00e9\U0001f600\ud800": {}, "b": (), "a": [{}]})
+@example({1: True, 2.5: None, -1: [1.5, float("nan"), float("inf"), -float("inf")]})
+@example({True: 1, None: 2, False: 3.0})
+def test_json_writer_matches_json_dumps(payload):
+    with _LongInts():
+        try:
+            want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        except TypeError:  # keys of types that do not sort
+            with pytest.raises(TypeError):
+                to_json(payload)
+            return
+    assert to_json(payload) == want
+
+
+@pytest.mark.parametrize("payload", [object(), [Fraction(1, 2)], {"a": {1, 2}}, {"a": b"x"},
+                                     {(1, 2): 3}, {1: 2, "a": 3}, {"x": [1, {"y": object()}]}],
+                         ids=["object", "fraction", "set", "bytes", "tuple-key", "mixed-keys",
+                              "nested"])
+def test_json_writer_rejects_what_json_dumps_rejects(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        to_json(payload)
+
+
+def test_one_pass_writes_the_bytes_of_each_file_alone(tmp_path):
+    rep = run_experiment(ExperimentConfig(xi=ROOT2, norm_bound=16_000,
+                                          csv_path=str(tmp_path / "both.csv"),
+                                          json_path=str(tmp_path / "both.json")))
+    rep.write_csv(str(tmp_path / "alone.csv"))
+    rep.write_json(str(tmp_path / "alone.json"))
+    for ext in ("csv", "json"):
+        assert (tmp_path / f"both.{ext}").read_bytes() == (tmp_path / f"alone.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("missing", ["csv", "json"])
+def test_one_pass_leaves_neither_file_when_one_cannot_be_written(tmp_path, missing):
+    paths = {ext: tmp_path / ("missing" if ext == missing else ".") / f"out.{ext}"
+             for ext in ("csv", "json")}
+    cfg = ExperimentConfig(xi=ROOT2, norm_bound=2000, csv_path=str(paths["csv"]),
+                           json_path=str(paths["json"]),
+                           reproducer_path=str(tmp_path / "repro.json"))
+    with pytest.raises(OutputError, match=f"cannot write {paths[missing]}"):
+        run_experiment(cfg)
+    assert [p.name for p in tmp_path.iterdir()] == ["repro.json"]
